@@ -1,27 +1,28 @@
 """Linear codes over a finite field.
 
 Provides the GRS base construction (always MDS), exact minimum
-distance by exhaustive codeword enumeration, the minor-criterion MDS
-check, single row/column scalings, diagonal sandwich products, and a
-hard-coded [8,3,6] reference code over F_7 used throughout the tests.
+distance and weight distribution by exhaustive enumeration, the
+minor-criterion MDS check, single row/column scalings, diagonal
+sandwich products, and a hard-coded [8,3,6] reference code over F_7.
 
 The two MDS detectors are deliberately independent: ``is_mds`` checks
 nonsingularity of every k-column submatrix and scales with C(n, k),
-while ``min_distance`` enumerates q^k - 1 codewords. Where both are
-feasible they must agree (d = n - k + 1 iff all minors nonsingular),
-and the test suite asserts exactly that.
+while ``min_distance`` enumerates one codeword per projective point,
+(q^k - 1)/(q - 1) in all. Where both are feasible they must agree
+(d = n - k + 1 iff all minors nonsingular), as the tests assert.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     DuplicateAlpha,
+    FieldTooLarge,
     IndexOutOfRange,
     RankDeficient,
     TooLong,
@@ -33,10 +34,10 @@ from .errors import (
 from .field import FieldElement, FieldSpec, make_prime_field
 from .matrix import FieldMatrix, _eliminate, rank, vec_mat_mul
 
-#: Cap on q^k - 1 for exhaustive minimum-distance enumeration.
+#: Cap on the q^k - 1 codewords an exhaustive enumeration covers.
 DEFAULT_ENUM_LIMIT = 1 << 26
 
-_CHUNK = 1 << 18  # messages per enumeration block
+_CHUNK = 1 << 16  # messages per enumeration block
 
 
 class LinearCode:
@@ -153,68 +154,65 @@ def _mul_matrix(spec: FieldSpec, c_code: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _min_weight_prime(spec: FieldSpec, g: np.ndarray, total: int) -> int:
-    p = spec.p
-    k, n = g.shape
-    best = n
-    for start in range(1, total + 1, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total + 1), dtype=np.int64)
-        digits = np.empty((idx.size, k), dtype=np.int64)
-        for i in range(k):
-            idx, digits[:, i] = np.divmod(idx, p)
-        weights = np.count_nonzero((digits @ g) % p, axis=1)
-        best = min(best, int(weights.min()))
-        if best == 1:
-            break
-    return best
+def _projective_weights(code: LinearCode, enum_limit: int) -> Iterator[np.ndarray]:
+    """Weights of one codeword per projective point, a chunk at a time.
 
-
-def _min_weight_ext(spec: FieldSpec, g: np.ndarray, total: int) -> int:
-    p, q, t = spec.p, spec.order, spec.t
-    k, n = g.shape
-    # lmaps[i][j]: t x t matrix over F_p realizing multiplication by g[i, j]
-    lmaps = [[_mul_matrix(spec, int(g[i, j])) for j in range(n)] for i in range(k)]
-    best = n
-    for start in range(1, total + 1, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total + 1), dtype=np.int64)
-        m = idx.size
-        coords = np.empty((m, k, t), dtype=np.int64)
-        for i in range(k):
-            idx, codes = np.divmod(idx, q)
-            for j in range(t):
-                codes, coords[:, i, j] = np.divmod(codes, p)
-        weights = np.zeros(m, dtype=np.int64)
-        for j in range(n):
-            acc = coords[:, 0, :] @ lmaps[0][j]
-            for i in range(1, k):
-                acc += coords[:, i, :] @ lmaps[i][j]
-            weights += (acc % p).any(axis=1)
-        best = min(best, int(weights.min()))
-        if best == 1:
-            break
-    return best
+    Nonzero multiples share a weight, so the messages (0, ..., 0, 1, tail)
+    stand for all q^k - 1 (capped by ``enum_limit``). Over F_p each g[i, j]
+    is a t x t multiplication map, so encoding is one integer matrix
+    product with the (k*t) x (n*t) block matrix ``lmat``.
+    """
+    spec = code.spec
+    p, t, k, n = spec.p, spec.t, code.k, code.n
+    total = spec.order ** k - 1
+    if total > enum_limit:
+        raise TooManyCodewords(f"{total} codewords exceed limit {enum_limit}")
+    # largest entry of digits @ tail + lead row, before reduction mod p
+    if ((k - 1) * t * (p - 1) + 1) * (p - 1) >= 1 << 63:
+        raise FieldTooLarge(f"{spec} codeword coordinates overflow int64 for k={k}")
+    maps = np.array([[_mul_matrix(spec, int(c)) for c in row] for row in code.generator.codes],
+                    dtype=np.int64).reshape(k, n, t, t)  # reshape keeps k = 0 well-formed
+    lmat = maps.swapaxes(1, 2).reshape(k * t, n * t)  # block (i, j) maps by g[i, j]
+    for lead in range(k):
+        tail = lmat[(lead + 1) * t:]
+        width = tail.shape[0]
+        for start in range(0, p ** width, _CHUNK):
+            idx = np.arange(start, min(start + _CHUNK, p ** width), dtype=np.int64)
+            digits = np.empty((idx.size, width), dtype=np.int64)
+            for i in range(width):
+                idx, digits[:, i] = np.divmod(idx, p)
+            words = (digits @ tail + lmat[lead * t]) % p
+            yield np.count_nonzero(words.reshape(-1, n, t).any(axis=2), axis=1)
 
 
 def min_distance(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) -> int:
-    """Exact minimum Hamming weight over all q^k - 1 nonzero messages.
+    """Exact minimum Hamming weight over all q^k - 1 nonzero codewords.
 
-    Linear code, so minimum distance = minimum nonzero weight. The
-    result is cached on the code. Enumeration beyond ``enum_limit``
-    codewords is refused.
+    Linear code, so minimum distance = minimum nonzero weight. One
+    codeword per projective point is enumerated. The result is cached
+    on the code. Covering more than ``enum_limit`` codewords is refused.
     """
     if code.d is not None:
         return code.d
-    spec = code.spec
-    total = spec.order ** code.k - 1
-    if total > enum_limit:
-        raise TooManyCodewords(f"{total} codewords exceed limit {enum_limit}")
-    g = np.asarray(code.generator.codes)
-    if spec.t == 1:
-        best = _min_weight_prime(spec, g, total)
-    else:
-        best = _min_weight_ext(spec, g, total)
+    best = code.n
+    for weights in _projective_weights(code, enum_limit):
+        best = min(best, int(weights.min()))
+        if best == 1:
+            break
     code.set_distance(best)
     return best
+
+
+def weight_distribution(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) -> list[int]:
+    """Entry w counts the nonzero codewords of Hamming weight w, 0..n.
+
+    Entry 0 is 0 and the entries sum to q^k - 1. Same enumeration and
+    ``enum_limit`` as ``min_distance``.
+    """
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for weights in _projective_weights(code, enum_limit):
+        counts += np.bincount(weights, minlength=code.n + 1)
+    return [int(c) * (code.spec.order - 1) for c in counts]
 
 
 def is_mds(code: LinearCode) -> bool:

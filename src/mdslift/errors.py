@@ -37,7 +37,7 @@ class DivisionByZero(MdsLiftError):
 
 
 class FieldTooLarge(MdsLiftError):
-    """Field order exceeds the discrete-log table limit."""
+    """Field too large for discrete-log tables or int64 enumeration."""
 
 
 # matrices

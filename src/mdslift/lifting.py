@@ -161,9 +161,9 @@ def verify_lift(
 ) -> LiftReport:
     """Empirical check that lifting preserved [n, k, d].
 
-    Distances are enumerated only when q^k - 1 fits ``enum_limit`` for
-    both codes; otherwise the distance clause is skipped and the
-    verdict rests on parameter equality plus the minor criterion.
+    Passes when n and k match, both codes get the same ``is_mds``
+    verdict, and the distances agree; they are enumerated only when
+    q^k - 1 fits ``enum_limit`` for both codes, else that clause is skipped.
     """
     n_match = lifted.n == base.n
     k_match = lifted.k == base.k
@@ -174,7 +174,8 @@ def verify_lift(
     if feasible:
         d_base = min_distance(base, enum_limit)
         d_lifted = min_distance(lifted, enum_limit)
-    passed = n_match and k_match and mds and (not feasible or d_base == d_lifted)
+    passed = (n_match and k_match and mds == is_mds(base)
+              and (not feasible or d_base == d_lifted))
     return LiftReport(n_match, k_match, mds, d_base, d_lifted, passed)
 
 

@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity with a different algorithm than the
 library uses, so agreement is evidence rather than tautology:
 
-- minimum distance by scalar element-level enumeration (the library
-  enumerates vectorized over integer code arrays);
+- minimum distance and weight distribution by scalar element-level
+  enumeration of all q^k messages (the library enumerates one message
+  per projective point, vectorized over F_p coordinates);
 - binomials by the multiplicative formula with exact stepwise division
   (the library calls math.comb);
 - irreducibility by trial division against every monic polynomial of
@@ -20,17 +21,21 @@ from itertools import product
 from mdslift.codes import LinearCode, encode_message
 
 
-def oracle_min_distance(code: LinearCode) -> int:
-    """Minimum nonzero codeword weight, one scalar message at a time."""
+def oracle_weight_distribution(code: LinearCode) -> list[int]:
+    """Nonzero codewords of each weight 0..n, one scalar message at a time."""
     spec = code.spec
-    best = code.n
+    counts = [0] * (code.n + 1)
     elems = [spec.from_code(c) for c in range(spec.order)]
     for msg in product(elems, repeat=code.k):
         if all(m.code == 0 for m in msg):
             continue
-        weight = sum(1 for s in encode_message(code, list(msg)) if s.code != 0)
-        best = min(best, weight)
-    return best
+        counts[sum(1 for s in encode_message(code, list(msg)) if s.code != 0)] += 1
+    return counts
+
+
+def oracle_min_distance(code: LinearCode) -> int:
+    """Minimum nonzero codeword weight, from the brute-force histogram."""
+    return next(w for w, c in enumerate(oracle_weight_distribution(code)) if c)
 
 
 def oracle_binomial(m: int, n: int) -> int:

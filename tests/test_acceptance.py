@@ -70,7 +70,7 @@ def test_criterion_2_two_hundred_seeded_lifts(report):
     failures = [s for s in range(200) if not is_mds(lift(base, sample_dh(f343, 8, s)))]
     start = time.perf_counter()
     enumerated = lift(base, sample_dh(f343, 8, 0))
-    d = min_distance(enumerated)  # all 343^3 - 1 codewords
+    d = min_distance(enumerated)  # covers all 343^3 - 1 codewords, one per projective point
     elapsed = time.perf_counter() - start
     sys_block = lift(base, sample_dh(f343, 8, 0), systematize=True).generator
     identity_shape = sys_block.codes[:, :3].tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

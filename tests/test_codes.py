@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdslift.codes import (
     DEFAULT_ENUM_LIMIT,
@@ -14,10 +17,12 @@ from mdslift.codes import (
     monomial_sandwich,
     scale_col,
     scale_row,
+    weight_distribution,
 )
 from mdslift.errors import (
     DimensionMismatch,
     DuplicateAlpha,
+    FieldTooLarge,
     IndexOutOfRange,
     RankDeficient,
     TooLong,
@@ -27,9 +32,10 @@ from mdslift.errors import (
     ZeroScalar,
 )
 from mdslift.field import make_extension_field, make_prime_field
+from mdslift.lifting import lift, sample_dh
 from mdslift.matrix import FieldMatrix, rank
 from mdslift.rng import SplitMix64
-from oracles import oracle_min_distance
+from oracles import oracle_min_distance, oracle_weight_distribution
 
 EX1_ROWS = [
     [1, 0, 0, 6, 4, 2, 5, 3],
@@ -196,6 +202,101 @@ def test_min_distance_respects_limit(f343):
     with pytest.raises(TooManyCodewords):
         min_distance(grs_generator(f343, 8, 3), enum_limit=100)
     assert DEFAULT_ENUM_LIMIT >= 343 ** 3 - 1
+
+
+def test_zero_dimension_code(f7):
+    code = LinearCode(FieldMatrix.zeros(f7, 0, 3))
+    assert weight_distribution(code) == [0, 0, 0, 0]
+    assert min_distance(code) == 3
+
+
+def test_min_distance_refuses_int64_overflow():
+    p = 3037000507  # (p - 1)^2 + (p - 1) > 2^63 - 1
+    code = grs_generator(make_prime_field(p), 2, 2)
+    with pytest.raises(FieldTooLarge):
+        min_distance(code, enum_limit=1 << 64)
+
+
+# fields of every digit split: p = 2 with t = 1, 2, 3; p = 3 with t = 2;
+# p = 7 with t = 1, 2
+_ORACLE_FIELDS = ((2, 1), (2, 2), (2, 3), (3, 2), (7, 1), (7, 2))
+_ORACLE_MESSAGES = 2401  # cap on q^k, the oracle's work
+
+
+def _field(p, t):
+    return make_prime_field(p) if t == 1 else make_extension_field(p, t)
+
+
+@st.composite
+def _generator_rows(draw):
+    p, t = draw(st.sampled_from(_ORACLE_FIELDS))
+    q = p ** t
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, max(k for k in range(1, n + 1) if q ** k <= _ORACLE_MESSAGES)))
+    entry = st.integers(0, q - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    zero_col = draw(st.none() | st.integers(0, n - 1))
+    if zero_col is not None:
+        for row in rows:
+            row[zero_col] = 0
+    return p, t, rows
+
+
+@given(_generator_rows())
+@example((7, 1, [[0, 3, 0, 0]]))  # k = 1, one column is the only support: d = 1
+@example((2, 1, [[1, 1, 0], [0, 1, 1], [1, 1, 1]]))  # k = n: d = 1
+@example((2, 3, [[1, 0, 0, 5, 0], [0, 1, 0, 3, 0], [0, 0, 1, 7, 0]]))  # zero column, d < n-k+1
+@example((3, 2, [[1, 0, 5, 2, 8], [0, 1, 7, 0, 4]]))
+@example((7, 2, [[1, 8, 0, 30, 48], [0, 1, 48, 2, 9]]))
+@example((2, 2, [[1, 2, 3, 1, 0, 2], [0, 1, 1, 3, 2, 2], [3, 0, 2, 1, 1, 1]]))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_matches_oracle_across_fields(case):
+    p, t, rows = case
+    g = FieldMatrix(_field(p, t), np.array(rows, dtype=np.int64))
+    assume(rank(g) == len(rows))
+    code = LinearCode(g)
+    assert weight_distribution(code) == oracle_weight_distribution(code)
+    assert min_distance(code) == oracle_min_distance(code)
+
+
+# weight distribution --------------------------------------------------------------
+
+
+def _mds_weights(n, k, q):
+    # closed-form weight enumerator of an MDS code (MacWilliams & Sloane, ch. 11)
+    d = n - k + 1
+    return [0] * d + [
+        comb(n, w) * sum((-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1)
+                         for j in range(w - d + 1))
+        for w in range(d, n + 1)
+    ]
+
+
+def test_weight_distribution_of_mds_codes(f7, f49, example1):
+    codes = [grs_generator(f7, 6, 2), grs_generator(f49, 6, 2),
+             lift(example1, sample_dh(f49, 8, 3))]
+    for code in codes:
+        a = weight_distribution(code)
+        assert a == _mds_weights(code.n, code.k, code.spec.order)
+        assert sum(a) == code.spec.order ** code.k - 1
+
+
+def test_weight_distribution_of_non_mds_code(f7, f4):
+    codes = [
+        LinearCode(FieldMatrix.from_rows(f7, [
+            [1, 0, 0, 6, 4, 2, 5, 5],
+            [0, 1, 0, 3, 1, 5, 1, 1],
+            [0, 0, 1, 3, 5, 2, 4, 4],
+        ])),
+        LinearCode(FieldMatrix.from_rows(f4, [[1, 0, 1, 1, 0], [0, 1, 2, 0, 0]])),
+    ]
+    for code in codes:
+        a = weight_distribution(code)
+        assert a == oracle_weight_distribution(code)
+        assert sum(a) == code.spec.order ** code.k - 1
+        assert not is_mds(code)
+    with pytest.raises(TooManyCodewords):
+        weight_distribution(codes[0], enum_limit=7 ** 3 - 2)
 
 
 def test_singleton_bound_on_random_codes(f7):

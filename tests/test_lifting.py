@@ -168,6 +168,20 @@ def test_verify_lift_flags_corruption(example1, f343):
     assert not report.lifted_mds
 
 
+def test_verify_lift_passes_for_lifts_of_non_mds_codes(f7, f49):
+    base = LinearCode(FieldMatrix.from_rows(f7, [
+        [1, 0, 0, 6, 4, 2, 5, 5],
+        [0, 1, 0, 3, 1, 5, 1, 1],
+        [0, 0, 1, 3, 5, 2, 4, 4],
+    ]))
+    lifted = lift(base, sample_dh(f49, 8, 0))
+    report = verify_lift(base, lifted)
+    assert not report.lifted_mds
+    assert report.d_base == report.d_lifted == 5
+    assert report.passed
+    assert report.summary().endswith("d_base=5 d_lifted=5 PASS")
+
+
 def test_verify_lift_flags_length_mismatch(f7, f343, example1):
     other = grs_generator(f7, 6, 3)
     lifted = lift(other, sample_dh(f343, 6, 0))
