@@ -17,8 +17,13 @@ generates the multiplicative group, and uses x as the generator w.
 constructions of the same parameters always agree, so files written in
 ``w^k`` notation are reproducible across runs.
 
-Primality and irreducibility are checked by deterministic trial
-division; these fields are desk scale, not cryptographic scale.
+Primality is checked by deterministic trial division. A candidate
+modulus is decided by polynomial arithmetic alone, with no per-candidate
+field tables: irreducibility by Ben-Or's test (gcd(x^(p^i) - x, f) = 1
+for i = 1..t/2; Ben-Or, "Probabilistic algorithms in finite fields",
+FOCS 1981), which rejects most reducible candidates at a small i, and
+primitivity of x by x^((p^t - 1)/r) != 1 for every prime r dividing
+p^t - 1. These fields are desk scale, not cryptographic scale.
 """
 
 from __future__ import annotations
@@ -102,8 +107,8 @@ def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p:
     return res
 
 
-def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of dense polynomials over F_p."""
+def _poly_rem(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
+    """Remainder of dense polynomials over F_p, trailing zeros trimmed."""
     num = list(num)
     den = list(den)
     while len(den) > 1 and den[-1] == 0:
@@ -112,28 +117,60 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[i
         raise ZeroDivisionError("polynomial division by zero")
     dd = len(den) - 1
     inv_lead = pow(den[-1], p - 2, p) if den[-1] != 1 else 1
-    quot = [0] * max(1, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = (num[i] * inv_lead) % p
         if c:
-            quot[i - dd] = c
             for j in range(dd + 1):
                 num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
+    del num[max(dd, 1):]  # every coefficient of degree >= dd is now zero
     while len(num) > 1 and num[-1] == 0:
         num.pop()
-    return quot, num
+    return num
+
+
+def _poly_pow_mod(base: Sequence[int], e: int, modulus: Sequence[int], p: int) -> list[int]:
+    """base^e mod modulus by square-and-multiply; result length t."""
+    result = [1] + [0] * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            result = _poly_mul_mod(result, base, modulus, p)
+        e >>= 1
+        if e:
+            base = _poly_mul_mod(base, base, modulus, p)
+    return result
+
+
+def _poly_coprime(a: Sequence[int], b: Sequence[int], p: int) -> bool:
+    """True iff gcd(a, b) = 1 over F_p, by Euclid; a must be nonzero."""
+    while any(b):
+        a, b = b, _poly_rem(a, b, p)
+    return not any(a[1:])
 
 
 def _poly_is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= t/2."""
+    """Ben-Or's test for a monic modulus of degree t >= 2.
+
+    f is irreducible iff it has no factor of degree i <= t/2, i.e. iff
+    gcd(x^(p^i) - x, f) = 1 for i = 1..t/2; h runs through x^(p^i) mod f.
+    """
     t = len(modulus) - 1
-    for d in range(1, t // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            _, rem = _poly_divmod(modulus, divisor, p)
-            if rem == [0]:
-                return False
+    x = [0, 1] + [0] * (t - 2)
+    h = x
+    for _ in range(t // 2):
+        h = _poly_pow_mod(h, p, modulus, p)
+        if not _poly_coprime(modulus, [(hi - xi) % p for hi, xi in zip(h, x)], p):
+            return False
     return True
+
+
+def _has_max_order(modulus: Sequence[int], p: int) -> bool:
+    """True iff x has multiplicative order p^t - 1 modulo the irreducible
+    modulus of degree t >= 2: x^((p^t - 1)/r) != 1 for each prime r."""
+    t = len(modulus) - 1
+    m = p ** t - 1
+    x = [0, 1] + [0] * (t - 2)
+    one = [1] + [0] * (t - 1)
+    return all(_poly_pow_mod(x, m // r, modulus, p) != one for r in _prime_factors(m))
 
 
 class FieldElement:
@@ -429,24 +466,6 @@ class FieldSpec:
             self._exp = exp
             self._log = log
 
-    def _build_tables_unlocked(self) -> None:
-        # same as _build_tables but assumes the lock is already held
-        if self._log is not None:
-            return
-        q = self.order
-        exp = [0] * max(1, q - 1)
-        log = [-1] * q
-        c = 1
-        for e in range(q - 1):
-            exp[e] = c
-            log[c] = e
-            prod = _poly_mul_mod(
-                self.code_to_coords(c), self.code_to_coords(self._w_code),
-                self.modulus, self.p)
-            c = self._coords_code(prod)
-        self._exp = exp
-        self._log = log
-
     # ---------------------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -461,14 +480,6 @@ class FieldSpec:
         if self.t == 1:
             return f"F_{self.p}"
         return f"F_{self.p}^{self.t}"
-
-
-def _has_max_order(spec: FieldSpec, w_code: int) -> bool:
-    """True iff w has multiplicative order exactly p^t - 1."""
-    m = spec.order - 1
-    if m == 1:
-        return w_code == 1
-    return all(spec.pow_code(w_code, m // r) != 1 for r in _prime_factors(m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -501,22 +512,15 @@ def make_extension_field(p: int, t: int) -> FieldSpec:
         raise DegreeTooSmall(f"extension degree must be >= 2, got {t}")
     for tail in itertools.product(range(p), repeat=t):
         modulus = tuple(tail) + (1,)
-        if not _poly_is_irreducible(modulus, p):
-            continue
-        spec = FieldSpec(p, t, modulus, p)  # code p is the class of x
-        if _has_max_order(spec, p):
-            return _cached_modulus_field(p, t, modulus)
+        if _poly_is_irreducible(modulus, p) and _has_max_order(modulus, p):
+            return _modulus_field(p, t, modulus)
     raise AssertionError(f"no primitive-x irreducible modulus of degree {t} over F_{p}")
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_modulus_field(p: int, t: int, modulus: tuple[int, ...]) -> FieldSpec:
-    spec = FieldSpec(p, t, modulus, p)
-    if not _poly_is_irreducible(modulus, p):
-        raise FormatError(f"modulus {list(modulus)} is reducible over F_{p}")
-    if not _has_max_order(spec, p):
-        raise FormatError(f"x is not primitive for modulus {list(modulus)} over F_{p}")
-    return spec
+def _modulus_field(p: int, t: int, modulus: tuple[int, ...]) -> FieldSpec:
+    # one spec per validated modulus, so both constructors share it
+    return FieldSpec(p, t, modulus, p)  # code p is the class of x
 
 
 def field_from_modulus(p: int, t: int, modulus: Sequence[int]) -> FieldSpec:
@@ -533,4 +537,8 @@ def field_from_modulus(p: int, t: int, modulus: Sequence[int]) -> FieldSpec:
         raise FormatError("modulus must be monic")
     if any(not 0 <= c < p for c in modulus):
         raise FormatError(f"modulus coefficients must lie in [0, {p})")
-    return _cached_modulus_field(p, t, modulus)
+    if not _poly_is_irreducible(modulus, p):
+        raise FormatError(f"modulus {list(modulus)} is reducible over F_{p}")
+    if not _has_max_order(modulus, p):
+        raise FormatError(f"x is not primitive for modulus {list(modulus)} over F_{p}")
+    return _modulus_field(p, t, modulus)

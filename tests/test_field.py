@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import threading
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,9 @@ from mdslift.errors import (
 )
 from mdslift.field import (
     FieldElement,
+    FieldSpec,
+    _has_max_order,
+    _poly_is_irreducible,
     field_from_modulus,
     is_prime,
     make_extension_field,
@@ -67,6 +71,9 @@ def test_prime_field_generator_is_smallest(p, expected):
     (2, 4, (1, 0, 0, 1, 1)),
     (7, 2, (3, 1, 1)),
     (7, 3, (2, 1, 1, 1)),
+    (7, 4, (3, 0, 1, 1, 1)),
+    (2, 8, (1, 0, 0, 0, 1, 1, 1, 0, 1)),
+    (3, 6, (2, 0, 0, 0, 0, 1, 1)),
 ])
 def test_deterministic_modulus_choice(p, t, modulus):
     spec = make_extension_field(p, t)
@@ -82,11 +89,40 @@ def test_deterministic_modulus_choice(p, t, modulus):
 
 def _lex_smaller_tails(tail, p):
     # all coefficient tails strictly below the chosen one, in scan order
-    from itertools import product
     for cand in product(range(p), repeat=len(tail)):
         if cand >= tuple(tail):
             return
         yield cand
+
+
+@pytest.mark.parametrize("p,t,modulus", [
+    (2, 12, (1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1)),
+    (2, 16, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 1)),
+    (5, 5, (2, 0, 0, 0, 3, 1)),
+    (7, 6, (3, 0, 0, 0, 1, 1, 1)),
+    (3, 10, (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1)),
+])
+def test_pinned_modulus(p, t, modulus):
+    # the moduli of larger fields, pinned without the lex-minimality scan
+    assert make_extension_field(p, t).modulus == modulus
+
+
+# every monic polynomial of these degrees, against the trial-division oracles
+_ORACLE_DEGREES = [(2, t) for t in range(2, 9)] + [(3, t) for t in range(2, 6)] + [
+    (5, 2), (5, 3), (7, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("p,t", _ORACLE_DEGREES)
+def test_modulus_predicates_match_oracles(p, t):
+    for tail in product(range(p), repeat=t):
+        modulus = tail + (1,)
+        is_irreducible = oracle_is_irreducible(list(modulus), p)
+        assert _poly_is_irreducible(modulus, p) == is_irreducible, modulus
+        if is_irreducible:
+            # a fresh spec with w = x; powers of x stay in <x>, where
+            # tables built from x are exact even when x is not primitive
+            spec = FieldSpec(p, t, modulus, p)
+            assert _has_max_order(modulus, p) == oracle_is_primitive(spec, spec.generator_w), modulus
 
 
 def test_construction_is_cached_and_deterministic():
@@ -264,6 +300,8 @@ def test_embed_rejects_wrong_source(f2, f7, f49, f343):
 
 def test_concurrent_table_build_is_safe():
     spec = make_extension_field(3, 4)
+    # construction builds no table, so the threads below race to build it
+    assert spec._log is None
     results = []
     def worker():
         results.append(spec.dlog(spec.from_code(spec.order - 1)))
