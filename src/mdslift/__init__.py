@@ -62,6 +62,7 @@ from .codes import (
     monomial_sandwich,
     scale_col,
     scale_row,
+    singular_minor,
     weight_distribution,
 )
 from .lifting import (

@@ -33,6 +33,8 @@ import itertools
 import threading
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     CharacteristicMismatch,
     DegreeTooSmall,
@@ -285,9 +287,11 @@ class FieldSpec:
         self.field_id = (p, t, modulus)
         self._w_code = w_code
         self._powers = [p ** i for i in range(t)]
+        self._powers_array = np.array(self._powers, dtype=np.int64)
         self._lock = threading.Lock()
         self._exp: list[int] | None = None  # exponent -> code, length order-1
         self._log: list[int] | None = None  # code -> exponent, -1 for 0
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # construction of elements -------------------------------------------------
 
@@ -403,6 +407,60 @@ class FieldSpec:
             base = self.mul_code(base, base)
             e >>= 1
         return result
+
+    # code arrays: elementwise forms of the code-level ops ---------------------
+
+    def sub_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise a - b: base-p digits subtracted mod p."""
+        return (self.coords_array(a) - self.coords_array(b)) % self.p @ self._powers_array
+
+    def sum_array(self, a: np.ndarray, axis: int) -> np.ndarray:
+        """Field sum of the codes along ``axis``: digit sums mod p."""
+        return self.coords_array(a).sum(axis=axis % a.ndim) % self.p @ self._powers_array
+
+    def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise a * b; above the automatic table limit, by ``mul_code``."""
+        tables = self._array_tables()
+        if tables is None:
+            return np.frompyfunc(self.mul_code, 2, 1)(a, b).astype(np.int64)
+        log, exp, _ = tables
+        return exp[log[a] + log[b]]
+
+    def inv_array(self, a: np.ndarray) -> np.ndarray:
+        """Elementwise inverse of nonzero codes."""
+        if not a.all():
+            raise DivisionByZero(f"inverse of zero in {self}")
+        tables = self._array_tables()
+        if tables is None:
+            return np.frompyfunc(self.inv_code, 1, 1)(a).astype(np.int64)
+        log, exp, _ = tables
+        return exp[self.order - 1 - log[a]]
+
+    def coords_array(self, a: np.ndarray) -> np.ndarray:
+        """Base-p digits of each code, along a new trailing axis of length t."""
+        tables = self._array_tables()
+        if tables is None:
+            return a[..., None] // self._powers_array % self.p
+        return np.take(tables[2], a, axis=0)
+
+    def _array_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(log, exp, coords) arrays, or None above the automatic table limit.
+
+        exp[log[a] + log[b]] = a * b with no reduction and no zero test:
+        log[0] = 2(q-1) points past two periods of exp into a zero tail
+        of length 2(q-1)+1, which every sum with log[0] lands in.
+        """
+        if self._arrays is None and self.order <= _AUTO_TABLE_LIMIT:
+            self._build_tables()
+            with self._lock:
+                if self._arrays is None:
+                    m = self.order - 1
+                    log = np.array(self._log, dtype=np.int64)
+                    log[0] = 2 * m
+                    exp = np.array(self._exp * 2 + [0] * (2 * m + 1), dtype=np.int64)
+                    coords = np.arange(self.order)[:, None] // self._powers_array % self.p
+                    self._arrays = (log, exp, coords)
+        return self._arrays
 
     # powers of w, discrete logs, embedding -------------------------------------
 

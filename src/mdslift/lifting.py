@@ -32,7 +32,7 @@ from .errors import (
     ZeroDiagonalEntry,
 )
 from .field import FieldElement, FieldSpec, is_prime
-from .matrix import FieldMatrix, embed_matrix, to_systematic
+from .matrix import FieldMatrix, diag_product, embed_matrix, to_systematic
 from .rng import SplitMix64
 
 
@@ -121,11 +121,7 @@ def lift(
     if strict_dh and not is_dh(m):
         raise NotDh(f"diagonal has l={m.l_value}; pass strict_dh=False to allow")
     g = embed_matrix(code.generator, target)
-    out = g.codes.copy()
-    mul = target.mul_code
-    for j, e in enumerate(m.diag):
-        out[:, j] = [mul(int(v), e.code) for v in out[:, j]]
-    lifted = FieldMatrix(target, out)
+    lifted = diag_product([1] * g.rows, g, [e.code for e in m.diag])
     if systematize:
         lifted = to_systematic(lifted)
     return LinearCode(lifted)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from mdslift.codes import example1_code
-from mdslift.field import make_extension_field, make_prime_field
+from mdslift.field import field_from_modulus, make_extension_field, make_prime_field
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +49,13 @@ def f49():
 @pytest.fixture(scope="session")
 def f343():
     return make_extension_field(7, 3)
+
+
+@pytest.fixture(scope="session")
+def f2_17():
+    # x^17 + x^3 + 1; 2^17 - 1 is prime, so x is primitive. The order is
+    # above the automatic table limit: array arithmetic runs elementwise.
+    return field_from_modulus(2, 17, (1, 0, 0, 1) + (0,) * 13 + (1,))
 
 
 @pytest.fixture()

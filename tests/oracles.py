@@ -11,14 +11,18 @@ library uses, so agreement is evidence rather than tautology:
 - irreducibility by trial division against every monic polynomial of
   degree 1..t-1 (the library stops at degree t/2);
 - primitivity and generator order by listing powers until repetition
-  (the library checks prime-factor cofactor powers).
+  (the library checks prime-factor cofactor powers);
+- determinants by the Leibniz expansion in FieldElement arithmetic, and
+  from them rank, the MDS minor criterion and its first singular column
+  set (the library row-reduces stacks of code arrays).
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, permutations, product
 
 from mdslift.codes import LinearCode, encode_message
+from mdslift.matrix import FieldMatrix
 
 
 def oracle_weight_distribution(code: LinearCode) -> list[int]:
@@ -107,3 +111,37 @@ def oracle_smallest_generator(p: int) -> int:
         if len(seen) == p - 1:
             return g
     raise AssertionError(f"no generator found for p={p}")
+
+
+def oracle_det(m: FieldMatrix, rows, cols):
+    """Determinant of the square submatrix on ``rows`` x ``cols``: the
+    sum over permutations of sign * product, with FieldElement arithmetic."""
+    n = len(rows)
+    total = m.spec.zero()
+    for perm in permutations(range(n)):
+        term = m.spec.one()
+        for i, j in enumerate(perm):
+            term = term * m[rows[i], cols[j]]
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def oracle_rank(m: FieldMatrix) -> int:
+    """Largest r with a nonzero r x r minor."""
+    for r in range(min(m.rows, m.cols), 0, -1):
+        for rows in combinations(range(m.rows), r):
+            if any(oracle_det(m, rows, cols) for cols in combinations(range(m.cols), r)):
+                return r
+    return 0
+
+
+def oracle_singular_minor(code: LinearCode):
+    """First k-column set, in lexicographic order, with a zero determinant."""
+    rows = range(code.k)
+    return next((cols for cols in combinations(range(code.n), code.k)
+                 if not oracle_det(code.generator, rows, cols)), None)
+
+
+def oracle_is_mds(code: LinearCode) -> bool:
+    return oracle_singular_minor(code) is None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -17,6 +18,7 @@ from mdslift.codes import (
     monomial_sandwich,
     scale_col,
     scale_row,
+    singular_minor,
     weight_distribution,
 )
 from mdslift.errors import (
@@ -25,6 +27,7 @@ from mdslift.errors import (
     FieldTooLarge,
     IndexOutOfRange,
     RankDeficient,
+    Singular,
     TooLong,
     TooManyCodewords,
     ZeroDiagonalEntry,
@@ -33,9 +36,16 @@ from mdslift.errors import (
 )
 from mdslift.field import make_extension_field, make_prime_field
 from mdslift.lifting import lift, sample_dh
-from mdslift.matrix import FieldMatrix, rank
+from mdslift.matrix import FieldMatrix, rank, solve, submatrix
 from mdslift.rng import SplitMix64
-from oracles import oracle_min_distance, oracle_weight_distribution
+from oracles import (
+    oracle_det,
+    oracle_is_mds,
+    oracle_min_distance,
+    oracle_rank,
+    oracle_singular_minor,
+    oracle_weight_distribution,
+)
 
 EX1_ROWS = [
     [1, 0, 0, 6, 4, 2, 5, 3],
@@ -333,6 +343,87 @@ def test_zero_or_repeated_column_breaks_mds(f7, example1):
     g = example1.generator.codes.copy()
     g[:, 4] = g[:, 5]
     assert not is_mds(LinearCode(FieldMatrix(f7, g)))
+
+
+# F_2, F_4, F_8, F_9, F_7, F_49, F_343 run on tables; F_2^17 (the f2_17
+# fixture) is above the table limit, so its array ops run elementwise
+_ELIMINATION_FIELDS = ((2, 1), (2, 2), (2, 3), (3, 2), (7, 1), (7, 2), (7, 3), (2, 17))
+
+
+@st.composite
+def _elimination_case(draw):
+    p, t = draw(st.sampled_from(_ELIMINATION_FIELDS))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(n, 4)))  # the oracle expands k! terms per minor
+    entry = st.integers(0, p ** t - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    zero_col = draw(st.none() | st.integers(0, n - 1))
+    if zero_col is not None:
+        for row in rows:
+            row[zero_col] = 0
+    src, dst = draw(st.integers(0, n - 1)), draw(st.none() | st.integers(0, n - 1))
+    if dst is not None:
+        for row in rows:
+            row[dst] = row[src]
+    rhs = draw(st.lists(entry, min_size=k, max_size=k))
+    return p, t, rows, rhs
+
+
+@given(_elimination_case())
+@example((7, 1, [[1, 0, 2], [0, 0, 3]], [1, 2]))  # zero column
+@example((7, 2, [[1, 9, 9, 4], [3, 20, 20, 5]], [0, 7]))  # repeated column
+@example((2, 3, [[0, 3, 0, 5]], [6]))  # k = 1
+@example((3, 2, [[1, 2, 0], [4, 0, 8], [0, 5, 5]], [1, 1, 1]))  # k = n
+@example((7, 1, [[1, 0, 1, 2], [0, 1, 1, 2]], [3, 4]))  # only the last pair is dependent
+@example((2, 17, [[5, 0, 70000, 131071], [1, 1, 2, 3]], [9, 99999]))
+@example((2, 17, [[0, 1, 7], [1, 2, 3], [4, 5, 6]], [1, 2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_elimination_matches_leibniz_oracle(f2_17, case):
+    p, t, rows, rhs = case
+    spec = f2_17 if (p, t) == (2, 17) else _field(p, t)
+    g = FieldMatrix(spec, np.array(rows, dtype=np.int64))
+    k = g.rows
+    assert rank(g) == oracle_rank(g)
+    # solve on the leading k x k block, against Cramer's rule
+    idx = list(range(k))
+    a = submatrix(g, idx, idx)
+    b = [spec.from_code(c) for c in rhs]
+    det = oracle_det(a, idx, idx)
+    if det:
+        swapped = [FieldMatrix(spec, np.where(np.arange(k) == i, np.array(rhs)[:, None], a.codes))
+                   for i in idx]
+        assert solve(a, b) == [oracle_det(s, idx, idx) / det for s in swapped]
+    else:
+        with pytest.raises(Singular):
+            solve(a, b)
+    if rank(g) < k:
+        return
+    code = LinearCode(g)
+    witness = singular_minor(code)
+    assert witness == oracle_singular_minor(code)
+    assert is_mds(code) == oracle_is_mds(code) == (witness is None)
+    if witness is not None:
+        assert rank(submatrix(g, idx, witness)) < k
+
+
+def test_singular_minor_in_second_block(f343):
+    # columns (1, a) for the codes a = 0..188, then 2 * column 188: the one
+    # dependent pair (188, 189) is the last of C(190, 2) = 17,955, so the
+    # scan must reach the second block of 2^14 column sets
+    pairs = [[1, a] for a in range(189)] + [[2, f343.mul_code(2, 188)]]
+    g = FieldMatrix(f343, np.array(pairs, dtype=np.int64).T)
+    code = LinearCode(g)
+    witness = singular_minor(code)
+    assert witness == (188, 189)
+    assert not is_mds(code)
+    assert rank(submatrix(g, [0, 1], witness)) < 2
+    earlier = combinations(range(190), 2)
+    assert all(oracle_det(g, [0, 1], cols) for cols in earlier if cols < witness)
+
+
+def test_singular_minor_of_mds_code_is_none(example1):
+    assert singular_minor(example1) is None
+    assert singular_minor(grs_generator(make_extension_field(7, 2), 16, 8)) is None
 
 
 # scalings and sandwiches ---------------------------------------------------------

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import threading
+from functools import reduce
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,7 @@ from mdslift.field import (
     make_extension_field,
     make_prime_field,
 )
+from mdslift.rng import SplitMix64
 from oracles import (
     oracle_is_irreducible,
     oracle_is_primitive,
@@ -187,6 +190,26 @@ def test_power_laws(p, t, data):
     e2 = data.draw(st.integers(0, 50))
     assert a ** (e1 + e2) == (a ** e1) * (a ** e2)
     assert a ** (spec.order - 1) == spec.one()
+
+
+@pytest.mark.parametrize("name", ["f7", "f4", "f343", "f2_17"])
+def test_array_ops_match_scalar_ops(name, request):
+    spec = request.getfixturevalue(name)  # f2_17: the elementwise branch
+    rng = SplitMix64(17)
+    a = np.array([rng.below(spec.order) for _ in range(60)] + [0, 0, 1], dtype=np.int64)
+    b = np.array([rng.below(spec.order) for _ in range(60)] + [0, 1, 0], dtype=np.int64)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert spec.mul_array(a, b).tolist() == [spec.mul_code(x, y) for x, y in pairs]
+    assert spec.sub_array(a, b).tolist() == [spec.sub_code(x, y) for x, y in pairs]
+    nonzero = a[a != 0]
+    assert spec.inv_array(nonzero).tolist() == [spec.inv_code(x) for x in nonzero.tolist()]
+    with pytest.raises(DivisionByZero):
+        spec.inv_array(a)
+    grid = a[:60].reshape(6, 10)
+    assert spec.sum_array(grid, axis=0).tolist() == [
+        reduce(spec.add_code, col) for col in grid.T.tolist()]
+    assert spec.sum_array(grid, axis=-1).tolist() == [
+        reduce(spec.add_code, row) for row in grid.tolist()]
 
 
 def test_zero_to_the_zero_is_one(f7, f343):
