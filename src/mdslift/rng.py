@@ -54,11 +54,18 @@ class SplitMix64:
                 return z % bound
 
     def sample(self, population: Sequence[T], count: int) -> list[T]:
-        """``count`` distinct items, via partial Fisher-Yates on a copy."""
-        pool = list(population)
-        if count > len(pool):
+        """``count`` distinct items, via partial Fisher-Yates.
+
+        The population is not copied: ``moved`` maps each slot the
+        shuffle has written to the population index it now holds.
+        """
+        size = len(population)
+        if count > size:
             raise ValueError("sample larger than population")
+        moved: dict[int, int] = {}
+        out = []
         for i in range(count):
-            j = i + self.below(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:count]
+            j = i + self.below(size - i)
+            out.append(population[moved.get(j, j)])
+            moved[j] = moved.get(i, i)
+        return out

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mdslift.codes import (
+    _MINOR_BLOCK,
     DEFAULT_ENUM_LIMIT,
     LinearCode,
+    _maximal_minors,
+    _minor_plan,
     encode_message,
     example1_code,
     grs_generator,
@@ -218,6 +221,8 @@ def test_zero_dimension_code(f7):
     code = LinearCode(FieldMatrix.zeros(f7, 0, 3))
     assert weight_distribution(code) == [0, 0, 0, 0]
     assert min_distance(code) == 3
+    assert singular_minor(code) is None
+    assert is_mds(code)
 
 
 def test_min_distance_refuses_int64_overflow():
@@ -419,6 +424,47 @@ def test_singular_minor_in_second_block(f343):
     assert rank(submatrix(g, [0, 1], witness)) < 2
     earlier = combinations(range(190), 2)
     assert all(oracle_det(g, [0, 1], cols) for cols in earlier if cols < witness)
+
+
+def test_singular_minor_in_second_block_of_three_sets(f343):
+    # Vandermonde columns (1, a, a^2) for a = 0..46, then column 45 + column 46:
+    # (45, 46, 47) is the last of C(48, 3) = 17,296 sets, in the second block
+    vander = [[1, a, f343.mul_code(a, a)] for a in range(47)]
+    vander.append([f343.add_code(x, y) for x, y in zip(vander[45], vander[46])])
+    g = FieldMatrix(f343, np.array(vander, dtype=np.int64).T)
+    witness = singular_minor(LinearCode(g))
+    assert witness == (45, 46, 47)
+    assert comb(48, 3) - 1 >= _MINOR_BLOCK
+    earlier = combinations(range(48), 3)
+    assert all(oracle_det(g, [0, 1, 2], cols) for cols in earlier if cols < witness)
+
+
+def test_minor_plan_matches_combinations():
+    for n in range(10):
+        for k in range(1, n + 1):
+            for i, (cols, sub) in enumerate(_minor_plan(n, k), start=1):
+                sets = list(combinations(range(n), i))
+                rank_of = {s: r for r, s in enumerate(combinations(range(n), i - 1))}
+                assert [tuple(c) for c in cols.tolist()] == sets
+                assert sub.tolist() == [[rank_of[s[:r] + s[r + 1:]] for r in range(i)]
+                                        for s in sets]
+
+
+@given(_elimination_case())
+@example((7, 1, [[3, 0, 5, 6]], [0]))  # k = 1
+@example((7, 2, [[1, 2, 0], [4, 0, 8], [0, 5, 5]], [0, 0, 0]))  # k = n
+@example((3, 2, [[1, 0, 4, 2], [7, 0, 8, 1]], [0, 0]))  # zero column
+@example((2, 17, [[5, 0, 70000, 131071], [1, 1, 2, 3], [9, 8, 7, 99999]], [0, 0, 0]))
+@settings(max_examples=60, deadline=None)
+def test_minor_pass_matches_leibniz_oracle(f2_17, case):
+    p, t, rows, _ = case
+    spec = f2_17 if (p, t) == (2, 17) else _field(p, t)
+    g = FieldMatrix(spec, np.array(rows, dtype=np.int64))
+    k, n = g.shape
+    got = [(tuple(c), d) for cols, dets in _maximal_minors(g)
+           for c, d in zip(cols.tolist(), dets.tolist())]
+    assert got == [(cols, oracle_det(g, range(k), cols).code)
+                   for cols in combinations(range(n), k)]
 
 
 def test_singular_minor_of_mds_code_is_none(example1):

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from mdslift import codes
 from mdslift.codes import LinearCode, grs_generator
 from mdslift.erasure import (
     ERASED,
@@ -18,12 +19,13 @@ from mdslift.errors import (
     FieldMismatch,
     Inconsistent,
     IndexOutOfRange,
+    LeadingBlockSingular,
     Singular,
     TooManyErasures,
 )
 from mdslift.field import make_extension_field
 from mdslift.lifting import lift, sample_dh
-from mdslift.matrix import FieldMatrix
+from mdslift.matrix import FieldMatrix, to_systematic, vec_mat_mul
 from mdslift.rng import SplitMix64
 
 
@@ -62,6 +64,29 @@ def test_encode_systematizes_nonsystematic_generators(f7):
     msg = [f7.element(4), f7.element(5)]
     cw = erasure_encode(code, msg)
     assert cw[:2] == msg
+
+
+def test_systematic_form_is_computed_once_per_code(monkeypatch, f7, f343, lifted):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return to_systematic(g)
+
+    monkeypatch.setattr(codes, "to_systematic", counting)
+    rng = SplitMix64(5)
+    for _ in range(4):
+        msg = _random_message(f343, 3, rng)
+        cw = erasure_encode(lifted, msg)
+        assert cw == vec_mat_mul(msg, to_systematic(lifted.generator))
+        assert erasure_decode(erase(lifted, cw, [0, 3, 6, 7, 2])) == msg
+    assert len(calls) == 1
+    # a singular leading block is not cached: every call raises again
+    g = LinearCode(FieldMatrix.from_rows(f7, [[0, 1, 0], [0, 0, 1]]))
+    for _ in range(2):
+        with pytest.raises(LeadingBlockSingular):
+            erasure_encode(g, [f7.one(), f7.one()])
+    assert len(calls) == 3
 
 
 def test_erase_marks_positions(f7, example1):

@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 
+from mdslift.field import make_extension_field
+from mdslift.lifting import sample_dh
 from mdslift.rng import SplitMix64
 
 
@@ -61,3 +63,23 @@ def test_sample_is_deterministic():
 def test_sample_count_validation():
     with pytest.raises(ValueError):
         SplitMix64(0).sample(range(3), 4)
+
+
+@pytest.mark.parametrize(("t", "seed", "codes"), [
+    (2, 0, [32, 29, 30, 38, 12, 17, 36, 39]),
+    (2, 42, [38, 33, 2, 13, 7, 3, 44, 4]),
+    (3, 1, [276, 87, 173, 192, 218, 31, 28, 176]),
+    (3, (1 << 64) - 1, [9, 228, 64, 4, 193, 192, 332, 199]),
+    (4, 0, [1136, 39, 884, 227, 1852, 1376, 2388, 57]),
+    (4, 42, [1814, 761, 1149, 1573, 259, 408, 548, 1553]),
+])
+def test_sample_dh_stream_is_pinned(t, seed, codes):
+    # values of the copy-and-swap Fisher-Yates this sampler must reproduce
+    assert [e.code for e in sample_dh(make_extension_field(7, t), 8, seed).diag] == codes
+
+
+def test_sample_is_pinned_on_lists_and_ranges():
+    assert SplitMix64(5).sample(["a", "b", "c", "d", "e", "f", "g"], 4) == ["d", "f", "b", "e"]
+    assert SplitMix64(6).sample(list(range(10, 30)), 20) == [
+        22, 12, 24, 18, 21, 20, 13, 16, 29, 15, 27, 14, 26, 28, 25, 11, 17, 10, 23, 19]
+    assert SplitMix64(7).sample(range(3, 1000, 7), 6) == [171, 822, 647, 45, 542, 521]
