@@ -26,6 +26,7 @@ from .errors import (
     Singular,
     TooLong,
     TooManyCodewords,
+    TooManyMinors,
     TooManyErasures,
     ZeroDiagonalEntry,
     ZeroMultiplier,
@@ -53,6 +54,7 @@ from .matrix import (
 )
 from .codes import (
     DEFAULT_ENUM_LIMIT,
+    DEFAULT_MINOR_LIMIT,
     LinearCode,
     encode_message,
     example1_code,

@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .codes import (
     DEFAULT_ENUM_LIMIT,
+    DEFAULT_MINOR_LIMIT,
     LinearCode,
     example1_code,
     grs_generator,
@@ -48,6 +49,7 @@ class CliConfig:
 
     seed: int = 0
     max_enum: int = DEFAULT_ENUM_LIMIT
+    max_minors: int = DEFAULT_MINOR_LIMIT
     max_dlog: int = DLOG_TABLE_LIMIT
     out: str | None = None
 
@@ -56,6 +58,7 @@ class CliConfig:
         return cls(
             seed=getattr(args, "seed", 0),
             max_enum=getattr(args, "max_enum", DEFAULT_ENUM_LIMIT),
+            max_minors=getattr(args, "max_minors", DEFAULT_MINOR_LIMIT),
             max_dlog=getattr(args, "max_dlog", DLOG_TABLE_LIMIT),
             out=getattr(args, "out", None),
         )
@@ -130,7 +133,7 @@ def cmd_mindist(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_ismds(cfg: CliConfig, args: argparse.Namespace) -> int:
-    if is_mds(_load_code(args.code)):
+    if is_mds(_load_code(args.code), minor_limit=cfg.max_minors):
         print("MDS")
         return 0
     print("not MDS")
@@ -223,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ismds", help="minor-criterion check; exit 0 iff MDS")
     sp.add_argument("code")
+    sp.add_argument("--max-minors", type=_positive, default=DEFAULT_MINOR_LIMIT,
+                    help="refuse codes with more than this many C(n, k) minors")
     sp.set_defaults(func=cmd_ismds)
 
     sp = sub.add_parser("dh", help="sample a distinct-entry diagonal")

@@ -15,7 +15,6 @@ while ``min_distance`` enumerates one codeword per projective point,
 from __future__ import annotations
 
 import functools
-from itertools import chain, combinations
 from math import comb
 from typing import Iterator, Sequence
 
@@ -26,9 +25,11 @@ from .errors import (
     DuplicateAlpha,
     FieldTooLarge,
     IndexOutOfRange,
+    LeadingBlockSingular,
     RankDeficient,
     TooLong,
     TooManyCodewords,
+    TooManyMinors,
     ZeroDiagonalEntry,
     ZeroMultiplier,
     ZeroScalar,
@@ -41,7 +42,13 @@ DEFAULT_ENUM_LIMIT = 1 << 26
 
 _CHUNK = 1 << 16  # messages per enumeration block
 
-_MINOR_BLOCK = 1 << 14  # final-level column sets per block of the minor pass
+#: Cap on the C(n, k) minors the MDS check computes; the pass holds two
+#: levels of at most that many sub-minors.
+DEFAULT_MINOR_LIMIT = 1 << 22
+
+_MINOR_BLOCK = 1 << 14  # column sets per block of the minor pass
+
+_PLAN_CACHE = 1 << 17  # largest one-block level plan, in column indices, kept across calls
 
 
 class LinearCode:
@@ -219,25 +226,32 @@ def weight_distribution(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) 
     return [int(c) * (code.spec.order - 1) for c in counts]
 
 
-@functools.lru_cache(maxsize=8)
-def _minor_plan(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per level i = 1..k: ``cols``, the i-column sets S in lex order, and
-    ``sub``, where sub[s, r] is the lex rank of S - S[r] among the (i-1)-sets,
-    by rank(T) = C(n, m) - 1 - sum_j C(n - 1 - T[j], m - j) for an m-set T."""
-    binom = np.array([[comb(a, b) for b in range(k + 1)] for a in range(n)], dtype=np.intp)
-    plan = []
-    for i in range(1, k + 1):
-        cols = np.fromiter(chain.from_iterable(combinations(range(n), i)), dtype=np.intp,
-                           count=comb(n, i) * i).reshape(-1, i)
-        # in rank(S - S[r]), S[j] is term j when j < r and term j - 1 when j > r
-        lo = binom[n - 1 - cols, np.arange(i - 1, -1, -1)]
-        hi = binom[n - 1 - cols, np.arange(i, 0, -1)]
-        before, after = lo.cumsum(axis=1) - lo, hi[:, ::-1].cumsum(axis=1)[:, ::-1] - hi
-        sub = comb(n, i - 1) - 1 - before - after
-        for arr in (cols, sub):
-            arr.setflags(write=False)  # shared by every caller through the cache
-        plan.append((cols, sub))
-    return tuple(plan)
+def _plan_block(n: int, i: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cols``, the i-column sets S with lex ranks start..stop-1, and ``sub``,
+    where sub[s, r] is the lex rank of S - S[r] among the (i-1)-sets. An
+    m-set T has rank C(n, m) - 1 - sum_j C(n - 1 - T[j], m - j); the sets
+    come from peeling that sum greedily, one position at a time."""
+    binom = np.array([[comb(a, b) for b in range(i + 1)] for a in range(n)], dtype=np.int64)
+    rest = comb(n, i) - 1 - np.arange(start, stop, dtype=np.int64)
+    cols = np.empty((stop - start, i), dtype=np.intp)
+    for j in range(i):
+        c = np.searchsorted(binom[:, i - j], rest, side="right") - 1
+        rest -= binom[c, i - j]
+        cols[:, j] = n - 1 - c
+    # in rank(S - S[r]), S[j] is term j (lo) when j < r and term j - 1 (hi)
+    # when j > r: sum_{j<r} lo_j + sum_{j>r} hi_j = sum hi - cumsum(hi - lo)_r - lo_r
+    lo = binom[n - 1 - cols, np.arange(i - 1, -1, -1)]
+    hi = binom[n - 1 - cols, np.arange(i, 0, -1)]
+    terms = hi.sum(axis=1, keepdims=True) - (hi - lo).cumsum(axis=1) - lo
+    return cols, comb(n, i - 1) - 1 - terms
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_plan(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    plan = _plan_block(n, i, 0, comb(n, i))
+    for arr in plan:
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return plan
 
 
 def _laplace(spec: FieldSpec, row: np.ndarray, cols: np.ndarray, sub: np.ndarray,
@@ -250,52 +264,103 @@ def _laplace(spec: FieldSpec, row: np.ndarray, cols: np.ndarray, sub: np.ndarray
     return (sign @ terms) % spec.p @ spec._powers_array  # digit-wise signed sum
 
 
+def _level_blocks(spec: FieldSpec, row: np.ndarray, n: int, i: int, below: np.ndarray
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Level i as (cols, dets) blocks of at most ``_MINOR_BLOCK`` sets in lex
+    order, expanded along ``row`` from the whole level i-1 ``below``. Only a
+    one-block level of at most ``_PLAN_CACHE`` indices keeps its plan, so
+    the cache holds at most 16 * 2 * 8 * _PLAN_CACHE bytes (32 MB)."""
+    size = comb(n, i)
+    for start in range(0, size, _MINOR_BLOCK):
+        if size <= _MINOR_BLOCK and i * size <= _PLAN_CACHE:
+            cols, sub = _cached_plan(n, i)
+        else:
+            cols, sub = _plan_block(n, i, start, min(start + _MINOR_BLOCK, size))
+        yield cols, _laplace(spec, row, cols, sub, below)
+
+
 def _maximal_minors(a: FieldMatrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """All k x k minors of a k x n matrix, k >= 1, as (cols, dets) blocks in
-    lex order of the column sets. Levels 1..k-1 are computed whole, level k
-    in blocks of ``_MINOR_BLOCK`` sets."""
+    lex order of the column sets. Levels 1..k-1 are held whole, one at a
+    time; level k is yielded block by block."""
     spec, g = a.spec, a.codes
-    *lower, (cols, sub) = _minor_plan(a.cols, a.rows)
-    below = np.ones(1, dtype=np.int64)  # the empty minor
-    for i, (c, s) in enumerate(lower):
-        # level 1 lists the columns in order, so it is the first row
-        below = _laplace(spec, g[i], c, s, below) if i else g[0]
-    for start in range(0, len(cols), _MINOR_BLOCK):
-        block = slice(start, start + _MINOR_BLOCK)
-        yield cols[block], _laplace(spec, g[-1], cols[block], sub[block], below)
+    k, n = a.shape
+    # level 1 lists the columns in order, so it is the first row; a k = 1
+    # pass expands it from the empty minor like any other final level
+    below = g[0] if k > 1 else np.ones(1, dtype=np.int64)
+    for i in range(2, k):
+        level, at = np.empty(comb(n, i), dtype=np.int64), 0
+        for _, dets in _level_blocks(spec, g[i - 1], n, i, below):
+            level[at:at + dets.size], at = dets, at + dets.size
+        below = level
+    yield from _level_blocks(spec, g[k - 1], n, k, below)
 
 
-def singular_minor(code: LinearCode) -> tuple[int, ...] | None:
+def _first_zero(blocks: Iterator[tuple[np.ndarray, np.ndarray]], last: bool = False
+                ) -> tuple[int, ...] | None:
+    """Column set of the first (or last) zero determinant in (cols, dets)
+    blocks; without ``last`` the scan stops at the first block with a zero."""
+    found = None
+    for cols, dets in blocks:
+        zero = np.flatnonzero(dets == 0)
+        if zero.size:
+            found = tuple(cols[zero[-1 if last else 0]].tolist())
+            if not last:
+                break
+    return found
+
+
+def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
+                   ) -> tuple[int, ...] | None:
     """Lexicographically first k-column set whose k x k submatrix of the
     generator is singular, or None when every such minor is nonsingular.
 
     Every k x k minor comes from one Laplace pass over shared sub-minors:
     level i holds the determinants of rows 0..i-1 on every i-column set,
     each expanded along row i-1 from level i-1, so an [n, k] code costs
-    sum_i i * C(n, i) field products and a few array calls per level. The
-    final level is scanned in blocks of 2^14 sets, stopping at the first
-    block that holds a zero. On 2 vCPUs a lifted [8,3] code (56 minors)
-    takes about 30-50 us, GRS[16,8] over F_49 (12,870 minors) 5-7 ms, or
-    27-38 ms on the first call for an (n, k), which builds the index plan.
+    sum_i i * C(n, i) field products and a few array calls per block of
+    2^14 sets. Level k is scanned block by block, stopping at the first
+    block that holds a zero.
+
+    For k > n/2 the pass runs on the n - k rows of [A^T | I] instead, for
+    the systematic form [I | A]: its minor on the complement of S is, up
+    to sign, the same minor of A as that of [I | A] on S. Complements
+    reverse lex order, so the witness is the complement of its last
+    singular set. (A singular leading block is itself the first witness.)
+    Either way no level exceeds C(n, k) sets; a code with more than
+    ``minor_limit`` minors is refused with TooManyMinors.
+
+    On 2 vCPUs a lifted [8,3] code (56 minors) takes about 30-60 us; over
+    F_49, GRS[16,8] (12,870 minors) 6-8 ms, or 25-45 ms on the first call
+    for that shape, GRS[20,10] (184,756) about 0.5 s in 43 MB of RSS, and
+    GRS[30,25] (142,506, through the dual) 0.08 s.
     """
-    if code.k == 0:
-        return None
-    for cols, dets in _maximal_minors(code.generator):
-        zero = np.flatnonzero(dets == 0)
-        if zero.size:
-            return tuple(cols[zero[0]].tolist())
-    return None
+    k, n = code.k, code.n
+    if comb(n, k) > minor_limit:
+        raise TooManyMinors(f"[{n},{k}] minor check needs {comb(n, k)} minors, "
+                            f"limit {minor_limit}")
+    if k == 0 or k == n:
+        return None  # the one k x k minor, if any, is nonzero by full rank
+    if 2 * k <= n:
+        return _first_zero(_maximal_minors(code.generator))
+    try:
+        a = code.systematic_generator().codes[:, k:]
+    except LeadingBlockSingular:
+        return tuple(range(k))
+    dual = FieldMatrix(code.spec, np.hstack([a.T, np.eye(n - k, dtype=np.int64)]))
+    found = _first_zero(_maximal_minors(dual), last=True)
+    return None if found is None else tuple(sorted(set(range(n)) - set(found)))
 
 
-def is_mds(code: LinearCode) -> bool:
+def is_mds(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT) -> bool:
     """Minor criterion: every k-column submatrix is nonsingular.
 
     Equivalent to d = n - k + 1; scales with C(n, k) instead of q^k so
     it works over fields too large to enumerate. The minors come from
     the Laplace pass of ``singular_minor``, which also names the first
-    failing column set.
+    failing column set and refuses more than ``minor_limit`` minors.
     """
-    return singular_minor(code) is None
+    return singular_minor(code, minor_limit) is None
 
 
 def _scalar_code(spec: FieldSpec, c: int | FieldElement) -> int:

@@ -89,6 +89,10 @@ class TooManyCodewords(MdsLiftError):
     """Codeword enumeration would exceed the configured limit."""
 
 
+class TooManyMinors(MdsLiftError):
+    """The MDS minor check would exceed the configured number of minors."""
+
+
 class ZeroScalar(MdsLiftError):
     """Row/column scaling by zero is not allowed."""
 

@@ -3,9 +3,8 @@
 Entries are stored as an integer code array (see ``field``); matrices
 are immutable values, and every operation returns a new matrix.
 Arithmetic runs on whole code arrays through the field's array ops.
-All elimination goes through one kernel, ``row_reduce``, which
-row-reduces a stack of matrices at once; rank, solve and the
-systematic form pass a stack of one. (The MDS minor check eliminates
+All elimination goes through one kernel, ``row_reduce``, shared by
+rank, solve and the systematic form. (The MDS minor check eliminates
 nothing: ``codes.singular_minor`` expands all minors in one Laplace
 pass.) Pivoting is first-nonzero with no column permutation:
 coordinate positions carry meaning for codes and erasure patterns.
@@ -148,53 +147,42 @@ def diag_product(left: Sequence[int], a: FieldMatrix, right: Sequence[int]) -> F
     return FieldMatrix(spec, spec.mul_array(left, spec.mul_array(a.codes, right)))
 
 
-def row_reduce(m: np.ndarray, spec: FieldSpec, reduced: bool) -> np.ndarray:
-    """Row-reduce a stack of matrices, shape (B, r, c), in place.
+def row_reduce(m: np.ndarray, spec: FieldSpec, reduced: bool) -> list[int]:
+    """Row-reduce an (r, c) code array in place; return the pivot columns.
 
-    Returns the pivot mask, shape (B, c): True where a column holds a
-    pivot, so row sums are ranks. Pivot choice, per matrix: first
-    nonzero entry scanning top-down, columns left to right. ``reduced``
-    leaves each matrix in RREF (pivots 1, zeros above and below them);
-    otherwise in a row echelon form whose last pivot row may be left
-    unnormalized.
+    Pivot choice: first nonzero entry at or below the next pivot row,
+    columns left to right, swapped into place. ``reduced`` leaves RREF
+    (pivots 1, zeros above and below them); otherwise a row echelon form
+    whose last pivot row may be left unnormalized.
     """
-    nb, nr, nc = m.shape
-    mask = np.zeros((nb, nc), dtype=bool)
-    top = np.zeros(nb, dtype=np.int64)  # next pivot row of each matrix
+    nr, nc = m.shape
     rows = np.arange(nr)
+    pivots: list[int] = []
     for col in range(nc):
-        cand = (m[:, :, col] != 0) & (rows >= top[:, None])
-        mask[:, col] = has = cand.any(axis=1)
-        b = has.nonzero()[0]
-        tb = top[b]
-        top += has
-        # without rows below a pivot, only RREF has anything left to clear
-        if b.size and (reduced or tb.min() < nr - 1):
-            piv = cand[b].argmax(axis=1)
-            # rows from top down are zero left of col, so work on columns col..
-            blk = m[b, :, col:]
-            at = np.arange(b.size)
-            prow = blk[at, piv]
-            blk[at, piv] = blk[at, tb]
-            prow = spec.mul_array(spec.inv_array(prow[:, :1]), prow)
-            keep = (rows == tb[:, None]) if reduced else (rows <= tb[:, None])
-            factor = np.where(keep[:, :, None], 0, blk[:, :, :1])
-            blk = spec.sub_array(blk, spec.mul_array(factor, prow[:, None, :]))
-            blk[at, tb] = prow
-            m[b, :, col:] = blk
-        if top.min() == nr:
+        top = len(pivots)
+        nz = np.flatnonzero(m[top:, col])
+        if not nz.size:
+            continue
+        pivots.append(col)
+        if top == nr - 1 and not reduced:
+            break  # no rows below the pivot: only RREF has anything left to clear
+        # rows from top down are zero left of col, so work on columns col..
+        blk = m[:, col:]
+        prow = blk[top + nz[0]].copy()
+        blk[top + nz[0]] = blk[top]
+        prow = spec.mul_array(spec.inv_array(prow[:1]), prow)
+        keep = (rows == top) if reduced else (rows <= top)
+        factor = np.where(keep, 0, blk[:, 0])
+        blk[:] = spec.sub_array(blk, spec.mul_array(factor[:, None], prow))
+        blk[top] = prow
+        if top == nr - 1:
             break
-    return mask
-
-
-def _pivots(m: np.ndarray, spec: FieldSpec, reduced: bool) -> list[int]:
-    # one matrix through the stacked kernel, in place
-    return row_reduce(m[None], spec, reduced)[0].nonzero()[0].tolist()
+    return pivots
 
 
 def rank(a: FieldMatrix) -> int:
     """Row-echelon rank."""
-    return len(_pivots(a.codes.copy(), a.spec, reduced=False))
+    return len(row_reduce(a.codes.copy(), a.spec, reduced=False))
 
 
 def is_nonsingular(a: FieldMatrix) -> bool:
@@ -223,7 +211,7 @@ def solve(a: FieldMatrix, b: Sequence[FieldElement]) -> list[FieldElement]:
     spec = a.spec
     rhs = np.array([spec.element(v).code for v in b], dtype=np.int64).reshape(a.rows, 1)
     aug = np.hstack([a.codes, rhs])
-    pivots = _pivots(aug, spec, reduced=True)
+    pivots = row_reduce(aug, spec, reduced=True)
     if pivots != list(range(a.rows)):
         raise Singular(f"matrix of rank {len(pivots)} in solve")
     return [FieldElement(spec, c) for c in aug[:, -1].tolist()]
@@ -260,7 +248,7 @@ def to_systematic(g: FieldMatrix) -> FieldMatrix:
     input raises RankDeficient.
     """
     m = g.codes.copy()
-    pivots = _pivots(m, g.spec, reduced=True)
+    pivots = row_reduce(m, g.spec, reduced=True)
     if len(pivots) < g.rows:
         raise RankDeficient(f"rank {len(pivots)} < {g.rows} rows")
     if pivots != list(range(g.rows)):

@@ -113,6 +113,15 @@ def test_ismds_true_and_false(capsys, ex1_file, tmp_path):
     assert code == 1 and out.strip() == "not MDS"
 
 
+def test_ismds_honors_minor_cap(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    main(["grs", "-p", "7", "-t", "2", "-n", "10", "-k", "4", "-o", str(path)])
+    code, _, err = run(capsys, "ismds", str(path), "--max-minors", "209")
+    assert code == 2 and "TooManyMinors" in err  # C(10, 4) = 210 minors
+    code, out, _ = run(capsys, "ismds", str(path), "--max-minors", "210")
+    assert code == 0 and out.strip() == "MDS"
+
+
 # dh sampling --------------------------------------------------------------------
 
 

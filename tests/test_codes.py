@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -7,12 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from mdslift import codes as codes_module
 from mdslift.codes import (
     _MINOR_BLOCK,
     DEFAULT_ENUM_LIMIT,
+    DEFAULT_MINOR_LIMIT,
     LinearCode,
+    _cached_plan,
     _maximal_minors,
-    _minor_plan,
+    _plan_block,
     encode_message,
     example1_code,
     grs_generator,
@@ -33,6 +37,7 @@ from mdslift.errors import (
     Singular,
     TooLong,
     TooManyCodewords,
+    TooManyMinors,
     ZeroDiagonalEntry,
     ZeroMultiplier,
     ZeroScalar,
@@ -439,15 +444,96 @@ def test_singular_minor_in_second_block_of_three_sets(f343):
     assert all(oracle_det(g, [0, 1, 2], cols) for cols in earlier if cols < witness)
 
 
-def test_minor_plan_matches_combinations():
+def test_plan_blocks_match_combinations():
     for n in range(10):
-        for k in range(1, n + 1):
-            for i, (cols, sub) in enumerate(_minor_plan(n, k), start=1):
-                sets = list(combinations(range(n), i))
-                rank_of = {s: r for r, s in enumerate(combinations(range(n), i - 1))}
-                assert [tuple(c) for c in cols.tolist()] == sets
+        for i in range(1, n + 1):
+            sets = list(combinations(range(n), i))
+            rank_of = {s: r for r, s in enumerate(combinations(range(n), i - 1))}
+            for start, stop in [(0, len(sets))] + [(a, min(a + 4, len(sets)))
+                                                   for a in range(1, len(sets), 3)]:
+                cols, sub = _plan_block(n, i, start, stop)
+                assert [tuple(c) for c in cols.tolist()] == sets[start:stop]
                 assert sub.tolist() == [[rank_of[s[:r] + s[r + 1:]] for r in range(i)]
-                                        for s in sets]
+                                        for s in sets[start:stop]]
+
+
+def test_minor_pass_in_small_blocks_matches_oracle(monkeypatch, f7, f49):
+    # blocks of 4 sets and no plan cache: every level is built block by block
+    monkeypatch.setattr(codes_module, "_MINOR_BLOCK", 4)
+    monkeypatch.setattr(codes_module, "_PLAN_CACHE", 0)
+    laplace, widths = codes_module._laplace, []
+
+    def spy(spec, row, cols, sub, below):
+        widths.append(len(cols))
+        return laplace(spec, row, cols, sub, below)
+
+    monkeypatch.setattr(codes_module, "_laplace", spy)
+    rng = SplitMix64(3)
+    for spec, k, n in [(f7, 3, 7), (f49, 4, 8), (f7, 5, 6), (f49, 1, 9)]:
+        g = FieldMatrix(spec, np.array([[rng.below(spec.order) for _ in range(n)]
+                                        for _ in range(k)], dtype=np.int64))
+        got = [(tuple(c), d) for cols, dets in _maximal_minors(g)
+               for c, d in zip(cols.tolist(), dets.tolist())]
+        assert got == [(cols, oracle_det(g, range(k), cols).code)
+                       for cols in combinations(range(n), k)]
+    assert max(widths) == 4
+
+
+def test_minor_pass_memory_is_bounded_by_levels_and_blocks(f49):
+    # GRS[18,9]: levels of up to C(18,9) = 48,620 minors (0.4 MB each) and
+    # blocks of 2^14 sets; a plan held whole would be sum_i 2 i C(18, i)
+    # indices, about 38 MB
+    code = grs_generator(f49, 18, 9)
+    _cached_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        assert singular_minor(code) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+def test_minor_check_caps_the_minor_count(f49):
+    with pytest.raises(TooManyMinors):
+        is_mds(grs_generator(f49, 24, 12), minor_limit=comb(24, 12) - 1)
+    assert DEFAULT_MINOR_LIMIT >= comb(24, 12)
+    # C(8, 3) = 56 minors on the generator; C(12, 10) = 66 on the 2-row dual
+    for code in (grs_generator(f49, 8, 3), grs_generator(f49, 12, 10)):
+        assert singular_minor(code, minor_limit=comb(code.n, code.k)) is None
+        with pytest.raises(TooManyMinors):
+            singular_minor(code, minor_limit=comb(code.n, code.k) - 1)
+
+
+def test_singular_minor_of_high_rate_codes_matches_oracle(f7, f49):
+    # k > n/2 goes through the dual [A^T | I] of the systematic form
+    rng = SplitMix64(17)
+    witnesses = set()
+    for spec, k, n in [(f7, 4, 6), (f7, 5, 7), (f49, 5, 8), (f7, 6, 9)] * 6:
+        code = _random_full_rank(spec, k, n, rng)
+        witness = singular_minor(code)
+        assert witness == oracle_singular_minor(code)
+        witnesses.add(witness is None or witness == tuple(range(k)))
+    assert witnesses == {True, False}  # some witnesses past the leading block
+
+
+def test_singular_minor_of_a_long_high_rate_code(f49):
+    # [40,36]: 91,390 minors through the 4 x 40 dual, where a pass on the
+    # generator would build level 20 with C(40, 20) = 1.4e11 sets
+    g = grs_generator(f49, 40, 36).generator
+    assert singular_minor(LinearCode(g)) is None
+    # column 36 repeats column 35: the first set holding both is
+    # (0..33, 35, 36), right after the five nonsingular sets (0..34, x)
+    m = g.codes.copy()
+    m[:, 36] = m[:, 35]
+    bad = FieldMatrix(f49, m.copy())
+    witness = singular_minor(LinearCode(bad))
+    assert witness == tuple(range(34)) + (35, 36)
+    assert rank(submatrix(bad, range(36), witness)) < 36
+    assert all(rank(submatrix(bad, range(36), list(range(35)) + [x])) == 36
+               for x in range(35, 40))
+    m[:, 1] = m[:, 0]  # a singular leading block is the first witness
+    assert singular_minor(LinearCode(FieldMatrix(f49, m))) == tuple(range(36))
 
 
 @given(_elimination_case())
