@@ -410,10 +410,6 @@ class FieldSpec:
 
     # code arrays: elementwise forms of the code-level ops ---------------------
 
-    def sub_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise a - b: base-p digits subtracted mod p."""
-        return (self.coords_array(a) - self.coords_array(b)) % self.p @ self._powers_array
-
     def sum_array(self, a: np.ndarray, axis: int) -> np.ndarray:
         """Field sum of the codes along ``axis``: digit sums mod p."""
         return self.coords_array(a).sum(axis=axis % a.ndim) % self.p @ self._powers_array
@@ -425,16 +421,6 @@ class FieldSpec:
             return np.frompyfunc(self.mul_code, 2, 1)(a, b).astype(np.int64)
         log, exp, _ = tables
         return exp[log[a] + log[b]]
-
-    def inv_array(self, a: np.ndarray) -> np.ndarray:
-        """Elementwise inverse of nonzero codes."""
-        if not a.all():
-            raise DivisionByZero(f"inverse of zero in {self}")
-        tables = self._array_tables()
-        if tables is None:
-            return np.frompyfunc(self.inv_code, 1, 1)(a).astype(np.int64)
-        log, exp, _ = tables
-        return exp[self.order - 1 - log[a]]
 
     def coords_array(self, a: np.ndarray) -> np.ndarray:
         """Base-p digits of each code, along a new trailing axis of length t."""

@@ -2,17 +2,19 @@
 
 Entries are stored as an integer code array (see ``field``); matrices
 are immutable values, and every operation returns a new matrix.
-Arithmetic runs on whole code arrays through the field's array ops.
-All elimination goes through one kernel, ``row_reduce``, shared by
-rank, solve and the systematic form. (The MDS minor check eliminates
-nothing: ``codes.singular_minor`` expands all minors in one Laplace
-pass.) Pivoting is first-nonzero with no column permutation:
-coordinate positions carry meaning for codes and erasure patterns.
+Elimination runs on the field's scalar code ops; products run on whole
+code arrays through its array ops. All elimination goes through one
+kernel, ``row_reduce``, shared by rank, solve and the systematic form.
+(The MDS minor check eliminates nothing: ``codes.singular_minor``
+expands all minors in one Laplace pass.) Pivoting is first-nonzero
+with no column permutation: coordinate positions carry meaning for
+codes and erasure patterns.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import operator
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +38,10 @@ class FieldMatrix:
     __slots__ = ("spec", "_codes")
 
     def __init__(self, spec: FieldSpec, codes: np.ndarray) -> None:
-        codes = np.asarray(codes, dtype=np.int64)
+        codes = np.asarray(codes)
+        if codes.size and codes.dtype.kind not in "biu":
+            raise TypeError(f"matrix codes must be integers, not {codes.dtype}")
+        codes = codes.astype(np.int64, copy=False)
         if codes.ndim != 2:
             raise DimensionMismatch("matrix codes must be 2-dimensional")
         if codes.size and (codes.min() < 0 or codes.max() >= spec.order):
@@ -58,7 +63,7 @@ class FieldMatrix:
                         raise FieldMismatch(f"entry from {v.spec} in {spec} matrix")
                     out.append(v.code)
                 else:
-                    out.append(int(v))
+                    out.append(operator.index(v))
             data.append(out)
         return cls(spec, np.array(data, dtype=np.int64))
 
@@ -75,7 +80,7 @@ class FieldMatrix:
         n = len(entries)
         m = np.zeros((n, n), dtype=np.int64)
         for i, v in enumerate(entries):
-            m[i, i] = v.code if isinstance(v, FieldElement) else int(v)
+            m[i, i] = v.code if isinstance(v, FieldElement) else operator.index(v)
         return cls(spec, m)
 
     @property
@@ -147,34 +152,37 @@ def diag_product(left: Sequence[int], a: FieldMatrix, right: Sequence[int]) -> F
     return FieldMatrix(spec, spec.mul_array(left, spec.mul_array(a.codes, right)))
 
 
-def row_reduce(m: np.ndarray, spec: FieldSpec, reduced: bool) -> list[int]:
-    """Row-reduce an (r, c) code array in place; return the pivot columns.
+def row_reduce(rows: list[list[int]], spec: FieldSpec, reduced: bool) -> list[int]:
+    """Row-reduce a list of code rows in place; return the pivot columns.
 
     Pivot choice: first nonzero entry at or below the next pivot row,
     columns left to right, swapped into place. ``reduced`` leaves RREF
     (pivots 1, zeros above and below them); otherwise a row echelon form
     whose last pivot row may be left unnormalized.
     """
-    nr, nc = m.shape
-    rows = np.arange(nr)
+    mul, sub = spec.mul_code, spec.sub_code
+    nr = len(rows)
     pivots: list[int] = []
-    for col in range(nc):
+    for col in range(len(rows[0]) if rows else 0):
         top = len(pivots)
-        nz = np.flatnonzero(m[top:, col])
-        if not nz.size:
+        src = next((r for r in range(top, nr) if rows[r][col]), None)
+        if src is None:
             continue
         pivots.append(col)
         if top == nr - 1 and not reduced:
             break  # no rows below the pivot: only RREF has anything left to clear
         # rows from top down are zero left of col, so work on columns col..
-        blk = m[:, col:]
-        prow = blk[top + nz[0]].copy()
-        blk[top + nz[0]] = blk[top]
-        prow = spec.mul_array(spec.inv_array(prow[:1]), prow)
-        keep = (rows == top) if reduced else (rows <= top)
-        factor = np.where(keep, 0, blk[:, 0])
-        blk[:] = spec.sub_array(blk, spec.mul_array(factor[:, None], prow))
-        blk[top] = prow
+        prow = rows[src]
+        rows[src] = rows[top]
+        inv = spec.inv_code(prow[col])
+        tail = [mul(inv, x) for x in prow[col:]]
+        prow[col:] = tail
+        rows[top] = prow
+        for r in range(0 if reduced else top + 1, nr):
+            row = rows[r]
+            f = row[col]
+            if f and r != top:
+                row[col:] = [sub(x, mul(f, y)) if y else x for x, y in zip(row[col:], tail)]
         if top == nr - 1:
             break
     return pivots
@@ -182,7 +190,7 @@ def row_reduce(m: np.ndarray, spec: FieldSpec, reduced: bool) -> list[int]:
 
 def rank(a: FieldMatrix) -> int:
     """Row-echelon rank."""
-    return len(row_reduce(a.codes.copy(), a.spec, reduced=False))
+    return len(row_reduce(a.codes.tolist(), a.spec, reduced=False))
 
 
 def is_nonsingular(a: FieldMatrix) -> bool:
@@ -209,12 +217,11 @@ def solve(a: FieldMatrix, b: Sequence[FieldElement]) -> list[FieldElement]:
     if len(b) != a.rows:
         raise DimensionMismatch(f"rhs length {len(b)} for {a.shape}")
     spec = a.spec
-    rhs = np.array([spec.element(v).code for v in b], dtype=np.int64).reshape(a.rows, 1)
-    aug = np.hstack([a.codes, rhs])
+    aug = [row + [spec.element(v).code] for row, v in zip(a.codes.tolist(), b)]
     pivots = row_reduce(aug, spec, reduced=True)
     if pivots != list(range(a.rows)):
         raise Singular(f"matrix of rank {len(pivots)} in solve")
-    return [FieldElement(spec, c) for c in aug[:, -1].tolist()]
+    return [FieldElement(spec, row[-1]) for row in aug]
 
 
 def vec_mat_mul(v: Sequence[FieldElement], a: FieldMatrix) -> list[FieldElement]:
@@ -247,11 +254,11 @@ def to_systematic(g: FieldMatrix) -> FieldMatrix:
     already be nonsingular, else LeadingBlockSingular. Rank-deficient
     input raises RankDeficient.
     """
-    m = g.codes.copy()
-    pivots = row_reduce(m, g.spec, reduced=True)
+    rows = g.codes.tolist()
+    pivots = row_reduce(rows, g.spec, reduced=True)
     if len(pivots) < g.rows:
         raise RankDeficient(f"rank {len(pivots)} < {g.rows} rows")
     if pivots != list(range(g.rows)):
         raise LeadingBlockSingular(f"pivot columns {pivots}")
-    return FieldMatrix(g.spec, m)
+    return FieldMatrix(g.spec, np.array(rows, dtype=np.int64).reshape(g.shape))
 

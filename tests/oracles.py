@@ -14,7 +14,8 @@ library uses, so agreement is evidence rather than tautology:
   (the library checks prime-factor cofactor powers);
 - determinants by the Leibniz expansion in FieldElement arithmetic, and
   from them rank, the MDS minor criterion and its first singular column
-  set (the library row-reduces stacks of code arrays).
+  set, and the systematic form by Cramer's rule (the library row-reduces
+  lists of code rows and expands all minors in one Laplace pass).
 """
 
 from __future__ import annotations
@@ -134,6 +135,22 @@ def oracle_rank(m: FieldMatrix) -> int:
             if any(oracle_det(m, rows, cols) for cols in combinations(range(m.cols), r)):
                 return r
     return 0
+
+
+def oracle_systematic(g: FieldMatrix) -> FieldMatrix | None:
+    """[I | B^-1 G] with B the leading k x k block, or None if B is singular.
+
+    Entry (i, j) is det(B with column i replaced by column j of G) / det(B),
+    by Cramer's rule; for j < k that is the identity block.
+    """
+    k = g.rows
+    rows = range(k)
+    det = oracle_det(g, rows, rows)
+    if not det:
+        return None
+    codes = [[(oracle_det(g, rows, [j if c == i else c for c in rows]) / det).code
+              for j in range(g.cols)] for i in rows]
+    return FieldMatrix.from_rows(g.spec, codes)
 
 
 def oracle_singular_minor(code: LinearCode):

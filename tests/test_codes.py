@@ -33,6 +33,7 @@ from mdslift.errors import (
     DuplicateAlpha,
     FieldTooLarge,
     IndexOutOfRange,
+    LeadingBlockSingular,
     RankDeficient,
     Singular,
     TooLong,
@@ -44,7 +45,7 @@ from mdslift.errors import (
 )
 from mdslift.field import make_extension_field, make_prime_field
 from mdslift.lifting import lift, sample_dh
-from mdslift.matrix import FieldMatrix, rank, solve, submatrix
+from mdslift.matrix import FieldMatrix, rank, solve, submatrix, to_systematic
 from mdslift.rng import SplitMix64
 from oracles import (
     oracle_det,
@@ -52,6 +53,7 @@ from oracles import (
     oracle_min_distance,
     oracle_rank,
     oracle_singular_minor,
+    oracle_systematic,
     oracle_weight_distribution,
 )
 
@@ -356,7 +358,8 @@ def test_zero_or_repeated_column_breaks_mds(f7, example1):
 
 
 # F_2, F_4, F_8, F_9, F_7, F_49, F_343 run on tables; F_2^17 (the f2_17
-# fixture) is above the table limit, so its array ops run elementwise
+# fixture) is above the table limit, so its products and inverses run
+# on the polynomial path
 _ELIMINATION_FIELDS = ((2, 1), (2, 2), (2, 3), (3, 2), (7, 1), (7, 2), (7, 3), (2, 17))
 
 
@@ -385,6 +388,7 @@ def _elimination_case(draw):
 @example((2, 3, [[0, 3, 0, 5]], [6]))  # k = 1
 @example((3, 2, [[1, 2, 0], [4, 0, 8], [0, 5, 5]], [1, 1, 1]))  # k = n
 @example((7, 1, [[1, 0, 1, 2], [0, 1, 1, 2]], [3, 4]))  # only the last pair is dependent
+@example((7, 1, [[1, 2, 3], [2, 4, 6]], [1, 1]))  # rank-deficient
 @example((2, 17, [[5, 0, 70000, 131071], [1, 1, 2, 3]], [9, 99999]))
 @example((2, 17, [[0, 1, 7], [1, 2, 3], [4, 5, 6]], [1, 2, 3]))
 @settings(max_examples=60, deadline=None)
@@ -406,6 +410,12 @@ def test_elimination_matches_leibniz_oracle(f2_17, case):
     else:
         with pytest.raises(Singular):
             solve(a, b)
+    systematic = oracle_systematic(g)
+    if systematic is not None:
+        assert to_systematic(g) == systematic
+    else:
+        with pytest.raises(RankDeficient if oracle_rank(g) < k else LeadingBlockSingular):
+            to_systematic(g)
     if rank(g) < k:
         return
     code = LinearCode(g)

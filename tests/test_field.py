@@ -200,11 +200,6 @@ def test_array_ops_match_scalar_ops(name, request):
     b = np.array([rng.below(spec.order) for _ in range(60)] + [0, 1, 0], dtype=np.int64)
     pairs = list(zip(a.tolist(), b.tolist()))
     assert spec.mul_array(a, b).tolist() == [spec.mul_code(x, y) for x, y in pairs]
-    assert spec.sub_array(a, b).tolist() == [spec.sub_code(x, y) for x, y in pairs]
-    nonzero = a[a != 0]
-    assert spec.inv_array(nonzero).tolist() == [spec.inv_code(x) for x in nonzero.tolist()]
-    with pytest.raises(DivisionByZero):
-        spec.inv_array(a)
     grid = a[:60].reshape(6, 10)
     assert spec.sum_array(grid, axis=0).tolist() == [
         reduce(spec.add_code, col) for col in grid.T.tolist()]

@@ -71,6 +71,18 @@ def test_entry_codes_validated(f7):
         FieldMatrix(f7, np.array([[7]], dtype=np.int64))
 
 
+def test_non_integer_codes_are_rejected(f7):
+    # a float is not truncated into some other element's code
+    with pytest.raises(TypeError):
+        FieldMatrix(f7, np.array([[1.9, 2.2]]))
+    with pytest.raises(TypeError):
+        FieldMatrix.from_rows(f7, [[2.7, 1]])
+    with pytest.raises(TypeError):
+        FieldMatrix.diagonal(f7, [1.5])
+    assert FieldMatrix(f7, np.zeros((0, 3))).shape == (0, 3)
+    assert FieldMatrix.from_rows(f7, [[np.int64(3), 1]]).to_lists() == [[3, 1]]
+
+
 def test_codes_are_read_only(f7, ex1_matrix):
     with pytest.raises(ValueError):
         ex1_matrix.codes[0, 0] = 5
