@@ -29,7 +29,13 @@ from .codes import (
 )
 from .erasure import ErasureWord, erasure_decode, erasure_encode
 from .errors import DataError, MdsLiftError
-from .field import DLOG_TABLE_LIMIT, FieldSpec, make_extension_field, make_prime_field
+from .field import (
+    DEFAULT_ORDER_LIMIT,
+    DLOG_TABLE_LIMIT,
+    FieldSpec,
+    make_extension_field,
+    make_prime_field,
+)
 from .formats import (
     format_code,
     format_dh,
@@ -51,6 +57,7 @@ class CliConfig:
     max_enum: int = DEFAULT_ENUM_LIMIT
     max_minors: int = DEFAULT_MINOR_LIMIT
     max_dlog: int = DLOG_TABLE_LIMIT
+    max_order: int = DEFAULT_ORDER_LIMIT
     out: str | None = None
 
     @classmethod
@@ -60,6 +67,7 @@ class CliConfig:
             max_enum=getattr(args, "max_enum", DEFAULT_ENUM_LIMIT),
             max_minors=getattr(args, "max_minors", DEFAULT_MINOR_LIMIT),
             max_dlog=getattr(args, "max_dlog", DLOG_TABLE_LIMIT),
+            max_order=getattr(args, "max_order", DEFAULT_ORDER_LIMIT),
             out=getattr(args, "out", None),
         )
 
@@ -78,10 +86,10 @@ def _positive(s: str) -> int:
     return v
 
 
-def _make_field(args: argparse.Namespace) -> FieldSpec:
+def _make_field(cfg: CliConfig, args: argparse.Namespace) -> FieldSpec:
     if args.t == 1:
-        return make_prime_field(args.p)
-    return make_extension_field(args.p, args.t)
+        return make_prime_field(args.p, order_limit=cfg.max_order)
+    return make_extension_field(args.p, args.t, order_limit=cfg.max_order)
 
 
 def _read(path: str) -> str:
@@ -101,7 +109,7 @@ def _load_code(path: str) -> LinearCode:
 
 
 def cmd_field(cfg: CliConfig, args: argparse.Namespace) -> int:
-    spec = _make_field(args)
+    spec = _make_field(cfg, args)
     print(f"p={spec.p}")
     print(f"t={spec.t}")
     if spec.t > 1:
@@ -115,7 +123,7 @@ def cmd_field(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_grs(cfg: CliConfig, args: argparse.Namespace) -> int:
-    spec = _make_field(args)
+    spec = _make_field(cfg, args)
     code = grs_generator(spec, args.n, args.k)
     _emit(cfg, format_code(code, dlog_limit=cfg.max_dlog))
     return 0
@@ -141,7 +149,7 @@ def cmd_ismds(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_dh(cfg: CliConfig, args: argparse.Namespace) -> int:
-    spec = _make_field(args)
+    spec = _make_field(cfg, args)
     _emit(cfg, format_dh(sample_dh(spec, args.n, cfg.seed), dlog_limit=cfg.max_dlog))
     return 0
 
@@ -190,9 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mdslift {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_field_args(sp):
+    def add_field_args(sp, builds_field=True):
         sp.add_argument("-p", type=int, required=True, help="prime characteristic")
         sp.add_argument("-t", type=int, default=1, help="extension degree (default 1)")
+        if builds_field:
+            sp.add_argument("--max-order", type=_positive, default=DEFAULT_ORDER_LIMIT,
+                            help="refuse fields of larger order p^t")
 
     def add_out(sp):
         sp.add_argument("-o", "--out", help="output file (default stdout)")
@@ -250,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_lift)
 
     sp = sub.add_parser("diversity", help="count distinct diagonals: C(p^t - 1, n)")
-    add_field_args(sp)
+    add_field_args(sp, builds_field=False)
     sp.add_argument("-n", type=int, required=True)
     sp.set_defaults(func=cmd_diversity)
 

@@ -15,6 +15,7 @@ while ``min_distance`` enumerates one codeword per projective point,
 from __future__ import annotations
 
 import functools
+import operator
 from math import comb
 from typing import Iterator, Sequence
 
@@ -364,7 +365,7 @@ def is_mds(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT) -> bool:
 
 
 def _scalar_code(spec: FieldSpec, c: int | FieldElement) -> int:
-    code = spec.element(c).code if isinstance(c, FieldElement) else int(c)
+    code = spec.element(c).code if isinstance(c, FieldElement) else operator.index(c)
     if not 0 <= code < spec.order:
         raise ValueError(f"scalar code {code} out of range for {spec}")
     return code

@@ -37,7 +37,9 @@ class DivisionByZero(MdsLiftError):
 
 
 class FieldTooLarge(MdsLiftError):
-    """Field too large for discrete-log tables or int64 enumeration."""
+    """Field order above the construction limit (``order_limit``,
+    ``--max-order``), or too large for discrete-log tables or int64
+    enumeration."""
 
 
 # matrices

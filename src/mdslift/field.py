@@ -23,13 +23,23 @@ field tables: irreducibility by Ben-Or's test (gcd(x^(p^i) - x, f) = 1
 for i = 1..t/2; Ben-Or, "Probabilistic algorithms in finite fields",
 FOCS 1981), which rejects most reducible candidates at a small i, and
 primitivity of x by x^((p^t - 1)/r) != 1 for every prime r dividing
-p^t - 1. These fields are desk scale, not cryptographic scale.
+p^t - 1. Before either test, the scan skips every constant term c0 for
+which (-1)^t c0 is not a primitive root mod p: if x is primitive modulo
+f, then (-1)^t f(0) is the norm of x, which generates F_p^* (Lidl and
+Niederreiter, "Finite Fields", Thm 3.18). That condition is necessary,
+so the lex-first modulus is unchanged; it only spares the candidates
+that could never be chosen (all multiples of x, for instance).
+
+These fields are desk scale, not cryptographic scale: every constructor
+refuses orders above ``order_limit`` (``DEFAULT_ORDER_LIMIT`` = 2^24)
+with ``FieldTooLarge`` before any trial division.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import threading
 from typing import Iterable, Iterator, Sequence
 
@@ -47,6 +57,9 @@ from .errors import (
 
 #: Largest field order for which discrete-log tables may be built.
 DLOG_TABLE_LIMIT = 1 << 20
+
+#: Largest field order the constructors accept unless told otherwise.
+DEFAULT_ORDER_LIMIT = 1 << 24
 
 # Extension fields up to this order get scalar exp/log tables
 # automatically on first multiplication; beyond it, tables are built
@@ -83,6 +96,23 @@ def _prime_factors(m: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def _primitive_roots(p: int) -> Iterator[int]:
+    """The generators of (Z/p)*, ascending: g^((p-1)/r) != 1 for every
+    prime r dividing p - 1."""
+    factors = _prime_factors(p - 1)
+    return (g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in factors))
+
+
+def _check_field(p: int, t: int, order_limit: int) -> None:
+    """Refuse p^t > order_limit, then a composite p. The cap comes first,
+    so no trial division runs on a huge p; p^t is not computed when t
+    alone exceeds the limit's bit length, since then p^t >= 2^t > order_limit."""
+    if p >= 2 and (t > order_limit.bit_length() or p ** t > order_limit):
+        raise FieldTooLarge(f"order {p}^{t} exceeds the field order limit {order_limit}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +216,7 @@ class FieldElement:
     __slots__ = ("spec", "code")
 
     def __init__(self, spec: "FieldSpec", code: int) -> None:
-        code = int(code)
+        code = operator.index(code)
         if not 0 <= code < spec.order:
             raise ValueError(f"code {code} out of range for {spec}")
         object.__setattr__(self, "spec", spec)
@@ -527,51 +557,52 @@ class FieldSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def make_prime_field(p: int) -> FieldSpec:
+def make_prime_field(p: int, order_limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
     """F_p with the smallest generator of (Z/p)* as w.
 
-    Raises NotPrime if p is composite or < 2.
+    Raises FieldTooLarge if p > order_limit, NotPrime if p is composite
+    or < 2.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if p == 2:
-        return FieldSpec(2, 1, None, 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // r, p) != 1 for r in _prime_factors(p - 1)):
-            return FieldSpec(p, 1, None, g)
-    raise AssertionError("no generator found; p is not prime?")
+    _check_field(p, 1, order_limit)
+    return _field(p, 1, None, next(_primitive_roots(p)))
 
 
 @functools.lru_cache(maxsize=None)
-def make_extension_field(p: int, t: int) -> FieldSpec:
+def make_extension_field(p: int, t: int, order_limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
     """F_{p^t} with the deterministic modulus convention.
 
     Scans monic degree-t polynomials in lexicographic order of their
     coefficient lists (low degree first) and picks the first
     irreducible one whose residue class of x is primitive; w = x.
+    Constant terms c0 with (-1)^t c0 not a primitive root mod p are
+    skipped whole. Raises FieldTooLarge if p^t > order_limit.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    _check_field(p, t, order_limit)
     if t < 2:
         raise DegreeTooSmall(f"extension degree must be >= 2, got {t}")
-    for tail in itertools.product(range(p), repeat=t):
-        modulus = tuple(tail) + (1,)
-        if _poly_is_irreducible(modulus, p) and _has_max_order(modulus, p):
-            return _modulus_field(p, t, modulus)
+    norms = set(_primitive_roots(p))
+    for c0 in range(p):
+        if (-1) ** t * c0 % p not in norms:
+            continue
+        for rest in itertools.product(range(p), repeat=t - 1):
+            modulus = (c0,) + rest + (1,)
+            if _poly_is_irreducible(modulus, p) and _has_max_order(modulus, p):
+                return _field(p, t, modulus, p)  # code p is the class of x
     raise AssertionError(f"no primitive-x irreducible modulus of degree {t} over F_{p}")
 
 
 @functools.lru_cache(maxsize=None)
-def _modulus_field(p: int, t: int, modulus: tuple[int, ...]) -> FieldSpec:
-    # one spec per validated modulus, so both constructors share it
-    return FieldSpec(p, t, modulus, p)  # code p is the class of x
+def _field(p: int, t: int, modulus: tuple[int, ...] | None, w_code: int) -> FieldSpec:
+    # one spec per field, shared by every constructor and order limit
+    return FieldSpec(p, t, modulus, w_code)
 
 
-def field_from_modulus(p: int, t: int, modulus: Sequence[int]) -> FieldSpec:
+def field_from_modulus(p: int, t: int, modulus: Sequence[int],
+                       order_limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
     """F_{p^t} with an explicit monic irreducible modulus (t+1 ascending
-    coefficients); x must be primitive. Used when parsing files."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    coefficients); x must be primitive. Used when parsing files.
+    Raises FieldTooLarge if p^t > order_limit."""
+    _check_field(p, t, order_limit)
     if t < 2:
         raise DegreeTooSmall(f"extension degree must be >= 2, got {t}")
     modulus = tuple(int(c) for c in modulus)
@@ -585,4 +616,4 @@ def field_from_modulus(p: int, t: int, modulus: Sequence[int]) -> FieldSpec:
         raise FormatError(f"modulus {list(modulus)} is reducible over F_{p}")
     if not _has_max_order(modulus, p):
         raise FormatError(f"x is not primitive for modulus {list(modulus)} over F_{p}")
-    return _modulus_field(p, t, modulus)
+    return _field(p, t, modulus, p)

@@ -16,6 +16,7 @@ by ``diversity_count``.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,8 +54,8 @@ class DhDiagonal:
     __slots__ = ("spec", "diag", "l_value")
 
     def __init__(self, spec: FieldSpec, entries: Sequence[FieldElement | int]) -> None:
-        diag = tuple(spec.element(e) if isinstance(e, FieldElement) else spec.from_code(int(e))
-                     for e in entries)
+        diag = tuple(spec.element(e) if isinstance(e, FieldElement)
+                     else spec.from_code(operator.index(e)) for e in entries)
         if any(e.code == 0 for e in diag):
             raise ZeroDiagonalEntry("diagonal entries must be nonzero")
         self.spec = spec

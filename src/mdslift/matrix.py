@@ -41,7 +41,7 @@ class FieldMatrix:
         codes = np.asarray(codes)
         if codes.size and codes.dtype.kind not in "biu":
             raise TypeError(f"matrix codes must be integers, not {codes.dtype}")
-        codes = codes.astype(np.int64, copy=False)
+        codes = np.array(codes, dtype=np.int64, order="C")  # a copy the caller cannot change
         if codes.ndim != 2:
             raise DimensionMismatch("matrix codes must be 2-dimensional")
         if codes.size and (codes.min() < 0 or codes.max() >= spec.order):
@@ -111,7 +111,7 @@ class FieldMatrix:
         return [FieldElement(self.spec, int(c)) for c in self._codes[:, j]]
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.spec, self._codes.T.copy())
+        return FieldMatrix(self.spec, self._codes.T)
 
     def to_lists(self) -> list[list[int]]:
         return self._codes.tolist()
@@ -207,7 +207,7 @@ def submatrix(a: FieldMatrix, row_indices: Sequence[int], col_indices: Sequence[
         if any(x >= y for x, y in zip(idx, idx[1:])):
             raise NotStrictlyIncreasing(f"{name} indices {list(idx)}")
     sel = a.codes[np.ix_(list(row_indices), list(col_indices))]
-    return FieldMatrix(a.spec, sel.copy())
+    return FieldMatrix(a.spec, sel)
 
 
 def solve(a: FieldMatrix, b: Sequence[FieldElement]) -> list[FieldElement]:
@@ -244,7 +244,7 @@ def embed_matrix(a: FieldMatrix, target: FieldSpec) -> FieldMatrix:
         raise FieldMismatch("embedding is defined on prime-field matrices")
     if a.spec.p != target.p:
         raise CharacteristicMismatch(f"cannot embed {a.spec} matrix into {target}")
-    return FieldMatrix(target, a.codes.copy())
+    return FieldMatrix(target, a.codes)
 
 
 def to_systematic(g: FieldMatrix) -> FieldMatrix:

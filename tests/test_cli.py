@@ -56,6 +56,16 @@ def test_field_rejects_nonprime(capsys):
     assert "NotPrime" in err
 
 
+def test_field_honors_order_cap(capsys):
+    code, out, err = run(capsys, "field", "-p", "2", "-t", "64")
+    assert code == 2 and out == ""
+    assert "FieldTooLarge" in err and "16777216" in err
+    code, _, err = run(capsys, "dh", "-p", "7", "-t", "3", "-n", "4", "--max-order", "342")
+    assert code == 2 and "FieldTooLarge" in err
+    code, out, _ = run(capsys, "field", "-p", "2", "-t", "25", "--max-order", str(1 << 25))
+    assert code == 0 and "order=33554432" in out
+
+
 # construction commands ----------------------------------------------------------
 
 

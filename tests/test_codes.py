@@ -234,7 +234,7 @@ def test_zero_dimension_code(f7):
 
 def test_min_distance_refuses_int64_overflow():
     p = 3037000507  # (p - 1)^2 + (p - 1) > 2^63 - 1
-    code = grs_generator(make_prime_field(p), 2, 2)
+    code = grs_generator(make_prime_field(p, order_limit=p), 2, 2)  # above the default limit
     with pytest.raises(FieldTooLarge):
         min_distance(code, enum_limit=1 << 64)
 
@@ -593,6 +593,16 @@ def test_scalings_preserve_mds(f7, example1):
     for i in range(3):
         c = 1 + rng.below(6)
         assert is_mds(LinearCode(scale_row(g, i, c)))
+
+
+def test_scalars_must_be_integers(example1):
+    # a float scalar is not truncated into some other element's code
+    g = example1.generator
+    with pytest.raises(TypeError):
+        scale_row(g, 0, 2.7)
+    with pytest.raises(TypeError):
+        scale_col(g, 0, 2.7)
+    assert scale_row(g, 0, np.int64(2)) == scale_row(g, 0, 2)
 
 
 def test_scale_validation(example1):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import threading
+import time
 from functools import reduce
 from itertools import product
 
@@ -18,10 +19,12 @@ from mdslift.errors import (
     NotPrime,
 )
 from mdslift.field import (
+    DEFAULT_ORDER_LIMIT,
     FieldElement,
     FieldSpec,
     _has_max_order,
     _poly_is_irreducible,
+    _primitive_roots,
     field_from_modulus,
     is_prime,
     make_extension_field,
@@ -31,6 +34,7 @@ from mdslift.rng import SplitMix64
 from oracles import (
     oracle_is_irreducible,
     oracle_is_primitive,
+    oracle_multiplicative_order,
     oracle_smallest_generator,
 )
 
@@ -104,6 +108,8 @@ def _lex_smaller_tails(tail, p):
     (5, 5, (2, 0, 0, 0, 3, 1)),
     (7, 6, (3, 0, 0, 0, 1, 1, 1)),
     (3, 10, (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1)),
+    (7, 7, (2, 0, 0, 0, 0, 0, 5, 1)),
+    (2, 20, (1,) + (0,) * 16 + (1, 0, 0, 1)),
 ])
 def test_pinned_modulus(p, t, modulus):
     # the moduli of larger fields, pinned without the lex-minimality scan
@@ -126,6 +132,62 @@ def test_modulus_predicates_match_oracles(p, t):
             # tables built from x are exact even when x is not primitive
             spec = FieldSpec(p, t, modulus, p)
             assert _has_max_order(modulus, p) == oracle_is_primitive(spec, spec.generator_w), modulus
+
+
+@pytest.mark.parametrize("p,t", _ORACLE_DEGREES)
+def test_norm_filter_keeps_every_oracle_modulus(p, t):
+    # the scan skips constant terms c0 with (-1)^t c0 not a primitive root
+    # mod p; no modulus the oracles accept may have such a c0
+    fp = make_prime_field(p)
+    roots = set(_primitive_roots(p))
+    for tail in product(range(p), repeat=t):
+        modulus = tail + (1,)
+        if not oracle_is_irreducible(list(modulus), p):
+            continue
+        spec = FieldSpec(p, t, modulus, p)
+        if oracle_is_primitive(spec, spec.generator_w):
+            norm = fp.from_code((-1) ** t * tail[0] % p)
+            assert norm.code != 0 and oracle_multiplicative_order(fp, norm) == p - 1, modulus
+            assert norm.code in roots, modulus
+
+
+def test_primitive_roots_match_oracle():
+    for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]:
+        fp = make_prime_field(p)
+        expect = [g for g in range(1, p)
+                  if oracle_multiplicative_order(fp, fp.from_code(g)) == p - 1]
+        assert list(_primitive_roots(p)) == expect
+        assert expect[0] == oracle_smallest_generator(p)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_extension_field(2, 64),
+    lambda: make_prime_field(2 ** 61 - 1),
+    lambda: field_from_modulus(2, 61, [1] + [0] * 60 + [1]),
+    lambda: make_extension_field(10 ** 30, 2),  # refused before trial division of p
+    lambda: make_extension_field(2, 10 ** 100),  # p^t is never computed
+])
+def test_order_limit_refuses_at_once(build):
+    start = time.perf_counter()
+    with pytest.raises(FieldTooLarge, match=str(DEFAULT_ORDER_LIMIT)):
+        build()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_order_limit_can_be_raised():
+    with pytest.raises(FieldTooLarge, match="limit 1048575"):
+        make_extension_field(2, 20, order_limit=(1 << 20) - 1)
+    assert make_extension_field(2, 20, order_limit=1 << 20) is make_extension_field(2, 20)
+    with pytest.raises(FieldTooLarge):
+        make_extension_field(2, 25)
+    big = make_extension_field(2, 25, order_limit=1 << 25)
+    assert big.order == 1 << 25 and _has_max_order(big.modulus, 2)
+    with pytest.raises(FieldTooLarge):
+        make_prime_field(16777259)  # the first prime past 2^24
+    assert make_prime_field(16777259, order_limit=1 << 25).order == 16777259
+    with pytest.raises(FieldTooLarge):
+        field_from_modulus(7, 3, [2, 1, 1, 1], order_limit=342)
+    assert field_from_modulus(7, 3, [2, 1, 1, 1], order_limit=343) is make_extension_field(7, 3)
 
 
 def test_construction_is_cached_and_deterministic():
@@ -257,6 +319,13 @@ def test_element_code_range_validated(f7):
         FieldElement(f7, 7)
     with pytest.raises(ValueError):
         FieldElement(f7, -1)
+
+
+def test_element_code_must_be_an_integer(f343):
+    # a float is not truncated into some other element's code
+    with pytest.raises(TypeError):
+        FieldElement(f343, 2.7)
+    assert FieldElement(f343, np.int64(2)).code == 2
 
 
 def test_constants_keep_their_code(f343):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from mdslift.codes import LinearCode, grs_generator, is_mds, min_distance
@@ -54,6 +55,13 @@ def test_dh_diagonal_invariants(f4, f343):
         DhDiagonal(f4, [w, f4.zero()])
     with pytest.raises(EmptyDiagonal):
         DhDiagonal(f4, [])
+
+
+def test_dh_diagonal_entries_must_be_integers(f343):
+    # a float entry is not truncated into some other element's code
+    with pytest.raises(TypeError):
+        DhDiagonal(f343, [2.7, 3, 4])
+    assert [e.code for e in DhDiagonal(f343, [np.int64(2), 3, 4]).diag] == [2, 3, 4]
 
 
 def test_dh_diagonal_as_matrix(f4):

@@ -88,6 +88,19 @@ def test_codes_are_read_only(f7, ex1_matrix):
         ex1_matrix.codes[0, 0] = 5
 
 
+def test_matrix_owns_its_codes(f7):
+    # the matrix copies the caller's array: later writes to that array do
+    # not reach it, and the array stays writable
+    base = np.array([[1, 2, 3]])
+    m = FieldMatrix(f7, base[:, :2])
+    base[0, 0] = 9
+    assert m.to_lists() == [[1, 2]]
+    a = np.array([[1, 2]], dtype=np.int64)
+    FieldMatrix(f7, a)
+    a[0, 0] = 3
+    assert a.tolist() == [[3, 2]]
+
+
 def test_identity_zeros_diagonal(f7):
     assert FieldMatrix.identity(f7, 3).to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert FieldMatrix.zeros(f7, 2, 3).to_lists() == [[0, 0, 0], [0, 0, 0]]
