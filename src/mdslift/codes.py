@@ -14,22 +14,17 @@ while ``min_distance`` enumerates one codeword per projective point,
 
 from __future__ import annotations
 
-import functools
 import operator
 from math import comb
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
     DuplicateAlpha,
-    FieldTooLarge,
     IndexOutOfRange,
     LeadingBlockSingular,
     RankDeficient,
     TooLong,
-    TooManyCodewords,
     TooManyMinors,
     ZeroDiagonalEntry,
     ZeroMultiplier,
@@ -41,15 +36,9 @@ from .matrix import FieldMatrix, diag_product, rank, to_systematic, vec_mat_mul
 #: Cap on the q^k - 1 codewords an exhaustive enumeration covers.
 DEFAULT_ENUM_LIMIT = 1 << 26
 
-_CHUNK = 1 << 16  # messages per enumeration block
-
 #: Cap on the C(n, k) minors the MDS check computes; the pass holds two
 #: levels of at most that many sub-minors.
 DEFAULT_MINOR_LIMIT = 1 << 22
-
-_MINOR_BLOCK = 1 << 14  # column sets per block of the minor pass
-
-_PLAN_CACHE = 1 << 17  # largest one-block level plan, in column indices, kept across calls
 
 
 class LinearCode:
@@ -139,7 +128,7 @@ def grs_generator(
     for _ in range(k):
         rows.append(cur)
         cur = [spec.mul_code(c, a) for c, a in zip(cur, a_codes)]
-    return LinearCode(FieldMatrix(spec, np.array(rows, dtype=np.int64)))
+    return LinearCode(FieldMatrix(spec, rows))
 
 
 def example1_code() -> LinearCode:
@@ -164,39 +153,6 @@ def encode_message(code: LinearCode, message: Sequence[FieldElement]) -> list[Fi
     return vec_mat_mul(message, code.generator)
 
 
-def _projective_weights(code: LinearCode, enum_limit: int) -> Iterator[np.ndarray]:
-    """Weights of one codeword per projective point, a chunk at a time.
-
-    Nonzero multiples share a weight, so the messages (0, ..., 0, 1, tail)
-    stand for all q^k - 1 (capped by ``enum_limit``). Over F_p each g[i, j]
-    is a t x t multiplication map, so encoding is one integer matrix
-    product with the (k*t) x (n*t) block matrix ``lmat``.
-    """
-    spec = code.spec
-    p, t, k, n = spec.p, spec.t, code.k, code.n
-    total = spec.order ** k - 1
-    if total > enum_limit:
-        raise TooManyCodewords(f"{total} codewords exceed limit {enum_limit}")
-    # largest entry of digits @ tail + lead row, before reduction mod p
-    if ((k - 1) * t * (p - 1) + 1) * (p - 1) >= 1 << 63:
-        raise FieldTooLarge(f"{spec} codeword coordinates overflow int64 for k={k}")
-    # multiplication by g[i, j] is F_p-linear; row r of its map is the
-    # coordinate vector of x^r * g[i, j]
-    powers = np.array([p ** r for r in range(t)], dtype=np.int64)
-    maps = spec.coords_array(spec.mul_array(code.generator.codes[:, :, None], powers))
-    lmat = maps.swapaxes(1, 2).reshape(k * t, n * t)  # block (i, j) maps by g[i, j]
-    for lead in range(k):
-        tail = lmat[(lead + 1) * t:]
-        width = tail.shape[0]
-        for start in range(0, p ** width, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, p ** width), dtype=np.int64)
-            digits = np.empty((idx.size, width), dtype=np.int64)
-            for i in range(width):
-                idx, digits[:, i] = np.divmod(idx, p)
-            words = (digits @ tail + lmat[lead * t]) % p
-            yield np.count_nonzero(words.reshape(-1, n, t).any(axis=2), axis=1)
-
-
 def min_distance(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) -> int:
     """Exact minimum Hamming weight over all q^k - 1 nonzero codewords.
 
@@ -206,11 +162,8 @@ def min_distance(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) -> int:
     """
     if code.d is not None:
         return code.d
-    best = code.n
-    for weights in _projective_weights(code, enum_limit):
-        best = min(best, int(weights.min()))
-        if best == 1:
-            break
+    from .kernels import min_weight
+    best = min_weight(code, enum_limit)
     code.set_distance(best)
     return best
 
@@ -221,94 +174,8 @@ def weight_distribution(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) 
     Entry 0 is 0 and the entries sum to q^k - 1. Same enumeration and
     ``enum_limit`` as ``min_distance``.
     """
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for weights in _projective_weights(code, enum_limit):
-        counts += np.bincount(weights, minlength=code.n + 1)
-    return [int(c) * (code.spec.order - 1) for c in counts]
-
-
-def _plan_block(n: int, i: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """``cols``, the i-column sets S with lex ranks start..stop-1, and ``sub``,
-    where sub[s, r] is the lex rank of S - S[r] among the (i-1)-sets. An
-    m-set T has rank C(n, m) - 1 - sum_j C(n - 1 - T[j], m - j); the sets
-    come from peeling that sum greedily, one position at a time."""
-    binom = np.array([[comb(a, b) for b in range(i + 1)] for a in range(n)], dtype=np.int64)
-    rest = comb(n, i) - 1 - np.arange(start, stop, dtype=np.int64)
-    cols = np.empty((stop - start, i), dtype=np.intp)
-    for j in range(i):
-        c = np.searchsorted(binom[:, i - j], rest, side="right") - 1
-        rest -= binom[c, i - j]
-        cols[:, j] = n - 1 - c
-    # in rank(S - S[r]), S[j] is term j (lo) when j < r and term j - 1 (hi)
-    # when j > r: sum_{j<r} lo_j + sum_{j>r} hi_j = sum hi - cumsum(hi - lo)_r - lo_r
-    lo = binom[n - 1 - cols, np.arange(i - 1, -1, -1)]
-    hi = binom[n - 1 - cols, np.arange(i, 0, -1)]
-    terms = hi.sum(axis=1, keepdims=True) - (hi - lo).cumsum(axis=1) - lo
-    return cols, comb(n, i - 1) - 1 - terms
-
-
-@functools.lru_cache(maxsize=16)
-def _cached_plan(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    plan = _plan_block(n, i, 0, comb(n, i))
-    for arr in plan:
-        arr.setflags(write=False)  # shared by every caller through the cache
-    return plan
-
-
-def _laplace(spec: FieldSpec, row: np.ndarray, cols: np.ndarray, sub: np.ndarray,
-             below: np.ndarray) -> np.ndarray:
-    """Determinants of rows 0..i-1 on the i-sets ``cols``, expanded along
-    row i-1 = ``row``: sum_r (-1)^(i-1+r) row[S[r]] * below[S - S[r]]."""
-    i = cols.shape[1]
-    terms = spec.coords_array(spec.mul_array(row[cols], below[sub]))
-    sign = np.array([(-1) ** (i - 1 + r) for r in range(i)])
-    return (sign @ terms) % spec.p @ spec._powers_array  # digit-wise signed sum
-
-
-def _level_blocks(spec: FieldSpec, row: np.ndarray, n: int, i: int, below: np.ndarray
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Level i as (cols, dets) blocks of at most ``_MINOR_BLOCK`` sets in lex
-    order, expanded along ``row`` from the whole level i-1 ``below``. Only a
-    one-block level of at most ``_PLAN_CACHE`` indices keeps its plan, so
-    the cache holds at most 16 * 2 * 8 * _PLAN_CACHE bytes (32 MB)."""
-    size = comb(n, i)
-    for start in range(0, size, _MINOR_BLOCK):
-        if size <= _MINOR_BLOCK and i * size <= _PLAN_CACHE:
-            cols, sub = _cached_plan(n, i)
-        else:
-            cols, sub = _plan_block(n, i, start, min(start + _MINOR_BLOCK, size))
-        yield cols, _laplace(spec, row, cols, sub, below)
-
-
-def _maximal_minors(a: FieldMatrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """All k x k minors of a k x n matrix, k >= 1, as (cols, dets) blocks in
-    lex order of the column sets. Levels 1..k-1 are held whole, one at a
-    time; level k is yielded block by block."""
-    spec, g = a.spec, a.codes
-    k, n = a.shape
-    # level 1 lists the columns in order, so it is the first row; a k = 1
-    # pass expands it from the empty minor like any other final level
-    below = g[0] if k > 1 else np.ones(1, dtype=np.int64)
-    for i in range(2, k):
-        level, at = np.empty(comb(n, i), dtype=np.int64), 0
-        for _, dets in _level_blocks(spec, g[i - 1], n, i, below):
-            level[at:at + dets.size], at = dets, at + dets.size
-        below = level
-    yield from _level_blocks(spec, g[k - 1], n, k, below)
-
-
-def _first_zero(blocks: Iterator[tuple[np.ndarray, np.ndarray]], last: bool = False
-                ) -> tuple[int, ...] | None:
-    """Column set of the first (or last) zero determinant in (cols, dets)
-    blocks; without ``last`` the scan stops at the first block with a zero."""
-    found = None
-    for cols, dets in blocks:
-        zero = np.flatnonzero(dets == 0)
-        if zero.size:
-            found = tuple(cols[zero[-1 if last else 0]].tolist())
-            if not last:
-                break
-    return found
+    from .kernels import projective_weight_counts
+    return [c * (code.spec.order - 1) for c in projective_weight_counts(code, enum_limit)]
 
 
 def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
@@ -342,14 +209,16 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
                             f"limit {minor_limit}")
     if k == 0 or k == n:
         return None  # the one k x k minor, if any, is nonzero by full rank
+    from .kernels import first_singular
     if 2 * k <= n:
-        return _first_zero(_maximal_minors(code.generator))
+        return first_singular(code.generator)
     try:
-        a = code.systematic_generator().codes[:, k:]
+        a = code.systematic_generator().to_lists()
     except LeadingBlockSingular:
         return tuple(range(k))
-    dual = FieldMatrix(code.spec, np.hstack([a.T, np.eye(n - k, dtype=np.int64)]))
-    found = _first_zero(_maximal_minors(dual), last=True)
+    dual = FieldMatrix(code.spec, [[r[j] for r in a] + [int(i == j) for i in range(k, n)]
+                                   for j in range(k, n)])
+    found = first_singular(dual, last=True)
     return None if found is None else tuple(sorted(set(range(n)) - set(found)))
 
 
@@ -388,7 +257,7 @@ def scale_col(g: FieldMatrix, j: int, c: int | FieldElement) -> FieldMatrix:
         raise ZeroScalar("column scaling by zero")
     if not 0 <= j < g.cols:
         raise IndexOutOfRange(f"column {j} of {g.cols}")
-    return diag_product([1] * g.rows, g, [cc if c == j else 1 for c in range(g.cols)])
+    return diag_product(None, g, [cc if c == j else 1 for c in range(g.cols)])
 
 
 def _diag_codes(spec: FieldSpec, diag, length: int, side: str) -> list[int]:

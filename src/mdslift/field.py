@@ -43,8 +43,6 @@ import operator
 import threading
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import (
     CharacteristicMismatch,
     DegreeTooSmall,
@@ -317,11 +315,11 @@ class FieldSpec:
         self.field_id = (p, t, modulus)
         self._w_code = w_code
         self._powers = [p ** i for i in range(t)]
-        self._powers_array = np.array(self._powers, dtype=np.int64)
         self._lock = threading.Lock()
         self._exp: list[int] | None = None  # exponent -> code, length order-1
         self._log: list[int] | None = None  # code -> exponent, -1 for 0
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._arrays = None  # numpy (log, exp, coords) tables, built on first use
+        self._powers_array = None  # numpy p^0..p^(t-1), built with them at any order
 
     # construction of elements -------------------------------------------------
 
@@ -438,44 +436,52 @@ class FieldSpec:
             e >>= 1
         return result
 
-    # code arrays: elementwise forms of the code-level ops ---------------------
+    # code arrays: elementwise forms of the code-level ops, for the numpy
+    # kernels of the minor pass and the enumeration ---------------------------
 
-    def sum_array(self, a: np.ndarray, axis: int) -> np.ndarray:
-        """Field sum of the codes along ``axis``: digit sums mod p."""
-        return self.coords_array(a).sum(axis=axis % a.ndim) % self.p @ self._powers_array
-
-    def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise a * b; above the automatic table limit, by ``mul_code``."""
+    def mul_array(self, a, b):
+        """Elementwise a * b of numpy code arrays; above the automatic
+        table limit, by ``mul_code``."""
         tables = self._array_tables()
         if tables is None:
+            import numpy as np
             return np.frompyfunc(self.mul_code, 2, 1)(a, b).astype(np.int64)
         log, exp, _ = tables
         return exp[log[a] + log[b]]
 
-    def coords_array(self, a: np.ndarray) -> np.ndarray:
-        """Base-p digits of each code, along a new trailing axis of length t."""
+    def coords_array(self, a):
+        """Base-p digits of each code of a numpy array, along a new
+        trailing axis of length t."""
         tables = self._array_tables()
         if tables is None:
             return a[..., None] // self._powers_array % self.p
-        return np.take(tables[2], a, axis=0)
+        return tables[2].take(a, axis=0)
 
-    def _array_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(log, exp, coords) arrays, or None above the automatic table limit.
+    def _array_tables(self):
+        """(log, exp, coords) numpy arrays, or None above the automatic
+        table limit. numpy is imported here, on the first call, which also
+        builds ``_powers_array`` at any order.
 
         exp[log[a] + log[b]] = a * b with no reduction and no zero test:
         log[0] = 2(q-1) points past two periods of exp into a zero tail
         of length 2(q-1)+1, which every sum with log[0] lands in.
         """
-        if self._arrays is None and self.order <= _AUTO_TABLE_LIMIT:
-            self._build_tables()
+        if self._powers_array is None:
+            import numpy as np
+            small = self.order <= _AUTO_TABLE_LIMIT
+            if small:
+                self._build_tables()
             with self._lock:
-                if self._arrays is None:
-                    m = self.order - 1
-                    log = np.array(self._log, dtype=np.int64)
-                    log[0] = 2 * m
-                    exp = np.array(self._exp * 2 + [0] * (2 * m + 1), dtype=np.int64)
-                    coords = np.arange(self.order)[:, None] // self._powers_array % self.p
-                    self._arrays = (log, exp, coords)
+                if self._powers_array is None:
+                    powers = np.array(self._powers, dtype=np.int64)
+                    if small:
+                        m = self.order - 1
+                        log = np.array(self._log, dtype=np.int64)
+                        log[0] = 2 * m
+                        exp = np.array(self._exp * 2 + [0] * (2 * m + 1), dtype=np.int64)
+                        coords = np.arange(self.order)[:, None] // powers % self.p
+                        self._arrays = (log, exp, coords)
+                    self._powers_array = powers  # set last: marks the tables built
         return self._arrays
 
     # powers of w, discrete logs, embedding -------------------------------------
@@ -601,7 +607,9 @@ def field_from_modulus(p: int, t: int, modulus: Sequence[int],
                        order_limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
     """F_{p^t} with an explicit monic irreducible modulus (t+1 ascending
     coefficients); x must be primitive. Used when parsing files.
-    Raises FieldTooLarge if p^t > order_limit."""
+    Raises FieldTooLarge if p^t > order_limit. The order cap and the
+    format checks run on every call; irreducibility and primitivity run
+    once per accepted (p, t, modulus)."""
     _check_field(p, t, order_limit)
     if t < 2:
         raise DegreeTooSmall(f"extension degree must be >= 2, got {t}")
@@ -612,6 +620,13 @@ def field_from_modulus(p: int, t: int, modulus: Sequence[int],
         raise FormatError("modulus must be monic")
     if any(not 0 <= c < p for c in modulus):
         raise FormatError(f"modulus coefficients must lie in [0, {p})")
+    return _checked_modulus_field(p, t, modulus)
+
+
+@functools.lru_cache(maxsize=None)
+def _checked_modulus_field(p: int, t: int, modulus: tuple[int, ...]) -> FieldSpec:
+    # the cache keeps accepted moduli only: a rejection raises, and
+    # lru_cache stores no exception, so a bad modulus is tested each time
     if not _poly_is_irreducible(modulus, p):
         raise FormatError(f"modulus {list(modulus)} is reducible over F_{p}")
     if not _has_max_order(modulus, p):

@@ -121,8 +121,7 @@ def lift(
         raise FieldTooSmall(f"need field order > {code.n}, got {target.order}")
     if strict_dh and not is_dh(m):
         raise NotDh(f"diagonal has l={m.l_value}; pass strict_dh=False to allow")
-    g = embed_matrix(code.generator, target)
-    lifted = diag_product([1] * g.rows, g, [e.code for e in m.diag])
+    lifted = diag_product(None, embed_matrix(code.generator, target), [e.code for e in m.diag])
     if systematize:
         lifted = to_systematic(lifted)
     return LinearCode(lifted)

@@ -1,9 +1,10 @@
 """Dense matrices over one finite field.
 
-Entries are stored as an integer code array (see ``field``); matrices
-are immutable values, and every operation returns a new matrix.
-Elimination runs on the field's scalar code ops; products run on whole
-code arrays through its array ops. All elimination goes through one
+Entries are stored as rows of integer codes (see ``field``) with an
+explicit shape; matrices are immutable values, and every operation
+returns a new matrix, computed on the rows with the field's scalar code
+ops. ``codes`` builds a numpy array of the entries on first access, for
+the array kernels (``kernels``). All elimination goes through one
 kernel, ``row_reduce``, shared by rank, solve and the systematic form.
 (The MDS minor check eliminates nothing: ``codes.singular_minor``
 expands all minors in one Laplace pass.) Pivoting is first-nonzero
@@ -13,10 +14,9 @@ codes and erasure patterns.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     CharacteristicMismatch,
@@ -35,92 +35,97 @@ from .field import FieldElement, FieldSpec
 class FieldMatrix:
     """Matrix over a single FieldSpec, entries in row-major order."""
 
-    __slots__ = ("spec", "_codes")
+    __slots__ = ("spec", "shape", "_rows", "_codes")
 
-    def __init__(self, spec: FieldSpec, codes: np.ndarray) -> None:
-        codes = np.asarray(codes)
-        if codes.size and codes.dtype.kind not in "biu":
-            raise TypeError(f"matrix codes must be integers, not {codes.dtype}")
-        codes = np.array(codes, dtype=np.int64, order="C")  # a copy the caller cannot change
-        if codes.ndim != 2:
-            raise DimensionMismatch("matrix codes must be 2-dimensional")
-        if codes.size and (codes.min() < 0 or codes.max() >= spec.order):
+    def __init__(self, spec: FieldSpec, codes) -> None:
+        """``codes``: a 2-dimensional array or nested sequence of entries,
+        copied into the matrix. Integer entries are element codes (for
+        prime fields, codes coincide with values)."""
+        shape = getattr(codes, "shape", None)  # an array keeps its shape when empty
+        if shape is not None:
+            if len(shape) != 2:
+                raise DimensionMismatch("matrix codes must be 2-dimensional")
+            codes = codes.tolist()
+        rows = tuple(tuple(_entry_code(spec, v) for v in r) for r in codes)
+        if shape is None:
+            shape = (len(rows), len(rows[0]) if rows else 0)
+        if any(len(r) != shape[1] for r in rows):
+            raise DimensionMismatch("matrix rows must all have the same length")
+        if any(not 0 <= c < spec.order for r in rows for c in r):
             raise ValueError(f"entry code out of range for {spec}")
-        self.spec = spec
-        self._codes = codes
-        self._codes.setflags(write=False)
+        self.spec, self.shape, self._rows, self._codes = spec, shape, rows, None
+
+    @classmethod
+    def _of(cls, spec: FieldSpec, rows: tuple[tuple[int, ...], ...],
+            shape: tuple[int, int]) -> "FieldMatrix":
+        """Unchecked: for rows of valid codes that field ops produced."""
+        m = object.__new__(cls)
+        m.spec, m.shape, m._rows, m._codes = spec, shape, rows, None
+        return m
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows: Sequence[Sequence[int | FieldElement]]) -> "FieldMatrix":
-        """Build from nested sequences. Integer entries are element
-        codes (for prime fields, codes coincide with values)."""
-        data = []
-        for r in rows:
-            out = []
-            for v in r:
-                if isinstance(v, FieldElement):
-                    if v.spec.field_id != spec.field_id:
-                        raise FieldMismatch(f"entry from {v.spec} in {spec} matrix")
-                    out.append(v.code)
-                else:
-                    out.append(operator.index(v))
-            data.append(out)
-        return cls(spec, np.array(data, dtype=np.int64))
+        """Build from nested sequences of entries, as the constructor does."""
+        return cls(spec, rows)
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "FieldMatrix":
-        return cls(spec, np.eye(n, dtype=np.int64))
+        m = cls.zeros(spec, n, n)
+        m._rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return m
 
     @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "FieldMatrix":
-        return cls(spec, np.zeros((rows, cols), dtype=np.int64))
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative matrix dimensions {rows}x{cols}")
+        return cls._of(spec, ((0,) * cols,) * rows, (rows, cols))
 
     @classmethod
     def diagonal(cls, spec: FieldSpec, entries: Sequence[int | FieldElement]) -> "FieldMatrix":
-        n = len(entries)
-        m = np.zeros((n, n), dtype=np.int64)
-        for i, v in enumerate(entries):
-            m[i, i] = v.code if isinstance(v, FieldElement) else operator.index(v)
-        return cls(spec, m)
+        return cls(spec, [[v if i == j else 0 for j in range(len(entries))]
+                          for i, v in enumerate(entries)])
 
     @property
     def rows(self) -> int:
-        return self._codes.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return self._codes.shape[1]
+        return self.shape[1]
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self._codes.shape
-
-    @property
-    def codes(self) -> np.ndarray:
-        """Read-only view of the entry codes."""
+    def codes(self):
+        """The entry codes as a read-only, C-ordered int64 numpy array,
+        built on first access and then kept."""
+        if self._codes is None:
+            import numpy as np
+            codes = np.array(self._rows, dtype=np.int64).reshape(self.shape)
+            codes.setflags(write=False)
+            self._codes = codes
         return self._codes
 
     def __getitem__(self, key: tuple[int, int]) -> FieldElement:
         i, j = key
-        return FieldElement(self.spec, int(self._codes[i, j]))
+        return FieldElement(self.spec, self._rows[i][j])
 
     def row(self, i: int) -> list[FieldElement]:
-        return [FieldElement(self.spec, int(c)) for c in self._codes[i]]
+        return [FieldElement(self.spec, c) for c in self._rows[i]]
 
     def col(self, j: int) -> list[FieldElement]:
-        return [FieldElement(self.spec, int(c)) for c in self._codes[:, j]]
+        return [FieldElement(self.spec, r[j]) for r in self._rows]
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.spec, self._codes.T)
+        cols = tuple(zip(*self._rows)) if self.rows else ((),) * self.cols
+        return FieldMatrix._of(self.spec, cols, (self.cols, self.rows))
 
     def to_lists(self) -> list[list[int]]:
-        return self._codes.tolist()
+        return [list(r) for r in self._rows]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldMatrix):
             return NotImplemented
-        return (self.spec.field_id == other.spec.field_id
-                and np.array_equal(self._codes, other._codes))
+        return (self.spec.field_id == other.spec.field_id and self.shape == other.shape
+                and self._rows == other._rows)
 
     __hash__ = None
 
@@ -128,9 +133,21 @@ class FieldMatrix:
         return f"FieldMatrix({self.spec}, {self.rows}x{self.cols})"
 
 
+def _entry_code(spec: FieldSpec, v: int | FieldElement) -> int:
+    if isinstance(v, FieldElement):
+        if v.spec.field_id != spec.field_id:
+            raise FieldMismatch(f"entry from {v.spec} in {spec} matrix")
+        return v.code
+    return operator.index(v)
+
+
 def _same_field(a: FieldMatrix, b: FieldMatrix) -> None:
     if a.spec.field_id != b.spec.field_id:
         raise FieldMismatch(f"{a.spec} vs {b.spec}")
+
+
+def _dot(spec: FieldSpec, xs: Sequence[int], ys: Sequence[int]) -> int:
+    return functools.reduce(spec.add_code, map(spec.mul_code, xs, ys), 0)
 
 
 def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
@@ -138,18 +155,20 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     _same_field(a, b)
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.shape} x {b.shape}")
-    spec = a.spec
-    prods = spec.mul_array(a.codes[:, :, None], b.codes[None, :, :])
-    return FieldMatrix(spec, spec.sum_array(prods, axis=1))
+    spec, b_cols = a.spec, b.transpose()._rows
+    rows = tuple(tuple(_dot(spec, r, c) for c in b_cols) for r in a._rows)
+    return FieldMatrix._of(spec, rows, (a.rows, b.cols))
 
 
-def diag_product(left: Sequence[int], a: FieldMatrix, right: Sequence[int]) -> FieldMatrix:
+def diag_product(left: Sequence[int] | None, a: FieldMatrix, right: Sequence[int]) -> FieldMatrix:
     """diag(left) . a . diag(right) for element codes: entry (i, j) is
-    left_i * a_ij * right_j. Callers validate the diagonals."""
-    spec = a.spec
-    left = np.asarray(left, dtype=np.int64).reshape(a.rows, 1)
-    right = np.asarray(right, dtype=np.int64).reshape(1, a.cols)
-    return FieldMatrix(spec, spec.mul_array(left, spec.mul_array(a.codes, right)))
+    left_i * a_ij * right_j; with ``left`` None, a_ij * right_j. Callers
+    validate the diagonals."""
+    mul = a.spec.mul_code
+    rows = [tuple(map(mul, r, right)) for r in a._rows]
+    if left is not None:
+        rows = [tuple(mul(c, x) for x in r) for c, r in zip(left, rows)]
+    return FieldMatrix._of(a.spec, tuple(rows), a.shape)
 
 
 def row_reduce(rows: list[list[int]], spec: FieldSpec, reduced: bool) -> list[int]:
@@ -190,7 +209,7 @@ def row_reduce(rows: list[list[int]], spec: FieldSpec, reduced: bool) -> list[in
 
 def rank(a: FieldMatrix) -> int:
     """Row-echelon rank."""
-    return len(row_reduce(a.codes.tolist(), a.spec, reduced=False))
+    return len(row_reduce([list(r) for r in a._rows], a.spec, reduced=False))
 
 
 def is_nonsingular(a: FieldMatrix) -> bool:
@@ -206,8 +225,8 @@ def submatrix(a: FieldMatrix, row_indices: Sequence[int], col_indices: Sequence[
             raise IndexOutOfRange(f"{name} index out of range in {list(idx)}")
         if any(x >= y for x, y in zip(idx, idx[1:])):
             raise NotStrictlyIncreasing(f"{name} indices {list(idx)}")
-    sel = a.codes[np.ix_(list(row_indices), list(col_indices))]
-    return FieldMatrix(a.spec, sel)
+    rows = tuple(tuple(a._rows[i][j] for j in col_indices) for i in row_indices)
+    return FieldMatrix._of(a.spec, rows, (len(row_indices), len(col_indices)))
 
 
 def solve(a: FieldMatrix, b: Sequence[FieldElement]) -> list[FieldElement]:
@@ -217,7 +236,7 @@ def solve(a: FieldMatrix, b: Sequence[FieldElement]) -> list[FieldElement]:
     if len(b) != a.rows:
         raise DimensionMismatch(f"rhs length {len(b)} for {a.shape}")
     spec = a.spec
-    aug = [row + [spec.element(v).code] for row, v in zip(a.codes.tolist(), b)]
+    aug = [[*row, spec.element(v).code] for row, v in zip(a._rows, b)]
     pivots = row_reduce(aug, spec, reduced=True)
     if pivots != list(range(a.rows)):
         raise Singular(f"matrix of rank {len(pivots)} in solve")
@@ -229,22 +248,21 @@ def vec_mat_mul(v: Sequence[FieldElement], a: FieldMatrix) -> list[FieldElement]
     if len(v) != a.rows:
         raise DimensionMismatch(f"vector length {len(v)} for {a.shape}")
     spec = a.spec
-    codes = np.array([spec.element(x).code for x in v], dtype=np.int64).reshape(a.rows, 1)
-    out = spec.sum_array(spec.mul_array(codes, a.codes), axis=0)
-    return [FieldElement(spec, c) for c in out.tolist()]
+    codes = [spec.element(x).code for x in v]
+    return [FieldElement(spec, _dot(spec, codes, c)) for c in a.transpose()._rows]
 
 
 def embed_matrix(a: FieldMatrix, target: FieldSpec) -> FieldMatrix:
     """Entrywise constant-polynomial embedding of a prime-field matrix.
 
     The embedding is the identity on codes, so only the field tag
-    changes.
+    changes; the result shares the rows of ``a``.
     """
     if a.spec.t != 1:
         raise FieldMismatch("embedding is defined on prime-field matrices")
     if a.spec.p != target.p:
         raise CharacteristicMismatch(f"cannot embed {a.spec} matrix into {target}")
-    return FieldMatrix(target, a.codes)
+    return FieldMatrix._of(target, a._rows, a.shape)
 
 
 def to_systematic(g: FieldMatrix) -> FieldMatrix:
@@ -254,11 +272,11 @@ def to_systematic(g: FieldMatrix) -> FieldMatrix:
     already be nonsingular, else LeadingBlockSingular. Rank-deficient
     input raises RankDeficient.
     """
-    rows = g.codes.tolist()
+    rows = [list(r) for r in g._rows]
     pivots = row_reduce(rows, g.spec, reduced=True)
     if len(pivots) < g.rows:
         raise RankDeficient(f"rank {len(pivots)} < {g.rows} rows")
     if pivots != list(range(g.rows)):
         raise LeadingBlockSingular(f"pivot columns {pivots}")
-    return FieldMatrix(g.spec, np.array(rows, dtype=np.int64).reshape(g.shape))
+    return FieldMatrix._of(g.spec, tuple(map(tuple, rows)), g.shape)
 

@@ -15,7 +15,9 @@ library uses, so agreement is evidence rather than tautology:
 - determinants by the Leibniz expansion in FieldElement arithmetic, and
   from them rank, the MDS minor criterion and its first singular column
   set, and the systematic form by Cramer's rule (the library row-reduces
-  lists of code rows and expands all minors in one Laplace pass).
+  lists of code rows and expands all minors in one Laplace pass);
+- matrix products entry by entry in FieldElement arithmetic (the library
+  works on rows of codes with the field's code ops).
 """
 
 from __future__ import annotations
@@ -112,6 +114,13 @@ def oracle_smallest_generator(p: int) -> int:
         if len(seen) == p - 1:
             return g
     raise AssertionError(f"no generator found for p={p}")
+
+
+def oracle_mat_mul(a: FieldMatrix, b: FieldMatrix) -> list[list[int]]:
+    """Codes of a . b: entry (i, j) is a sum of FieldElement products."""
+    assert a.spec == b.spec and a.cols == b.rows
+    return [[sum((a[i, r] * b[r, j] for r in range(a.cols)), a.spec.zero()).code
+             for j in range(b.cols)] for i in range(a.rows)]
 
 
 def oracle_det(m: FieldMatrix, rows, cols):

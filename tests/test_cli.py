@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mdslift
 from mdslift.cli import main
 from mdslift.formats import parse_code, parse_dh
 
@@ -287,3 +293,47 @@ def test_emitted_files_reparse_despite_comment(ex1_file):
     text = open(ex1_file).read()
     assert text.startswith("# generated-by")
     assert parse_code(text).n == 8
+
+
+# numpy is imported only by the steps that use arrays ------------------------------
+
+_STEPS_SCRIPT = """
+import contextlib, io, sys
+from pathlib import Path
+from mdslift.cli import main
+
+d = Path(sys.argv[1])
+out = io.StringIO()
+steps = [
+    ["example1", "-o", str(d / "ex1")],
+    ["field", "-p", "7", "-t", "3"],
+    ["grs", "-p", "7", "-t", "2", "-n", "8", "-k", "3"],
+    ["dh", "-p", "7", "-t", "3", "-n", "8", "--seed", "5", "-o", str(d / "dh")],
+    ["lift", str(d / "ex1"), str(d / "dh"), "-o", str(d / "lifted")],
+    ["lift", str(d / "ex1"), str(d / "dh"), "--systematic"],
+    ["encode", str(d / "lifted"), "w^5", "0", "1", "-o", str(d / "word")],
+    ["decode", str(d / "lifted"), "--word-file", str(d / "erased")],
+    ["diversity", "-p", "7", "-t", "3", "-n", "8"],
+]
+with contextlib.redirect_stdout(out):
+    for argv in steps:
+        if argv[0] == "decode":
+            word = [t for t in (d / "word").read_text().splitlines()
+                    if not t.startswith("#")][0].split()
+            (d / "erased").write_text(" ".join(
+                "?" if j in (0, 2, 5, 7) else t for j, t in enumerate(word)))
+        assert main(argv) == 0, argv
+print(out.getvalue().splitlines()[-2])  # the decoded message
+print("numpy" in sys.modules)
+for argv in (["ismds", str(d / "lifted")], ["mindist", str(d / "lifted")]):
+    assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+
+def test_cli_steps_without_arrays_run_without_numpy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(mdslift.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _STEPS_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["w^5 0 1", "False", "MDS", "6", "True"]

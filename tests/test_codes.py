@@ -8,15 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mdslift import codes as codes_module
+from mdslift import kernels
 from mdslift.codes import (
-    _MINOR_BLOCK,
     DEFAULT_ENUM_LIMIT,
     DEFAULT_MINOR_LIMIT,
     LinearCode,
-    _cached_plan,
-    _maximal_minors,
-    _plan_block,
     encode_message,
     example1_code,
     grs_generator,
@@ -44,6 +40,7 @@ from mdslift.errors import (
     ZeroScalar,
 )
 from mdslift.field import make_extension_field, make_prime_field
+from mdslift.kernels import _MINOR_BLOCK, _cached_plan, _maximal_minors, _plan_block
 from mdslift.lifting import lift, sample_dh
 from mdslift.matrix import FieldMatrix, rank, solve, submatrix, to_systematic
 from mdslift.rng import SplitMix64
@@ -469,15 +466,15 @@ def test_plan_blocks_match_combinations():
 
 def test_minor_pass_in_small_blocks_matches_oracle(monkeypatch, f7, f49):
     # blocks of 4 sets and no plan cache: every level is built block by block
-    monkeypatch.setattr(codes_module, "_MINOR_BLOCK", 4)
-    monkeypatch.setattr(codes_module, "_PLAN_CACHE", 0)
-    laplace, widths = codes_module._laplace, []
+    monkeypatch.setattr(kernels, "_MINOR_BLOCK", 4)
+    monkeypatch.setattr(kernels, "_PLAN_CACHE", 0)
+    laplace, widths = kernels._laplace, []
 
     def spy(spec, row, cols, sub, below):
         widths.append(len(cols))
         return laplace(spec, row, cols, sub, below)
 
-    monkeypatch.setattr(codes_module, "_laplace", spy)
+    monkeypatch.setattr(kernels, "_laplace", spy)
     rng = SplitMix64(3)
     for spec, k, n in [(f7, 3, 7), (f49, 4, 8), (f7, 5, 6), (f49, 1, 9)]:
         g = FieldMatrix(spec, np.array([[rng.below(spec.order) for _ in range(n)]

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import threading
 import time
-from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -216,6 +215,37 @@ def test_field_from_modulus_rejects_bad_polynomials():
         field_from_modulus(7, 2, [3, 1])  # wrong length
 
 
+def test_field_from_modulus_tests_each_accepted_modulus_once(monkeypatch):
+    from mdslift import field as field_module
+    calls = []
+    for name in ("_poly_is_irreducible", "_has_max_order"):
+        def counted(modulus, p, _name=name, _real=getattr(field_module, name)):
+            calls.append(_name)
+            return _real(modulus, p)
+        monkeypatch.setattr(field_module, name, counted)
+    field_module._checked_modulus_field.cache_clear()
+    spec = field_from_modulus(2, 4, [1, 1, 0, 0, 1])
+    assert calls == ["_poly_is_irreducible", "_has_max_order"]
+    for _ in range(3):
+        assert field_from_modulus(2, 4, (1, 1, 0, 0, 1)) is spec
+    assert len(calls) == 2
+    # the cap and the format checks still run on every call
+    with pytest.raises(FieldTooLarge):
+        field_from_modulus(2, 4, [1, 1, 0, 0, 1], order_limit=15)
+    with pytest.raises(FormatError):
+        field_from_modulus(2, 4, [1, 1, 0, 0, 2])
+    assert len(calls) == 2
+    # a rejected modulus is tested, and refused, on every call
+    for rejected in range(1, 4):
+        with pytest.raises(FormatError):
+            field_from_modulus(2, 4, [1, 0, 0, 0, 1])  # (x^2+1)^2, reducible
+        assert calls[2:] == ["_poly_is_irreducible"] * rejected
+    for rejected in range(1, 3):
+        with pytest.raises(FormatError):
+            field_from_modulus(2, 4, [1, 1, 1, 1, 1])  # irreducible, x of order 5
+        assert calls[5:] == ["_poly_is_irreducible", "_has_max_order"] * rejected
+
+
 # arithmetic axioms ------------------------------------------------------------
 
 
@@ -263,10 +293,8 @@ def test_array_ops_match_scalar_ops(name, request):
     pairs = list(zip(a.tolist(), b.tolist()))
     assert spec.mul_array(a, b).tolist() == [spec.mul_code(x, y) for x, y in pairs]
     grid = a[:60].reshape(6, 10)
-    assert spec.sum_array(grid, axis=0).tolist() == [
-        reduce(spec.add_code, col) for col in grid.T.tolist()]
-    assert spec.sum_array(grid, axis=-1).tolist() == [
-        reduce(spec.add_code, row) for row in grid.tolist()]
+    assert spec.coords_array(grid).tolist() == [
+        [list(spec.code_to_coords(c)) for c in row] for row in grid.tolist()]
 
 
 def test_zero_to_the_zero_is_one(f7, f343):

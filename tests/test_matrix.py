@@ -15,9 +15,12 @@ from mdslift.errors import (
     RankDeficient,
     Singular,
 )
+from mdslift.codes import LinearCode, monomial_sandwich, scale_col, scale_row
 from mdslift.field import make_extension_field, make_prime_field
+from mdslift.lifting import lift, sample_dh
 from mdslift.matrix import (
     FieldMatrix,
+    diag_product,
     embed_matrix,
     is_nonsingular,
     mat_mul,
@@ -28,6 +31,7 @@ from mdslift.matrix import (
     vec_mat_mul,
 )
 from mdslift.rng import SplitMix64
+from oracles import oracle_mat_mul
 
 EX1_ROWS = [
     [1, 0, 0, 6, 4, 2, 5, 3],
@@ -38,7 +42,11 @@ EX1_ROWS = [
 
 def _random_matrix(spec, rows, cols, rng):
     data = [[rng.below(spec.order) for _ in range(cols)] for _ in range(rows)]
-    return FieldMatrix(spec, np.array(data, dtype=np.int64))
+    return _as_matrix(spec, data, rows, cols)
+
+
+def _as_matrix(spec, data, rows, cols):
+    return FieldMatrix(spec, np.array(data, dtype=np.int64).reshape(rows, cols))
 
 
 def _random_nonsingular(spec, n, rng):
@@ -83,6 +91,15 @@ def test_non_integer_codes_are_rejected(f7):
     assert FieldMatrix.from_rows(f7, [[np.int64(3), 1]]).to_lists() == [[3, 1]]
 
 
+def test_ragged_rows_are_a_dimension_mismatch(f7):
+    with pytest.raises(DimensionMismatch):
+        FieldMatrix.from_rows(f7, [[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        FieldMatrix(f7, [[1], [2, 3]])
+    with pytest.raises(DimensionMismatch):
+        FieldMatrix(f7, np.array([1, 2]))
+
+
 def test_codes_are_read_only(f7, ex1_matrix):
     with pytest.raises(ValueError):
         ex1_matrix.codes[0, 0] = 5
@@ -104,6 +121,10 @@ def test_matrix_owns_its_codes(f7):
 def test_identity_zeros_diagonal(f7):
     assert FieldMatrix.identity(f7, 3).to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert FieldMatrix.zeros(f7, 2, 3).to_lists() == [[0, 0, 0], [0, 0, 0]]
+    assert FieldMatrix.zeros(f7, 0, 3).shape == (0, 3)
+    for bad in (lambda: FieldMatrix.zeros(f7, -1, 3), lambda: FieldMatrix.identity(f7, -2)):
+        with pytest.raises(ValueError):
+            bad()
     d = FieldMatrix.diagonal(f7, [f7.element(2), 5])
     assert d.to_lists() == [[2, 0], [0, 5]]
 
@@ -117,6 +138,71 @@ def test_indexing_and_views(f7, ex1_matrix):
 
 
 # multiplication ---------------------------------------------------------------
+
+
+def _selection(spec, picks, n):
+    # rows of the n x n identity at ``picks``: left factor of a row selection
+    return _as_matrix(spec, [[int(j == i) for j in range(n)] for i in picks], len(picks), n)
+
+
+@pytest.mark.parametrize("name", ["f7", "f343", "f2401", "f2_17"])
+def test_row_ops_match_oracle_products(name, request):
+    # f2401: table path at t = 4; f2_17: the polynomial path
+    spec = make_extension_field(7, 4) if name == "f2401" else request.getfixturevalue(name)
+    rng = SplitMix64(23)
+
+    def nonzero(n):
+        return [1 + rng.below(spec.order - 1) for _ in range(n)]
+
+    for r, c in [(0, 3), (3, 0), (0, 0), (1, 1), (2, 5), (4, 3)]:
+        a = _random_matrix(spec, r, c, rng)
+        codes = a.codes
+        assert codes.shape == (r, c) and codes.dtype == np.int64
+        assert codes.tolist() == a.to_lists() and codes.flags.c_contiguous
+        with pytest.raises(ValueError):
+            codes[...] = 0
+        for s in range(4):
+            b = _random_matrix(spec, c, s, rng)
+            assert mat_mul(a, b).to_lists() == oracle_mat_mul(a, b)
+        v = [spec.from_code(rng.below(spec.order)) for _ in range(r)]
+        assert [e.code for e in vec_mat_mul(v, a)] == oracle_mat_mul(
+            FieldMatrix.from_rows(spec, [v]), a)[0]
+        left, right = nonzero(r), nonzero(c)
+        both = _as_matrix(spec, oracle_mat_mul(FieldMatrix.diagonal(spec, left), a), r, c)
+        both = oracle_mat_mul(both, FieldMatrix.diagonal(spec, right))
+        assert diag_product(left, a, right).to_lists() == both
+        assert monomial_sandwich(a, left, right).to_lists() == both
+        assert diag_product(None, a, right).to_lists() == oracle_mat_mul(
+            a, FieldMatrix.diagonal(spec, right))
+        x = nonzero(1)[0]
+        for i in range(r):
+            scale = FieldMatrix.diagonal(spec, [x if y == i else 1 for y in range(r)])
+            assert scale_row(a, i, x).to_lists() == oracle_mat_mul(scale, a)
+        for j in range(c):
+            scale = FieldMatrix.diagonal(spec, [x if y == j else 1 for y in range(c)])
+            assert scale_col(a, j, x).to_lists() == oracle_mat_mul(a, scale)
+        rows = sorted(rng.sample(range(r), r // 2))
+        cols = sorted(rng.sample(range(c), (c + 1) // 2))
+        picked = _as_matrix(spec, oracle_mat_mul(_selection(spec, rows, r), a), len(rows), c)
+        assert submatrix(a, rows, cols).to_lists() == oracle_mat_mul(
+            picked, _selection(spec, cols, c).transpose())
+        t = a.transpose()
+        assert t.shape == (c, r) and t.codes.shape == (c, r)
+        assert t.to_lists() == oracle_mat_mul(FieldMatrix.identity(spec, c),
+                                              FieldMatrix(spec, codes.T))
+    # lift: embed the prime-field generator, then scale by the diagonal
+    base_spec = make_prime_field(spec.p)
+    for k, n in [(1, 3), (2, 5), (3, 6)]:
+        while True:
+            g = _random_matrix(base_spec, k, n, rng)
+            if rank(g) == k:
+                break
+        m = sample_dh(spec, n, rng.below(1 << 30))
+        embedded = FieldMatrix.from_rows(spec, [[spec.embed(e) for e in g.row(i)]
+                                                for i in range(k)])
+        assert lift(LinearCode(g), m).generator.to_lists() == oracle_mat_mul(
+            embedded, m.as_matrix())
+
 
 
 def test_mat_mul_identity(f7):
