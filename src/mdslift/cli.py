@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -49,29 +48,6 @@ from .formats import (
 from .lifting import diversity_count, lift, sample_dh
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated run parameters shared by the subcommand handlers."""
-
-    seed: int = 0
-    max_enum: int = DEFAULT_ENUM_LIMIT
-    max_minors: int = DEFAULT_MINOR_LIMIT
-    max_dlog: int = DLOG_TABLE_LIMIT
-    max_order: int = DEFAULT_ORDER_LIMIT
-    out: str | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        return cls(
-            seed=getattr(args, "seed", 0),
-            max_enum=getattr(args, "max_enum", DEFAULT_ENUM_LIMIT),
-            max_minors=getattr(args, "max_minors", DEFAULT_MINOR_LIMIT),
-            max_dlog=getattr(args, "max_dlog", DLOG_TABLE_LIMIT),
-            max_order=getattr(args, "max_order", DEFAULT_ORDER_LIMIT),
-            out=getattr(args, "out", None),
-        )
-
-
 def _seed_value(s: str) -> int:
     v = int(s, 10)
     if not 0 <= v < 1 << 64:
@@ -86,20 +62,20 @@ def _positive(s: str) -> int:
     return v
 
 
-def _make_field(cfg: CliConfig, args: argparse.Namespace) -> FieldSpec:
+def _make_field(args: argparse.Namespace) -> FieldSpec:
     if args.t == 1:
-        return make_prime_field(args.p, order_limit=cfg.max_order)
-    return make_extension_field(args.p, args.t, order_limit=cfg.max_order)
+        return make_prime_field(args.p, order_limit=args.max_order)
+    return make_extension_field(args.p, args.t, order_limit=args.max_order)
 
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _emit(cfg: CliConfig, payload: str) -> None:
+def _emit(args: argparse.Namespace, payload: str) -> None:
     text = f"# generated-by mdslift {__version__}\n" + payload
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -108,8 +84,8 @@ def _load_code(path: str) -> LinearCode:
     return parse_code(_read(path))
 
 
-def cmd_field(cfg: CliConfig, args: argparse.Namespace) -> int:
-    spec = _make_field(cfg, args)
+def cmd_field(args: argparse.Namespace) -> int:
+    spec = _make_field(args)
     print(f"p={spec.p}")
     print(f"t={spec.t}")
     if spec.t > 1:
@@ -122,60 +98,60 @@ def cmd_field(cfg: CliConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_grs(cfg: CliConfig, args: argparse.Namespace) -> int:
-    spec = _make_field(cfg, args)
+def cmd_grs(args: argparse.Namespace) -> int:
+    spec = _make_field(args)
     code = grs_generator(spec, args.n, args.k)
-    _emit(cfg, format_code(code, dlog_limit=cfg.max_dlog))
+    _emit(args, format_code(code, dlog_limit=args.max_dlog))
     return 0
 
 
-def cmd_example1(cfg: CliConfig, args: argparse.Namespace) -> int:
-    _emit(cfg, format_code(example1_code(), dlog_limit=cfg.max_dlog))
+def cmd_example1(args: argparse.Namespace) -> int:
+    _emit(args, format_code(example1_code(), dlog_limit=args.max_dlog))
     return 0
 
 
-def cmd_mindist(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_mindist(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
-    print(min_distance(code, enum_limit=cfg.max_enum))
+    print(min_distance(code, enum_limit=args.max_enum))
     return 0
 
 
-def cmd_ismds(cfg: CliConfig, args: argparse.Namespace) -> int:
-    if is_mds(_load_code(args.code), minor_limit=cfg.max_minors):
+def cmd_ismds(args: argparse.Namespace) -> int:
+    if is_mds(_load_code(args.code), minor_limit=args.max_minors):
         print("MDS")
         return 0
     print("not MDS")
     return 1
 
 
-def cmd_dh(cfg: CliConfig, args: argparse.Namespace) -> int:
-    spec = _make_field(cfg, args)
-    _emit(cfg, format_dh(sample_dh(spec, args.n, cfg.seed), dlog_limit=cfg.max_dlog))
+def cmd_dh(args: argparse.Namespace) -> int:
+    spec = _make_field(args)
+    _emit(args, format_dh(sample_dh(spec, args.n, args.seed), dlog_limit=args.max_dlog))
     return 0
 
 
-def cmd_lift(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_lift(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     diag = parse_dh(_read(args.dh))
     lifted = lift(code, diag, strict_dh=args.strict, systematize=args.systematic)
-    _emit(cfg, format_code(lifted, dlog_limit=cfg.max_dlog))
+    _emit(args, format_code(lifted, dlog_limit=args.max_dlog))
     return 0
 
 
-def cmd_diversity(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_diversity(args: argparse.Namespace) -> int:
     print(diversity_count(args.p, args.t, args.n))
     return 0
 
 
-def cmd_encode(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_encode(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     message = [parse_element(code.spec, tok) for tok in args.symbol]
     word = ErasureWord(code, erasure_encode(code, message))
-    _emit(cfg, format_erasure(word, dlog_limit=cfg.max_dlog))
+    _emit(args, format_erasure(word, dlog_limit=args.max_dlog))
     return 0
 
 
-def cmd_decode(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_decode(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     if args.word_file is not None:
         if args.symbol:
@@ -186,7 +162,7 @@ def cmd_decode(cfg: CliConfig, args: argparse.Namespace) -> int:
     else:
         raise MdsLiftError("decode needs word tokens or --word-file")
     message = erasure_decode(parse_erasure(code, text))
-    print(" ".join(format_element(e, dlog_limit=cfg.max_dlog) for e in message))
+    print(" ".join(format_element(e, dlog_limit=args.max_dlog) for e in message))
     return 0
 
 
@@ -288,9 +264,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    cfg = CliConfig.from_args(args)
     try:
-        return args.func(cfg, args)
+        return args.func(args)
     except DataError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

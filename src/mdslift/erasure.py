@@ -36,7 +36,9 @@ class ErasureWord:
     def __init__(self, code: LinearCode, symbols: Sequence[FieldElement | None]) -> None:
         if len(symbols) != code.n:
             raise DimensionMismatch(f"{len(symbols)} symbols for length-{code.n} code")
-        for s in symbols:
+        for i, s in enumerate(symbols):
+            if s is not None and not isinstance(s, FieldElement):
+                raise TypeError(f"symbol {i} is {type(s).__name__}, not a FieldElement or None")
             if s is not None and s.spec.field_id != code.spec.field_id:
                 raise FieldMismatch(f"symbol from {s.spec} in {code.spec} word")
         self.code = code

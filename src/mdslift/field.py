@@ -33,6 +33,19 @@ that could never be chosen (all multiples of x, for instance).
 These fields are desk scale, not cryptographic scale: every constructor
 refuses orders above ``order_limit`` (``DEFAULT_ORDER_LIMIT`` = 2^24)
 with ``FieldTooLarge`` before any trial division.
+
+Multiplication runs on one set of discrete-log tables per field (Lidl
+and Niederreiter, Sec. 9.1), Python lists built by q - 1 steps of
+multiplying by w on codes. In F_{p^t}, w = x: a step shifts the base-p
+digits up one place and adds the code of h * x^t mod f for the digit h
+shifted out. exp holds two periods and log[0] = 2(q-1), so a product of
+nonzero codes is exp[log[a] + log[b]], with no reduction mod q - 1. The
+numpy kernels copy these lists, with a zero tail of 2(q-1)+1 entries on
+exp that every sum with log[0] lands in, so they need no zero test.
+Tables are built on first use up to order 2^16 (``_AUTO_TABLE_LIMIT``);
+above it, products run on polynomials unless ``dlog`` built them. That
+path stays: tables take seconds and ~100 MB at 2^20, and orders between
+``DLOG_TABLE_LIMIT`` and the 2^24 cap have no other.
 """
 
 from __future__ import annotations
@@ -316,10 +329,9 @@ class FieldSpec:
         self._w_code = w_code
         self._powers = [p ** i for i in range(t)]
         self._lock = threading.Lock()
-        self._exp: list[int] | None = None  # exponent -> code, length order-1
-        self._log: list[int] | None = None  # code -> exponent, -1 for 0
-        self._arrays = None  # numpy (log, exp, coords) tables, built on first use
-        self._powers_array = None  # numpy p^0..p^(t-1), built with them at any order
+        self._exp: list[int] | None = None  # exponent -> code, two periods
+        self._log: list[int] | None = None  # code -> exponent, 2(order-1) for 0
+        self._arrays = None  # numpy (log, exp, coords, powers), built on first use
 
     # construction of elements -------------------------------------------------
 
@@ -405,10 +417,9 @@ class FieldSpec:
             return 0
         log = self._scalar_log()
         if log is not None:
-            exp = self._exp
-            return exp[(log[a] + log[b]) % (self.order - 1)]
+            return self._exp[log[a] + log[b]]
         prod = _poly_mul_mod(self.code_to_coords(a), self.code_to_coords(b), self.modulus, self.p)
-        return self._coords_code(prod)
+        return sum(map(operator.mul, prod, self._powers))
 
     def inv_code(self, a: int) -> int:
         if a == 0:
@@ -417,8 +428,7 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         log = self._scalar_log()
         if log is not None:
-            m = self.order - 1
-            return self._exp[(m - log[a]) % m]
+            return self._exp[self.order - 1 - log[a]]
         return self.pow_code(a, self.order - 2)
 
     def pow_code(self, a: int, e: int) -> int:
@@ -442,46 +452,37 @@ class FieldSpec:
     def mul_array(self, a, b):
         """Elementwise a * b of numpy code arrays; above the automatic
         table limit, by ``mul_code``."""
-        tables = self._array_tables()
-        if tables is None:
+        log, exp, _, _ = self._array_tables()
+        if log is None:
             import numpy as np
             return np.frompyfunc(self.mul_code, 2, 1)(a, b).astype(np.int64)
-        log, exp, _ = tables
         return exp[log[a] + log[b]]
 
     def coords_array(self, a):
         """Base-p digits of each code of a numpy array, along a new
         trailing axis of length t."""
-        tables = self._array_tables()
-        if tables is None:
-            return a[..., None] // self._powers_array % self.p
-        return tables[2].take(a, axis=0)
+        _, _, coords, powers = self._array_tables()
+        if coords is None:
+            return a[..., None] // powers % self.p
+        return coords.take(a, axis=0)
 
     def _array_tables(self):
-        """(log, exp, coords) numpy arrays, or None above the automatic
-        table limit. numpy is imported here, on the first call, which also
-        builds ``_powers_array`` at any order.
-
-        exp[log[a] + log[b]] = a * b with no reduction and no zero test:
-        log[0] = 2(q-1) points past two periods of exp into a zero tail
-        of length 2(q-1)+1, which every sum with log[0] lands in.
-        """
-        if self._powers_array is None:
+        """numpy (log, exp, coords, powers): copies of the scalar lists with
+        a zero tail on exp, the code -> digits table and p^0..p^(t-1).
+        Above the automatic table limit the first three are None. numpy
+        is imported here, on the first call."""
+        if self._arrays is None:
             import numpy as np
-            small = self.order <= _AUTO_TABLE_LIMIT
-            if small:
-                self._build_tables()
+            log = self._scalar_log() if self.order <= _AUTO_TABLE_LIMIT else None
             with self._lock:
-                if self._powers_array is None:
+                if self._arrays is None:
                     powers = np.array(self._powers, dtype=np.int64)
-                    if small:
-                        m = self.order - 1
-                        log = np.array(self._log, dtype=np.int64)
-                        log[0] = 2 * m
-                        exp = np.array(self._exp * 2 + [0] * (2 * m + 1), dtype=np.int64)
+                    tables = (None, None, None)
+                    if log is not None:
+                        exp = np.array(self._exp + [0] * (len(self._exp) + 1), dtype=np.int64)
                         coords = np.arange(self.order)[:, None] // powers % self.p
-                        self._arrays = (log, exp, coords)
-                    self._powers_array = powers  # set last: marks the tables built
+                        tables = (np.array(log, dtype=np.int64), exp, coords)
+                    self._arrays = tables + (powers,)
         return self._arrays
 
     # powers of w, discrete logs, embedding -------------------------------------
@@ -498,8 +499,7 @@ class FieldSpec:
         limit = DLOG_TABLE_LIMIT if table_limit is None else table_limit
         if self.order > limit:
             raise FieldTooLarge(f"order {self.order} exceeds dlog table limit {limit}")
-        self._build_tables()
-        return self._log[a.code]
+        return self._scalar_log(limit)[a.code]
 
     def embed(self, a: FieldElement) -> FieldElement:
         """Image of a prime-field element under the constant-polynomial
@@ -512,39 +512,29 @@ class FieldSpec:
 
     # internal tables ------------------------------------------------------------
 
-    def _coords_code(self, coords: Sequence[int]) -> int:
-        code = 0
-        for c, pw in zip(coords, self._powers):
-            code += c * pw
-        return code
-
-    def _scalar_log(self) -> list[int] | None:
-        if self._log is None and self.order <= _AUTO_TABLE_LIMIT:
-            self._build_tables()
-        return self._log
-
-    def _build_tables(self) -> None:
-        if self._log is not None:
-            return
+    def _scalar_log(self, limit: int = _AUTO_TABLE_LIMIT) -> list[int] | None:
+        """The log list, built with the exp list on the first call at an
+        order of at most ``limit``; None above it while unbuilt."""
+        if self._log is not None or self.order > limit:
+            return self._log
         with self._lock:
-            if self._log is not None:
-                return
-            q = self.order
-            exp = [0] * max(1, q - 1)
-            log = [-1] * q
-            c = 1
-            for e in range(q - 1):
-                exp[e] = c
-                log[c] = e
-                if self.t == 1:
-                    c = (c * self._w_code) % self.p
-                else:
-                    prod = _poly_mul_mod(
-                        self.code_to_coords(c), self.code_to_coords(self._w_code),
-                        self.modulus, self.p)
-                    c = self._coords_code(prod)
-            self._exp = exp
-            self._log = log
+            if self._log is None:
+                p, t, w, m, top = self.p, self.t, self._w_code, self.order - 1, self._powers[-1]
+                # red[h]: code of h * x^t = -h * (f - x^t) mod f, for the top digit h
+                red = [sum((-h * c) % p * pw for c, pw in zip(self.modulus, self._powers))
+                       for h in range(p)] if t > 1 else None
+                exp, log, c = [0] * (2 * m), [2 * m] * (m + 1), 1
+                for e in range(m):
+                    exp[e] = exp[e + m] = c
+                    log[c] = e
+                    if t == 1:
+                        c = c * w % p
+                    else:
+                        h, c = divmod(c, top)
+                        c = self.add_code(c * p, red[h]) if h else c * p
+                self._exp = exp
+                self._log = log  # set last: marks the tables built
+        return self._log
 
     # ---------------------------------------------------------------------------
 

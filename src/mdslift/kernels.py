@@ -108,7 +108,7 @@ def _laplace(spec: FieldSpec, row: np.ndarray, cols: np.ndarray, sub: np.ndarray
     i = cols.shape[1]
     terms = spec.coords_array(spec.mul_array(row[cols], below[sub]))
     sign = np.array([(-1) ** (i - 1 + r) for r in range(i)])
-    return (sign @ terms) % spec.p @ spec._powers_array  # digit-wise signed sum
+    return (sign @ terms) % spec.p @ spec._array_tables()[3]  # digit-wise signed sum
 
 
 def _level_blocks(spec: FieldSpec, row: np.ndarray, n: int, i: int, below: np.ndarray

@@ -12,6 +12,9 @@ library uses, so agreement is evidence rather than tautology:
   degree 1..t-1 (the library stops at degree t/2);
 - primitivity and generator order by listing powers until repetition
   (the library checks prime-factor cofactor powers);
+- field products by a schoolbook polynomial product and long division
+  by the modulus (the library reads exp/log tables built by repeated
+  multiplication by x, or falls back to its own polynomial helpers);
 - determinants by the Leibniz expansion in FieldElement arithmetic, and
   from them rank, the MDS minor criterion and its first singular column
   set, and the systematic form by Cramer's rule (the library row-reduces
@@ -85,6 +88,22 @@ def oracle_is_irreducible(modulus: list[int], p: int) -> bool:
             if not _poly_trim(_poly_mod(modulus, divisor, p)):
                 return False
     return True
+
+
+def oracle_field_mul(spec, a: int, b: int) -> int:
+    """Code of a * b: the digit polynomials multiplied term by term, then
+    reduced by long division by the modulus; a * b mod p in a prime field."""
+    p, t = spec.p, spec.t
+    if t == 1:
+        return a * b % p
+    da = [a // p ** i % p for i in range(t)]
+    db = [b // p ** i % p for i in range(t)]
+    prod = [0] * (2 * t - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    rem = _poly_mod([c % p for c in prod], list(spec.modulus), p)
+    return sum(c * p ** i for i, c in enumerate(rem))
 
 
 def oracle_multiplicative_order(spec, e) -> int:

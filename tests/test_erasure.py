@@ -48,6 +48,13 @@ def test_word_validation(example1, f7, f343):
     assert ERASED is None
 
 
+@pytest.mark.parametrize("bad", [1, 0, 1.0, "w^2", (1,)])
+def test_word_symbols_must_be_elements_or_erased(example1, f7, bad):
+    # no integer reading: a plain int is refused like any other non-element
+    with pytest.raises(TypeError, match="symbol 5"):
+        ErasureWord(example1, [f7.one()] * 5 + [bad] + [None] * 2)
+
+
 def test_encode_is_systematic(f7, example1):
     msg = [f7.element(v) for v in [3, 6, 1]]
     cw = erasure_encode(example1, msg)

@@ -31,6 +31,7 @@ from mdslift.field import (
 )
 from mdslift.rng import SplitMix64
 from oracles import (
+    oracle_field_mul,
     oracle_is_irreducible,
     oracle_is_primitive,
     oracle_multiplicative_order,
@@ -295,6 +296,69 @@ def test_array_ops_match_scalar_ops(name, request):
     grid = a[:60].reshape(6, 10)
     assert spec.coords_array(grid).tolist() == [
         [list(spec.code_to_coords(c)) for c in row] for row in grid.tolist()]
+
+
+# every pair for the small fields; 2,000 seeded pairs for the larger ones
+ALL_PAIRS = [(2, 2), (2, 3), (3, 2), (2, 5), (7, 2)]
+SAMPLED = [(7, 3), (7, 4), (3, 5), (2, 16)]
+
+
+def _sample(spec, seed, count=2000):
+    rng = SplitMix64(seed)
+    return [rng.below(spec.order) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p,t", ALL_PAIRS + SAMPLED)
+def test_mul_code_matches_oracle(p, t):
+    spec = _make(p, t)
+    if (p, t) in ALL_PAIRS:
+        pairs = list(product(range(spec.order), repeat=2))
+    else:
+        pairs = list(zip(_sample(spec, 1), _sample(spec, 2))) + [(0, 5), (5, 0), (0, 0)]
+    assert [spec.mul_code(a, b) for a, b in pairs] == [
+        oracle_field_mul(spec, a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("p,t", [(2, 1), (7, 1)] + ALL_PAIRS + SAMPLED)
+def test_tables_match_oracle(p, t):
+    spec = _make(p, t)
+    spec.dlog(spec.one())
+    exp, log, m, w = spec._exp, spec._log, spec.order - 1, spec.generator_w.code
+    # two periods, and log[0] points past them
+    assert len(exp) == 2 * m and exp[m:] == exp[:m] and log[0] == 2 * m
+    assert all(log[exp[e]] == e for e in range(m))
+    if spec.order <= 2401:
+        acc = 1
+        for e in range(m):
+            assert exp[e] == acc  # exp[e] = w^e
+            acc = oracle_field_mul(spec, acc, w)
+        assert acc == 1
+        units = range(1, spec.order)
+    else:
+        assert exp[0] == 1 and sorted(exp[:m]) == list(range(1, spec.order))
+        for e in _sample(spec, 3):
+            assert exp[e + 1] == oracle_field_mul(spec, exp[e], w)
+        units = [a for a in _sample(spec, 4) if a]
+    assert all(oracle_field_mul(spec, a, spec.inv_code(a)) == 1 for a in units)
+
+
+def test_extension_generator_is_x(f2_17):
+    for spec in [_make(p, t) for p, t in ALL_PAIRS + SAMPLED] + [f2_17]:
+        assert spec.generator_w.coords == (0, 1) + (0,) * (spec.t - 2)
+
+
+def test_dlog_tables_above_auto_limit_match_polynomial_path(f2_17):
+    # a spec of its own, so the shared f2_17 keeps its polynomial path
+    spec = FieldSpec(f2_17.p, f2_17.t, f2_17.modulus, f2_17.p)
+    assert spec == f2_17 and spec is not f2_17
+    assert spec.dlog(spec.generator_w, table_limit=1 << 17) == 1
+    assert spec._log is not None and f2_17._log is None
+    pairs = list(zip(_sample(spec, 5, 500), _sample(spec, 6, 500)))
+    assert [spec.mul_code(a, b) for a, b in pairs] == [f2_17.mul_code(a, b) for a, b in pairs]
+    assert [spec.mul_code(a, b) for a, b in pairs[:100]] == [
+        oracle_field_mul(spec, a, b) for a, b in pairs[:100]]
+    units = [a for a, _ in pairs if a]
+    assert [spec.inv_code(a) for a in units] == [f2_17.inv_code(a) for a in units]
 
 
 def test_zero_to_the_zero_is_one(f7, f343):
