@@ -5,15 +5,21 @@ distance and weight distribution by exhaustive enumeration, the
 minor-criterion MDS check, single row/column scalings, diagonal
 sandwich products, and a hard-coded [8,3,6] reference code over F_7.
 
-The two MDS detectors are deliberately independent: ``is_mds`` checks
-nonsingularity of every k-column submatrix and scales with C(n, k),
-while ``min_distance`` enumerates one codeword per projective point,
-(q^k - 1)/(q - 1) in all. Where both are feasible they must agree
-(d = n - k + 1 iff all minors nonsingular), as the tests assert.
+Two algorithms decide MDS: ``is_mds`` checks nonsingularity of every
+k-column submatrix and scales with C(n, k), while the enumeration
+behind ``weight_distribution`` covers one codeword per projective
+point, (q^k - 1)/(q - 1) in all. ``min_distance`` uses both: d = n - k + 1
+iff all minors are nonsingular, so where the minors are the fewer it
+reads d from them and enumerates only a code that has a singular one.
+Their independence is tested directly: ``is_mds`` against
+``kernels.min_weight`` in test_codes.py and the acceptance tests, and
+both against the brute-force oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from math import comb
 from typing import Sequence
@@ -21,10 +27,12 @@ from typing import Sequence
 from .errors import (
     DimensionMismatch,
     DuplicateAlpha,
+    FieldTooLarge,
     IndexOutOfRange,
     LeadingBlockSingular,
     RankDeficient,
     TooLong,
+    TooManyCodewords,
     TooManyMinors,
     ZeroDiagonalEntry,
     ZeroMultiplier,
@@ -153,17 +161,46 @@ def encode_message(code: LinearCode, message: Sequence[FieldElement]) -> list[Fi
     return vec_mat_mul(message, code.generator)
 
 
+def _projective_points(code: LinearCode, enum_limit: int) -> int:
+    """(q^k - 1)/(q - 1), the codewords the enumeration encodes, after its
+    refusals: more than ``enum_limit`` codewords in all, or coordinates
+    that would overflow int64 before reduction mod p."""
+    spec, k = code.spec, code.k
+    p, t, total = spec.p, spec.t, spec.order ** k - 1
+    if total > enum_limit:
+        raise TooManyCodewords(f"{total} codewords exceed limit {enum_limit}")
+    # largest entry of digits @ tail + lead row, before reduction mod p
+    if ((k - 1) * t * (p - 1) + 1) * (p - 1) >= 1 << 63:
+        raise FieldTooLarge(f"{spec} codeword coordinates overflow int64 for k={k}")
+    return total // (spec.order - 1)
+
+
 def min_distance(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) -> int:
     """Exact minimum Hamming weight over all q^k - 1 nonzero codewords.
 
-    Linear code, so minimum distance = minimum nonzero weight. One
-    codeword per projective point is enumerated. The result is cached
-    on the code. Covering more than ``enum_limit`` codewords is refused.
+    Linear code, so minimum distance = minimum nonzero weight. The
+    result is cached on the code. Covering more than ``enum_limit``
+    codewords is refused, whichever way the distance is then found.
+
+    A code is MDS iff every k columns of G are independent, and then
+    d = n - k + 1 (MacWilliams and Sloane, Ch. 11, Thm 2). So when the
+    C(n, k) minors are no more than the (q^k - 1)/(q - 1) projective
+    points, the minor pass of ``singular_minor`` runs first, and a code
+    with no singular minor gets d = n - k + 1 with no enumeration. Any
+    other code enumerates one codeword per projective point. On 2 vCPUs
+    the lifted [8,3] code over F_343 (56 minors against 117,993 points)
+    takes about 50 us this way, against about 90 ms of enumeration, and
+    needs no numpy.
     """
     if code.d is not None:
         return code.d
-    from .kernels import min_weight
-    best = min_weight(code, enum_limit)
+    k, n = code.k, code.n
+    points = _projective_points(code, enum_limit)
+    if 0 < k and comb(n, k) <= points and singular_minor(code, comb(n, k)) is None:
+        best = n - k + 1
+    else:
+        from .kernels import min_weight
+        best = min_weight(code)
     code.set_distance(best)
     return best
 
@@ -174,8 +211,87 @@ def weight_distribution(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) 
     Entry 0 is 0 and the entries sum to q^k - 1. Same enumeration and
     ``enum_limit`` as ``min_distance``.
     """
+    _projective_points(code, enum_limit)
     from .kernels import projective_weight_counts
-    return [c * (code.spec.order - 1) for c in projective_weight_counts(code, enum_limit)]
+    return [c * (code.spec.order - 1) for c in projective_weight_counts(code)]
+
+
+#: Largest minor pass, in sum_{i=2..k} i * C(n, i) field products, that
+#: runs on the scalar Zech tables rather than on numpy arrays: where the
+#: two cross for k = 3 when both are warm; k = 2 crosses near 130 products
+#: (see ``singular_minor``).
+SCALAR_PASS_PRODUCTS = 250
+
+
+@functools.lru_cache(maxsize=32)
+def _scalar_plan(n: int, i: int) -> tuple[tuple, tuple]:
+    """The i-column sets S in lex order, and for each the terms of its
+    expansion along row i - 1: the first as (c, s, rest), the others in
+    ``rest`` as (c, s). Term r has s, the lex rank of S - S[r] among the
+    (i - 1)-sets, and c = S[r] + n * (i - 1 + r mod 2), which picks the
+    negated copy of the row for the negative terms."""
+    ranks = {s: r for r, s in enumerate(itertools.combinations(range(n), i - 1))}
+    sets = tuple(itertools.combinations(range(n), i))
+    terms = [[(c + n * ((i - 1 + r) & 1), ranks[s[:r] + s[r + 1:]]) for r, c in enumerate(s)]
+             for s in sets]
+    return sets, tuple(t[0] + (tuple(t[1:]),) for t in terms)
+
+
+@functools.lru_cache(maxsize=8)
+def _log_sum_tables(spec: FieldSpec) -> tuple[list[int], list[int]]:
+    """``red`` and ``step`` for logs with zero held as z = 2(q - 1), m = q - 1.
+
+    red[x] is x mod m for x < 2m and z for x >= 2m, so red[a + b] is the
+    log of a product of two such logs. step[b - a] is what a + b needs
+    added to a, before ``red``: zech[(b - a) mod m] when both are nonzero,
+    0 when b is zero, and b - a when a is zero (b - z lies in [-2m, -m),
+    read from the end of the list, 4m + 1 long).
+    """
+    zech = spec._scalar_zech()
+    m = len(zech)
+    red = list(range(m)) * 2 + [2 * m] * (2 * m + 1)
+    step = zech + [0] * (m + 1) + list(range(-2 * m, -m)) + zech
+    return red, step
+
+
+def _scalar_first_singular(a: FieldMatrix, last: bool = False) -> tuple[int, ...] | None:
+    """``kernels.first_singular`` on the field's scalar tables, for a field
+    with a Zech list: the same Laplace levels, each minor held as its log
+    (2(q - 1) for zero), a product as a sum of logs and a sum as one Zech
+    lookup."""
+    spec = a.spec
+    red, step = _log_sum_tables(spec)
+    log, neg = spec._scalar_log(), spec._neg_log
+    zero = log[0]
+    k, n = a.shape
+    rows = [[log[c] for c in r] for r in a.to_lists()]
+    below = rows[0]
+    for i in range(2, k + 1):
+        row = rows[i - 1]
+        signed = row + [red[x + neg] for x in row]
+        level = []
+        for c0, s0, rest in _scalar_plan(n, i)[1]:
+            acc = red[signed[c0] + below[s0]]
+            for c, s in rest:
+                acc = red[acc + step[red[signed[c] + below[s]] - acc]]
+            level.append(acc)
+        below = level
+    if zero not in below:
+        return None
+    at = len(below) - 1 - below[::-1].index(zero) if last else below.index(zero)
+    return _scalar_plan(n, k)[0][at] if k > 1 else (at,)
+
+
+def _first_singular(a: FieldMatrix, last: bool = False) -> tuple[int, ...] | None:
+    """First (or last) singular k-column set of the k x n matrix ``a``, by
+    the scalar pass when the field has Zech tables and the pass is at most
+    ``SCALAR_PASS_PRODUCTS`` products, else by the numpy pass."""
+    k, n = a.shape
+    if (sum(i * comb(n, i) for i in range(2, k + 1)) <= SCALAR_PASS_PRODUCTS
+            and a.spec._scalar_zech() is not None):
+        return _scalar_first_singular(a, last)
+    from .kernels import first_singular
+    return first_singular(a, last)
 
 
 def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
@@ -198,10 +314,19 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
     Either way no level exceeds C(n, k) sets; a code with more than
     ``minor_limit`` minors is refused with TooManyMinors.
 
-    On 2 vCPUs a lifted [8,3] code (56 minors) takes about 30-60 us; over
-    F_49, GRS[16,8] (12,870 minors) 6-8 ms, or 25-45 ms on the first call
-    for that shape, GRS[20,10] (184,756) about 0.5 s in 43 MB of RSS, and
-    GRS[30,25] (142,506, through the dual) 0.08 s.
+    Over a field with Zech tables (order up to 2^16), a pass of at most
+    ``SCALAR_PASS_PRODUCTS`` field products runs in Python on logs
+    (``_scalar_first_singular``), so it needs no numpy, whose import
+    costs a fresh process about 120 ms; a larger pass runs on numpy
+    arrays (``kernels.first_singular``). Warm, on 2 vCPUs, the scalar
+    pass over F_343 against the array pass: [7,3] (147 products) 34
+    against 42 us, [8,3] (224) 47 against 46 us, [9,3] (324) 67 against
+    49 us, [12,2] (132) 33 against 29 us, [16,2] (240) 49 against 31 us,
+    [8,4] (504) 84 against 69 us and [14,7] (57,330) 11 against 1.8 ms
+    (``BENCH_11.json``). On the array pass over F_49,
+    GRS[16,8] (12,870 minors) takes 6-8 ms, or 25-45 ms on the first
+    call for that shape, GRS[20,10] (184,756) about 0.5 s in 43 MB of
+    RSS, and GRS[30,25] (142,506, through the dual) 0.08 s.
     """
     k, n = code.k, code.n
     if comb(n, k) > minor_limit:
@@ -209,16 +334,15 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
                             f"limit {minor_limit}")
     if k == 0 or k == n:
         return None  # the one k x k minor, if any, is nonzero by full rank
-    from .kernels import first_singular
     if 2 * k <= n:
-        return first_singular(code.generator)
+        return _first_singular(code.generator)
     try:
         a = code.systematic_generator().to_lists()
     except LeadingBlockSingular:
         return tuple(range(k))
     dual = FieldMatrix(code.spec, [[r[j] for r in a] + [int(i == j) for i in range(k, n)]
                                    for j in range(k, n)])
-    found = first_singular(dual, last=True)
+    found = _first_singular(dual, last=True)
     return None if found is None else tuple(sorted(set(range(n)) - set(found)))
 
 

@@ -39,13 +39,19 @@ and Niederreiter, Sec. 9.1), Python lists built by q - 1 steps of
 multiplying by w on codes. In F_{p^t}, w = x: a step shifts the base-p
 digits up one place and adds the code of h * x^t mod f for the digit h
 shifted out. exp holds two periods and log[0] = 2(q-1), so a product of
-nonzero codes is exp[log[a] + log[b]], with no reduction mod q - 1. The
-numpy kernels copy these lists, with a zero tail of 2(q-1)+1 entries on
-exp that every sum with log[0] lands in, so they need no zero test.
-Tables are built on first use up to order 2^16 (``_AUTO_TABLE_LIMIT``);
-above it, products run on polynomials unless ``dlog`` built them. That
-path stays: tables take seconds and ~100 MB at 2^20, and orders between
-``DLOG_TABLE_LIMIT`` and the 2^24 cap have no other.
+nonzero codes is exp[log[a] + log[b]], with no reduction mod q - 1, and
+w^k is exp[k mod (q - 1)]. Sums read a Zech list built with them,
+zech[e] = log(1 + w^e), which holds log[0] where 1 + w^e = 0: for nonzero
+a and b, a + b = w^log(a) * (1 + w^(log(b) - log(a))), and -1 is
+w^((q - 1)/2) for odd p. Adding 1 changes only base-p digit 0, so the
+list costs one pass over exp. The numpy kernels copy exp and log, with a
+zero tail of 2(q-1)+1 entries on exp that every sum with log[0] lands
+in, so they need no zero test. Tables are built on first use up to
+order 2^16 (``_AUTO_TABLE_LIMIT``); above it, products run on
+polynomials unless ``dlog`` built the exp/log lists, and sums digit by
+digit, as ``dlog`` builds no Zech list. That path stays: tables take
+seconds and ~100 MB at 2^20, and orders between ``DLOG_TABLE_LIMIT``
+and the 2^24 cap have no other.
 """
 
 from __future__ import annotations
@@ -331,6 +337,8 @@ class FieldSpec:
         self._lock = threading.Lock()
         self._exp: list[int] | None = None  # exponent -> code, two periods
         self._log: list[int] | None = None  # code -> exponent, 2(order-1) for 0
+        self._zech: list[int] | None = None  # e -> log(1 + w^e), up to _AUTO_TABLE_LIMIT
+        self._neg_log = (self.order - 1) // 2 if p % 2 else 0  # -1 = w^_neg_log
         self._arrays = None  # numpy (log, exp, coords, powers), built on first use
 
     # construction of elements -------------------------------------------------
@@ -390,25 +398,41 @@ class FieldSpec:
     def add_code(self, a: int, b: int) -> int:
         if self.t == 1:
             return (a + b) % self.p
-        p, code = self.p, 0
-        for pw in self._powers:
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            code += ((da + db) % p) * pw
-        return code
+        if a == 0 or b == 0:
+            return a or b
+        zech = self._scalar_zech()
+        if zech is None:
+            return self._digit_sum(a, b, 1)
+        return self._zech_sum(self._log[a], self._log[b], zech)
 
     def sub_code(self, a: int, b: int) -> int:
         if self.t == 1:
             return (a - b) % self.p
+        if b == 0:
+            return a
+        zech = self._scalar_zech()
+        if zech is None:
+            return self._digit_sum(a, b, -1)
+        neg_b = (self._log[b] + self._neg_log) % len(zech)
+        return self._exp[neg_b] if a == 0 else self._zech_sum(self._log[a], neg_b, zech)
+
+    def neg_code(self, a: int) -> int:
+        return self.sub_code(0, a)
+
+    def _digit_sum(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b, one base-p digit at a time."""
         p, code = self.p, 0
         for pw in self._powers:
             a, da = divmod(a, p)
             b, db = divmod(b, p)
-            code += ((da - db) % p) * pw
+            code += ((da + sign * db) % p) * pw
         return code
 
-    def neg_code(self, a: int) -> int:
-        return self.sub_code(0, a)
+    def _zech_sum(self, la: int, lb: int, zech: list[int]) -> int:
+        """Code of w^la + w^lb = w^la * (1 + w^(lb - la)), for logs below
+        q - 1; a negative index into zech wraps mod q - 1."""
+        z = zech[lb - la]
+        return 0 if z == self._log[0] else self._exp[la + z]
 
     def mul_code(self, a: int, b: int) -> int:
         if self.t == 1:
@@ -488,8 +512,12 @@ class FieldSpec:
     # powers of w, discrete logs, embedding -------------------------------------
 
     def from_power(self, k: int) -> FieldElement:
-        """w^(k mod (order - 1))."""
-        return FieldElement(self, self.pow_code(self._w_code, k % (self.order - 1)))
+        """w^(k mod (order - 1)): a table lookup in an extension field
+        with tables, else by square-and-multiply."""
+        k %= self.order - 1
+        if self.t > 1 and self._scalar_log() is not None:
+            return FieldElement(self, self._exp[k])
+        return FieldElement(self, self.pow_code(self._w_code, k))
 
     def dlog(self, a: FieldElement, *, table_limit: int | None = None) -> int:
         """Exponent k in [0, order-1) with w^k = a; a must be nonzero."""
@@ -514,7 +542,8 @@ class FieldSpec:
 
     def _scalar_log(self, limit: int = _AUTO_TABLE_LIMIT) -> list[int] | None:
         """The log list, built with the exp list on the first call at an
-        order of at most ``limit``; None above it while unbuilt."""
+        order of at most ``limit``; None above it while unbuilt. Up to
+        ``_AUTO_TABLE_LIMIT`` the Zech list is built with them."""
         if self._log is not None or self.order > limit:
             return self._log
         with self._lock:
@@ -531,10 +560,21 @@ class FieldSpec:
                         c = c * w % p
                     else:
                         h, c = divmod(c, top)
-                        c = self.add_code(c * p, red[h]) if h else c * p
+                        c = self._digit_sum(c * p, red[h], 1) if h else c * p
+                if self.order <= _AUTO_TABLE_LIMIT:
+                    # 1 + c changes digit 0 only; log[0] = 2m marks 1 + w^e = 0
+                    self._zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp[:m]]
                 self._exp = exp
                 self._log = log  # set last: marks the tables built
         return self._log
+
+    def _scalar_zech(self) -> list[int] | None:
+        """The Zech list, zech[e] = log(1 + w^e) for e < q - 1, with
+        2(q - 1) (the log of zero) where 1 + w^e = 0; None above
+        ``_AUTO_TABLE_LIMIT``, where a + b runs digit by digit."""
+        if self._zech is None and self.order <= _AUTO_TABLE_LIMIT:
+            self._scalar_log()
+        return self._zech
 
     # ---------------------------------------------------------------------------
 

@@ -1,8 +1,10 @@
 """numpy kernels behind ``codes``: the projective codeword enumeration
-(``min_distance``, ``weight_distribution``) and the Laplace minor pass
-(``singular_minor``, ``is_mds``). With ``FieldSpec``'s array tables, the
-only code that uses numpy; ``codes`` imports it on first use, so fields,
-matrices, lifts and erasure coding run without numpy."""
+(``weight_distribution``, and ``min_distance`` for a code it cannot
+decide by minors) and the Laplace minor pass (``singular_minor``,
+``is_mds``) for shapes above ``codes.SCALAR_PASS_PRODUCTS``. With
+``FieldSpec``'s array tables, the only code that uses numpy; ``codes``
+imports it on first use, so fields, matrices, lifts, erasure coding and
+the minor checks of small codes run without numpy."""
 
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from typing import Iterator
 import numpy as np
 
 from .codes import LinearCode
-from .errors import FieldTooLarge, TooManyCodewords
 from .field import FieldSpec
 from .matrix import FieldMatrix
 
@@ -22,22 +23,17 @@ _MINOR_BLOCK = 1 << 14  # column sets per block of the minor pass
 _PLAN_CACHE = 1 << 17  # largest one-block level plan, in column indices, kept across calls
 
 
-def _projective_weights(code: LinearCode, enum_limit: int) -> Iterator[np.ndarray]:
+def _projective_weights(code: LinearCode) -> Iterator[np.ndarray]:
     """Weights of one codeword per projective point, a chunk at a time.
 
     Nonzero multiples share a weight, so the messages (0, ..., 0, 1, tail)
-    stand for all q^k - 1 (capped by ``enum_limit``). Over F_p each g[i, j]
-    is a t x t multiplication map, so encoding is one integer matrix
-    product with the (k*t) x (n*t) block matrix ``lmat``.
+    stand for all q^k - 1. Over F_p each g[i, j] is a t x t multiplication
+    map, so encoding is one integer matrix product with the (k*t) x (n*t)
+    block matrix ``lmat``. The caller has checked the size
+    (``codes._projective_points``).
     """
     spec = code.spec
     p, t, k, n = spec.p, spec.t, code.k, code.n
-    total = spec.order ** k - 1
-    if total > enum_limit:
-        raise TooManyCodewords(f"{total} codewords exceed limit {enum_limit}")
-    # largest entry of digits @ tail + lead row, before reduction mod p
-    if ((k - 1) * t * (p - 1) + 1) * (p - 1) >= 1 << 63:
-        raise FieldTooLarge(f"{spec} codeword coordinates overflow int64 for k={k}")
     # multiplication by g[i, j] is F_p-linear; row r of its map is the
     # coordinate vector of x^r * g[i, j]
     powers = np.array([p ** r for r in range(t)], dtype=np.int64)
@@ -55,20 +51,20 @@ def _projective_weights(code: LinearCode, enum_limit: int) -> Iterator[np.ndarra
             yield np.count_nonzero(words.reshape(-1, n, t).any(axis=2), axis=1)
 
 
-def min_weight(code: LinearCode, enum_limit: int) -> int:
+def min_weight(code: LinearCode) -> int:
     """Least weight of a nonzero codeword; stops early at weight 1."""
     best = code.n
-    for weights in _projective_weights(code, enum_limit):
+    for weights in _projective_weights(code):
         best = min(best, int(weights.min()))
         if best == 1:
             break
     return best
 
 
-def projective_weight_counts(code: LinearCode, enum_limit: int) -> list[int]:
+def projective_weight_counts(code: LinearCode) -> list[int]:
     """Entry w counts the projective points whose codewords have weight w."""
     counts = np.zeros(code.n + 1, dtype=np.int64)
-    for weights in _projective_weights(code, enum_limit):
+    for weights in _projective_weights(code):
         counts += np.bincount(weights, minlength=code.n + 1)
     return counts.tolist()
 

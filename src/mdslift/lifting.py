@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .codes import DEFAULT_ENUM_LIMIT, LinearCode, is_mds, min_distance
 from .errors import (
@@ -127,8 +126,7 @@ def lift(
     return LinearCode(lifted)
 
 
-@dataclass(frozen=True)
-class LiftReport:
+class LiftReport(NamedTuple):
     """Outcome of checking a lift against its base code."""
 
     n_match: bool

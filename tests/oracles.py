@@ -5,7 +5,8 @@ library uses, so agreement is evidence rather than tautology:
 
 - minimum distance and weight distribution by scalar element-level
   enumeration of all q^k messages (the library enumerates one message
-  per projective point, vectorized over F_p coordinates);
+  per projective point, vectorized over F_p coordinates, or reads
+  d = n - k + 1 of an MDS code from its minors);
 - binomials by the multiplicative formula with exact stepwise division
   (the library calls math.comb);
 - irreducibility by trial division against every monic polynomial of
@@ -15,10 +16,13 @@ library uses, so agreement is evidence rather than tautology:
 - field products by a schoolbook polynomial product and long division
   by the modulus (the library reads exp/log tables built by repeated
   multiplication by x, or falls back to its own polynomial helpers);
+- field sums and differences coefficient by coefficient mod p (the
+  library reads a Zech table, log(1 + w^e), up to order 2^16);
 - determinants by the Leibniz expansion in FieldElement arithmetic, and
   from them rank, the MDS minor criterion and its first singular column
   set, and the systematic form by Cramer's rule (the library row-reduces
-  lists of code rows and expands all minors in one Laplace pass);
+  lists of code rows and expands all minors in one Laplace pass, on
+  discrete logs or on numpy arrays);
 - matrix products entry by entry in FieldElement arithmetic (the library
   works on rows of codes with the field's code ops).
 """
@@ -106,6 +110,14 @@ def oracle_field_mul(spec, a: int, b: int) -> int:
     return sum(c * p ** i for i, c in enumerate(rem))
 
 
+def oracle_field_add(spec, a: int, b: int, sign: int = 1) -> int:
+    """Code of a + sign * b: the coefficient lists added mod p."""
+    p, t = spec.p, spec.t
+    da = [a // p ** i % p for i in range(t)]
+    db = [b // p ** i % p for i in range(t)]
+    return sum((x + sign * y) % p * p ** i for i, (x, y) in enumerate(zip(da, db)))
+
+
 def oracle_multiplicative_order(spec, e) -> int:
     """Order of a nonzero element by listing its powers."""
     assert e.code != 0
@@ -186,6 +198,14 @@ def oracle_singular_minor(code: LinearCode):
     rows = range(code.k)
     return next((cols for cols in combinations(range(code.n), code.k)
                  if not oracle_det(code.generator, rows, cols)), None)
+
+
+def oracle_singular_sets(m: FieldMatrix) -> list[tuple[int, ...]]:
+    """Every k-column set of the k x n matrix m, in lexicographic order,
+    on which its k x k minor is zero."""
+    rows = range(m.rows)
+    return [cols for cols in combinations(range(m.cols), m.rows)
+            if not oracle_det(m, rows, cols)]
 
 
 def oracle_is_mds(code: LinearCode) -> bool:

@@ -32,6 +32,7 @@ from mdslift.errors import (
     ZeroDiagonalEntry,
 )
 from mdslift.field import make_extension_field, make_prime_field
+from mdslift.kernels import min_weight
 from mdslift.lifting import DhDiagonal, diversity_count, lift, sample_dh
 from mdslift.matrix import FieldMatrix
 from mdslift.rng import SplitMix64
@@ -70,7 +71,7 @@ def test_criterion_2_two_hundred_seeded_lifts(report):
     failures = [s for s in range(200) if not is_mds(lift(base, sample_dh(f343, 8, s)))]
     start = time.perf_counter()
     enumerated = lift(base, sample_dh(f343, 8, 0))
-    d = min_distance(enumerated)  # covers all 343^3 - 1 codewords, one per projective point
+    d = min_weight(enumerated)  # covers all 343^3 - 1 codewords, one per projective point
     elapsed = time.perf_counter() - start
     sys_block = lift(base, sample_dh(f343, 8, 0), systematize=True).generator
     identity_shape = sys_block.codes[:, :3].tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -84,8 +85,9 @@ def test_criterion_3_cross_field_distance_agreement(report):
     f49 = make_extension_field(7, 2)
     base = grs_generator(f7, 6, 2)
     lifted = lift(base, sample_dh(f49, 6, 1))
-    d_base = min_distance(base)
-    d_lift = min_distance(lifted)  # 49^2 - 1 = 2400 nonzero codewords
+    # enumerated, not read from the minor criterion, which is_mds checks below
+    d_base = min_weight(base)
+    d_lift = min_weight(lifted)  # 49^2 - 1 = 2400 nonzero codewords
     singleton = base.n - base.k + 1
     ok = d_base == d_lift == 5 == singleton and is_mds(lifted)
     report(3, ok, f"[6,2] base d={d_base}, lifted-to-F_49 d={d_lift}, both = n-k+1 = 5")

@@ -325,8 +325,15 @@ with contextlib.redirect_stdout(out):
         assert main(argv) == 0, argv
 print(out.getvalue().splitlines()[-2])  # the decoded message
 print("numpy" in sys.modules)
+# the 56 minors of the lifted [8,3] code run on the scalar tables, and its
+# distance n - k + 1 = 6 follows from them with no enumeration
 for argv in (["ismds", str(d / "lifted")], ["mindist", str(d / "lifted")]):
     assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+# GRS[16,8] over F_49 has 12,870 minors: the numpy pass
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["grs", "-p", "7", "-t", "2", "-n", "16", "-k", "8", "-o", str(d / "grs")]) == 0
+assert main(["ismds", str(d / "grs")]) == 0
 print("numpy" in sys.modules)
 """
 
@@ -336,4 +343,13 @@ def test_cli_steps_without_arrays_run_without_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _STEPS_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["w^5 0 1", "False", "MDS", "6", "True"]
+    assert proc.stdout.splitlines() == ["w^5 0 1", "False", "MDS", "6", "False", "MDS", "True"]
+
+
+def test_cli_import_loads_neither_numpy_nor_dataclasses():
+    env = dict(os.environ, PYTHONPATH=str(Path(mdslift.__file__).parents[1]))
+    script = "import sys, mdslift.cli; print(sorted({'numpy', 'dataclasses'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

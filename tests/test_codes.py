@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mdslift import kernels
+from mdslift import codes, kernels
 from mdslift.codes import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_MINOR_LIMIT,
+    SCALAR_PASS_PRODUCTS,
     LinearCode,
+    _scalar_first_singular,
     encode_message,
     example1_code,
     grs_generator,
@@ -50,6 +52,7 @@ from oracles import (
     oracle_min_distance,
     oracle_rank,
     oracle_singular_minor,
+    oracle_singular_sets,
     oracle_systematic,
     oracle_weight_distribution,
 )
@@ -331,7 +334,8 @@ def test_singleton_bound_on_random_codes(f7):
 
 
 def test_mds_equivalent_to_meeting_singleton(f7, f4):
-    # the two detectors use different algorithms; they must agree
+    # the minor criterion and the enumeration use different algorithms;
+    # they must agree (min_distance itself reads d from the minors)
     rng = SplitMix64(13)
     seen_non_mds = 0
     for spec in (f7, f4):
@@ -341,7 +345,7 @@ def test_mds_equivalent_to_meeting_singleton(f7, f4):
             code = _random_full_rank(spec, k, n, rng)
             mds = is_mds(code)
             seen_non_mds += not mds
-            assert mds == (min_distance(code) == code.n - code.k + 1)
+            assert mds == (kernels.min_weight(code) == code.n - code.k + 1)
     assert seen_non_mds > 0  # corpus must exercise both outcomes
 
 
@@ -563,6 +567,116 @@ def test_minor_pass_matches_leibniz_oracle(f2_17, case):
 def test_singular_minor_of_mds_code_is_none(example1):
     assert singular_minor(example1) is None
     assert singular_minor(grs_generator(make_extension_field(7, 2), 16, 8)) is None
+
+
+# (p, t, k, n) over prime, char-2 and odd extension fields: k = 1, k > n/2,
+# and shapes on both sides of SCALAR_PASS_PRODUCTS ([8,3] is 224 products,
+# [9,3] 324, [8,4] 504, [7,5] 2,555)
+_PASS_SHAPES = [(7, 1, 1, 6), (7, 1, 2, 6), (7, 1, 3, 8), (11, 1, 3, 9), (2, 2, 2, 5),
+                (2, 3, 3, 8), (2, 4, 4, 8), (3, 2, 3, 8), (7, 2, 3, 9), (7, 2, 4, 8),
+                (7, 3, 3, 8), (7, 1, 5, 7), (3, 2, 1, 7)]
+
+
+def test_scalar_pass_matches_array_pass_and_oracle():
+    rng = SplitMix64(23)
+    seen = set()
+    for p, t, k, n in _PASS_SHAPES:
+        spec = _field(p, t)
+        for _ in range(3):
+            # about one entry in four zero, so that some minors vanish
+            g = FieldMatrix(spec, [[rng.below(spec.order) if rng.below(4) else 0
+                                    for _ in range(n)] for _ in range(k)])
+            singular = oracle_singular_sets(g)
+            for last in (False, True):
+                want = singular[-1 if last else 0] if singular else None
+                assert _scalar_first_singular(g, last) == kernels.first_singular(g, last) == want
+            seen.add(bool(singular))
+    assert seen == {True, False}
+
+
+def _grs_rows(spec, k, n, rng):
+    """Rows of a GRS[n, k] generator on random points and multipliers."""
+    alphas = [spec.from_code(c) for c in rng.sample(range(spec.order), n)]
+    vs = [spec.from_code(1 + rng.below(spec.order - 1)) for _ in range(n)]
+    return [list(r) for r in grs_generator(spec, n, k, alphas, vs).generator.to_lists()]
+
+
+def test_singular_minor_on_both_passes_matches_oracle(f7, f49):
+    # through the dispatch, with k > n/2 on the dual: a repeated column makes
+    # a code non-MDS, a repeated leading column its leading block singular
+    rng = SplitMix64(31)
+    outcomes = set()
+    for spec, k, n in [(f7, 3, 7), (f49, 3, 9), (f49, 4, 8), (f7, 5, 7), (f49, 6, 8),
+                       (f49, 1, 5), (f7, 2, 7)]:
+        for repeat in (None, (0, 1), (n - 2, n - 1)):
+            g = _grs_rows(spec, k, n, rng)
+            if repeat is not None:
+                for r in g:
+                    r[repeat[1]] = r[repeat[0]]
+            code = LinearCode(FieldMatrix(spec, g))
+            witness = singular_minor(code)
+            assert witness == oracle_singular_minor(code)
+            outcomes.add(witness if witness in (None, tuple(range(k))) else "later")
+    assert outcomes >= {None, (0, 1, 2), "later"}
+
+
+def test_minor_pass_choice_follows_product_count(monkeypatch, f49, f2_17):
+    calls = []
+
+    def spy(name, fn):
+        def traced(a, last=False):
+            calls.append((name, a.shape))
+            return fn(a, last)
+        return traced
+
+    monkeypatch.setattr(codes, "_scalar_first_singular", spy("scalar", _scalar_first_singular))
+    monkeypatch.setattr(kernels, "first_singular", spy("array", kernels.first_singular))
+    assert 224 <= SCALAR_PASS_PRODUCTS < 324
+    for code in (grs_generator(f49, 8, 3), grs_generator(f49, 9, 3), grs_generator(f49, 8, 7),
+                 grs_generator(f49, 16, 8), grs_generator(f2_17, 8, 3)):
+        assert singular_minor(code) is None
+    assert calls == [("scalar", (3, 8)), ("array", (3, 9)), ("scalar", (1, 8)),
+                     ("array", (8, 16)), ("array", (3, 8))]  # F_2^17 has no tables
+
+
+def test_min_distance_reads_mds_distance_from_minors(monkeypatch, f4, f7):
+    # C(n, k) <= (q^k - 1)/(q - 1) in every shape: an MDS code gets
+    # d = n - k + 1 from the minor pass, and only a non-MDS code is enumerated
+    enumerated = []
+    min_weight = kernels.min_weight
+
+    def spy(code):
+        enumerated.append(code)
+        return min_weight(code)
+
+    monkeypatch.setattr(kernels, "min_weight", spy)
+    rng = SplitMix64(37)
+    f8, f9, f11 = make_extension_field(2, 3), make_extension_field(3, 2), make_prime_field(11)
+    cases = [(f7, EX1_ROWS)] + [(spec, _grs_rows(spec, k, n, rng)) for spec, k, n in
+                                [(f7, 3, 6), (f9, 3, 6), (f4, 2, 3), (f8, 2, 4), (f11, 2, 5)]]
+    for spec, rows in cases:
+        k, n = len(rows), len(rows[0])
+        assert comb(n, k) <= (spec.order ** k - 1) // (spec.order - 1)
+        for breaks in (False, True):
+            g = [list(r) for r in rows]
+            if breaks:  # a multiple of column 0 in column n - 1
+                c = 1 + rng.below(spec.order - 1)
+                for r in g:
+                    r[n - 1] = spec.mul_code(r[0], c)
+            code = LinearCode(FieldMatrix(spec, g))
+            assert min_distance(code) == oracle_min_distance(code)
+            assert (code.d == n - k + 1) != breaks
+            assert (enumerated[-1:] == [code]) == breaks
+
+
+def test_min_distance_enumerates_when_minors_outnumber_points(monkeypatch, f7):
+    # GRS[6,2] over F_7: C(6, 2) = 15 minors against 8 projective points
+    def refuse(*args):
+        raise AssertionError("minor pass run")
+
+    monkeypatch.setattr(codes, "singular_minor", refuse)
+    code = grs_generator(f7, 6, 2)
+    assert min_distance(code) == 5 == oracle_min_distance(code)
 
 
 # scalings and sandwiches ---------------------------------------------------------

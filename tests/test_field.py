@@ -31,6 +31,7 @@ from mdslift.field import (
 )
 from mdslift.rng import SplitMix64
 from oracles import (
+    oracle_field_add,
     oracle_field_mul,
     oracle_is_irreducible,
     oracle_is_primitive,
@@ -319,6 +320,45 @@ def test_mul_code_matches_oracle(p, t):
         oracle_field_mul(spec, a, b) for a, b in pairs]
 
 
+# every pair for F_4, F_8, F_9, F_49 and F_343; seeded pairs up to F_2^16
+@pytest.mark.parametrize("p,t", [(2, 2), (2, 3), (3, 2), (7, 2), (7, 3), (7, 4), (3, 5), (2, 16)])
+def test_zech_add_and_sub_match_digitwise_oracle(p, t):
+    spec = _make(p, t)
+    if spec.order <= 343:
+        pairs = list(product(range(spec.order), repeat=2))
+    else:
+        pairs = list(zip(_sample(spec, 7), _sample(spec, 8))) + [(0, 5), (5, 0), (0, 0)]
+    assert spec._scalar_zech() is not None  # the sums below read the Zech list
+    for sign, op in ((1, spec.add_code), (-1, spec.sub_code)):
+        assert [op(a, b) for a, b in pairs] == [oracle_field_add(spec, a, b, sign)
+                                                for a, b in pairs]
+    assert [spec.neg_code(a) for a, _ in pairs] == [oracle_field_add(spec, 0, a, -1)
+                                                    for a, _ in pairs]
+
+
+@pytest.mark.parametrize("p,t", [(2, 1), (7, 1), (2, 2), (2, 3), (3, 2), (7, 2), (7, 3), (2, 16)])
+def test_zech_marker_is_where_one_plus_w_e_is_zero(p, t):
+    spec = _make(p, t)
+    zech, m = spec._scalar_zech(), spec.order - 1
+    exp, log = spec._exp, spec._log
+    # 1 + w^e = 0 only at w^e = -1: e = (q - 1)/2 for odd p, e = 0 for p = 2
+    minus_one = m // 2 if p % 2 else 0
+    assert [e for e in range(m) if zech[e] == log[0]] == [minus_one]
+    assert exp[minus_one] == oracle_field_add(spec, 0, 1, -1)
+    for e in (range(m) if m < 400 else _sample(spec, 9, 400)):
+        if e != minus_one:
+            assert exp[zech[e] % m] == oracle_field_add(spec, 1, exp[e])
+
+
+@pytest.mark.parametrize("p,t", [(3, 2), (7, 2), (7, 3)])
+def test_from_power_matches_pow_code(p, t):
+    spec = _make(p, t)
+    m, w = spec.order - 1, spec.generator_w.code
+    for k in range(2 * m + 1):
+        assert spec.from_power(k).code == spec.pow_code(w, k % m)
+        assert spec.from_power(-k).code == spec.pow_code(w, -k % m)
+
+
 @pytest.mark.parametrize("p,t", [(2, 1), (7, 1)] + ALL_PAIRS + SAMPLED)
 def test_tables_match_oracle(p, t):
     spec = _make(p, t)
@@ -353,12 +393,20 @@ def test_dlog_tables_above_auto_limit_match_polynomial_path(f2_17):
     assert spec == f2_17 and spec is not f2_17
     assert spec.dlog(spec.generator_w, table_limit=1 << 17) == 1
     assert spec._log is not None and f2_17._log is None
+    assert spec._zech is None  # no Zech list above the automatic limit
     pairs = list(zip(_sample(spec, 5, 500), _sample(spec, 6, 500)))
     assert [spec.mul_code(a, b) for a, b in pairs] == [f2_17.mul_code(a, b) for a, b in pairs]
     assert [spec.mul_code(a, b) for a, b in pairs[:100]] == [
         oracle_field_mul(spec, a, b) for a, b in pairs[:100]]
     units = [a for a, _ in pairs if a]
     assert [spec.inv_code(a) for a in units] == [f2_17.inv_code(a) for a in units]
+    # sums run digit by digit; without tables, w^k runs by square-and-multiply
+    assert [spec.add_code(a, b) for a, b in pairs[:100]] == [
+        oracle_field_add(spec, a, b) for a, b in pairs[:100]]
+    assert [spec.sub_code(a, b) for a, b in pairs[:100]] == [
+        oracle_field_add(spec, a, b, -1) for a, b in pairs[:100]]
+    assert spec.from_power(5) == f2_17.from_power(5) == f2_17.from_code(32)
+    assert f2_17._log is None
 
 
 def test_zero_to_the_zero_is_one(f7, f343):

@@ -166,6 +166,16 @@ def test_verify_lift_passes_for_real_lifts(f7, f49):
     assert "PASS" in report.summary()
 
 
+def test_lift_report_is_an_immutable_record(f7, f49):
+    report = verify_lift(grs_generator(f7, 6, 2), lift(grs_generator(f7, 6, 2), sample_dh(f49, 6, 6)))
+    assert report._fields == ("n_match", "k_match", "lifted_mds", "d_base", "d_lifted", "passed")
+    assert repr(report) == ("LiftReport(n_match=True, k_match=True, lifted_mds=True, "
+                            "d_base=5, d_lifted=5, passed=True)")
+    with pytest.raises(AttributeError):
+        report.passed = False
+    assert report.summary() == "n_match=True k_match=True lifted_mds=True d_base=5 d_lifted=5 PASS"
+
+
 def test_verify_lift_flags_corruption(example1, f343):
     lifted = lift(example1, sample_dh(f343, 8, 7))
     g = lifted.generator.codes.copy()
