@@ -8,9 +8,15 @@ sandwich products, and a hard-coded [8,3,6] reference code over F_7.
 Two algorithms decide MDS: ``is_mds`` checks nonsingularity of every
 k-column submatrix and scales with C(n, k), while the enumeration
 behind ``weight_distribution`` covers one codeword per projective
-point, (q^k - 1)/(q - 1) in all. ``min_distance`` uses both: d = n - k + 1
-iff all minors are nonsingular, so where the minors are the fewer it
-reads d from them and enumerates only a code that has a singular one.
+point, (q^k - 1)/(q - 1) in all. On a small code the minor check reads
+the generator's cached RREF: every k-column minor is, up to a nonzero
+factor, a square minor of its k x (n - k) non-pivot block, so it
+computes those (90 field products for [8,3], against 224 for all
+k x k minors of G) and needs no dual for k > n/2.
+
+``min_distance`` uses both: d = n - k + 1 iff all minors are
+nonsingular, so where the minors are the fewer it reads d from them and
+enumerates only a code that has a singular one.
 Their independence is tested directly: ``is_mds`` against
 ``kernels.min_weight`` in test_codes.py and the acceptance tests, and
 both against the brute-force oracles in tests/oracles.py.
@@ -29,7 +35,6 @@ from .errors import (
     DuplicateAlpha,
     FieldTooLarge,
     IndexOutOfRange,
-    LeadingBlockSingular,
     RankDeficient,
     TooLong,
     TooManyCodewords,
@@ -93,6 +98,18 @@ class LinearCode:
         if self._systematic is None:
             self._systematic = to_systematic(self.generator)
         return self._systematic
+
+    def dual(self) -> "LinearCode":
+        """The dual [n, n - k] code. With RREF R, pivot columns P and the
+        other columns Q, its generator H is the identity on Q and -R[:, Q]^T
+        on P, so that G H^T = R[:, Q] - R[:, Q] = 0; no leading block need
+        be nonsingular."""
+        reduced, pivots = self.generator.rref()
+        n, rows = self.n, []
+        for j in (j for j in range(n) if j not in pivots):
+            on_pivots = dict(zip(pivots, (self.spec.neg_code(r[j]) for r in reduced)))
+            rows.append(tuple(on_pivots.get(c, int(c == j)) for c in range(n)))
+        return LinearCode(FieldMatrix._of(self.spec, tuple(rows), (len(rows), n)))
 
     def params(self) -> str:
         d = "?" if self._d is None else str(self._d)
@@ -216,25 +233,35 @@ def weight_distribution(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) 
     return [c * (code.spec.order - 1) for c in projective_weight_counts(code)]
 
 
-#: Largest minor pass, in sum_{i=2..k} i * C(n, i) field products, that
-#: runs on the scalar Zech tables rather than on numpy arrays: where the
-#: two cross for k = 3 when both are warm; k = 2 crosses near 130 products
-#: (see ``singular_minor``).
-SCALAR_PASS_PRODUCTS = 250
+#: Largest minor pass, in sum_{j=2..min(k, n-k)} j * C(k, j) * C(n - k, j)
+#: field products, that runs on the scalar Zech tables rather than on numpy
+#: arrays: where the two cross when both are warm (see ``singular_minor``).
+SCALAR_PASS_PRODUCTS = 150
 
 
-@functools.lru_cache(maxsize=32)
-def _scalar_plan(n: int, i: int) -> tuple[tuple, tuple]:
-    """The i-column sets S in lex order, and for each the terms of its
-    expansion along row i - 1: the first as (c, s, rest), the others in
-    ``rest`` as (c, s). Term r has s, the lex rank of S - S[r] among the
-    (i - 1)-sets, and c = S[r] + n * (i - 1 + r mod 2), which picks the
-    negated copy of the row for the negative terms."""
-    ranks = {s: r for r, s in enumerate(itertools.combinations(range(n), i - 1))}
-    sets = tuple(itertools.combinations(range(n), i))
-    terms = [[(c + n * ((i - 1 + r) & 1), ranks[s[:r] + s[r + 1:]]) for r, c in enumerate(s)]
-             for s in sets]
-    return sets, tuple(t[0] + (tuple(t[1:]),) for t in terms)
+@functools.lru_cache(maxsize=64)
+def _scalar_products(k: int, n: int) -> int:
+    """Field products of the scalar pass on an [n, k] code."""
+    return sum(j * comb(k, j) * comb(n - k, j) for j in range(2, min(k, n - k) + 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _level_plan(h: int, w: int, j: int) -> tuple[tuple, tuple, tuple]:
+    """Level j of the minors of an h x w block, flattened: the minor on
+    rows I and columns J, both j-sets, sits at rank(I) * C(w, j) + rank(J)
+    for lex ranks. Returns the row sets, the column sets, and the terms of
+    each minor's expansion along row I[-1], by position r: (a, b), with
+    a = w * I[-1] + J[r] + h * w * (j - 1 + r mod 2) in the block followed
+    by its negation, and b the place of (I[:-1], J - J[r]) in level j - 1."""
+    row_sets = tuple(itertools.combinations(range(h), j))
+    col_sets = tuple(itertools.combinations(range(w), j))
+    row_rank = {s: r for r, s in enumerate(itertools.combinations(range(h), j - 1))}
+    col_rank = {s: r for r, s in enumerate(itertools.combinations(range(w), j - 1))}
+    width = comb(w, j - 1)
+    terms = tuple(tuple((w * rs[-1] + cs[r] + h * w * ((j - 1 + r) & 1),
+                         row_rank[rs[:-1]] * width + col_rank[cs[:r] + cs[r + 1:]])
+                        for rs in row_sets for cs in col_sets) for r in range(j))
+    return row_sets, col_sets, terms
 
 
 @functools.lru_cache(maxsize=8)
@@ -255,78 +282,89 @@ def _log_sum_tables(spec: FieldSpec) -> tuple[list[int], list[int]]:
 
 
 def _scalar_first_singular(a: FieldMatrix, last: bool = False) -> tuple[int, ...] | None:
-    """``kernels.first_singular`` on the field's scalar tables, for a field
-    with a Zech list: the same Laplace levels, each minor held as its log
-    (2(q - 1) for zero), a product as a sum of logs and a sum as one Zech
-    lookup."""
+    """First (or last) singular k-column set of the k x n matrix ``a``, in
+    lex order, for a field with a Zech list; all are singular when ``a``
+    has rank below k.
+
+    With RREF R, pivot columns P and the other columns Q, A = R[:, Q]: the
+    minor of ``a`` on S is zero iff that of A on the rows i with P_i not
+    in S and the columns of S in Q is (MacWilliams and Sloane, Ch. 11,
+    Thm 8). Every square minor of A is computed, level j from level j - 1
+    by expansion along the last row, each held as its log (2(q - 1) for
+    zero): a product is a sum of logs and a sum one Zech lookup. Each
+    zero is mapped back to its k-set.
+    """
     spec = a.spec
+    k, n = a.shape
+    reduced, pivots, scale = a.echelon()
+    if len(pivots) < k:
+        return tuple(range(n - k, n)) if last else tuple(range(k))
     red, step = _log_sum_tables(spec)
-    log, neg = spec._scalar_log(), spec._neg_log
+    log, neg, m = spec._scalar_log(), spec._neg_log, spec.order - 1
     zero = log[0]
-    k, n = a.shape
-    rows = [[log[c] for c in r] for r in a.to_lists()]
-    below = rows[0]
-    for i in range(2, k + 1):
-        row = rows[i - 1]
-        signed = row + [red[x + neg] for x in row]
-        level = []
-        for c0, s0, rest in _scalar_plan(n, i)[1]:
-            acc = red[signed[c0] + below[s0]]
-            for c, s in rest:
-                acc = red[acc + step[red[signed[c] + below[s]] - acc]]
-            level.append(acc)
+    free = [j for j in range(n) if j not in pivots]
+    # log A_ic = log R_i,free[c] + log d_free[c] - log d_(P_i), d the pending scale
+    ls = [0] * n if scale is None else [log[d] for d in scale]
+    rows = [[(log[r[j]] + ls[j] - lp) % m if r[j] else zero for j in free]
+            for r, lp in zip(reduced, [ls[p] for p in pivots])]
+    flip = k > n - k  # expand along the shorter side: A^T has the same minors
+    if flip:
+        rows = [list(c) for c in zip(*rows)]
+    h, w = len(rows), max(k, n - k)
+    below = [x for row in rows for x in row]  # level 1, flattened as in _level_plan
+    signed = below + [red[x + neg] for x in below]
+    hits = [(1, at) for at, x in enumerate(below) if x == zero] if zero in below else []
+    for j in range(2, h + 1):
+        terms = _level_plan(h, w, j)[2]
+        level = [red[signed[a] + below[b]] for a, b in terms[0]]
+        for more in terms[1:]:
+            level = [red[x + step[red[signed[a] + below[b]] - x]] for x, (a, b) in zip(level, more)]
+        if zero in level:
+            hits += [(j, at) for at, x in enumerate(level) if x == zero]
         below = level
-    if zero not in below:
+    if not hits:
         return None
-    at = len(below) - 1 - below[::-1].index(zero) if last else below.index(zero)
-    return _scalar_plan(n, k)[0][at] if k > 1 else (at,)
-
-
-def _first_singular(a: FieldMatrix, last: bool = False) -> tuple[int, ...] | None:
-    """First (or last) singular k-column set of the k x n matrix ``a``, by
-    the scalar pass when the field has Zech tables and the pass is at most
-    ``SCALAR_PASS_PRODUCTS`` products, else by the numpy pass."""
-    k, n = a.shape
-    if (sum(i * comb(n, i) for i in range(2, k + 1)) <= SCALAR_PASS_PRODUCTS
-            and a.spec._scalar_zech() is not None):
-        return _scalar_first_singular(a, last)
-    from .kernels import first_singular
-    return first_singular(a, last)
+    sets = []
+    for j, at in hits:
+        row_sets, col_sets, _ = _level_plan(h, w, j)
+        rs, cs = row_sets[at // len(col_sets)], col_sets[at % len(col_sets)]
+        if flip:
+            rs, cs = cs, rs
+        sets.append(tuple(sorted([p for i, p in enumerate(pivots) if i not in rs]
+                                 + [free[c] for c in cs])))
+    return max(sets) if last else min(sets)
 
 
 def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
                    ) -> tuple[int, ...] | None:
     """Lexicographically first k-column set whose k x k submatrix of the
-    generator is singular, or None when every such minor is nonsingular.
+    generator is singular, or None when every such minor is nonsingular;
+    more than ``minor_limit`` minors C(n, k) raise TooManyMinors.
 
-    Every k x k minor comes from one Laplace pass over shared sub-minors:
-    level i holds the determinants of rows 0..i-1 on every i-column set,
-    each expanded along row i-1 from level i-1, so an [n, k] code costs
-    sum_i i * C(n, i) field products and a few array calls per block of
-    2^14 sets. Level k is scanned block by block, stopping at the first
-    block that holds a zero.
+    Over a field with Zech tables (order up to 2^16), a code whose
+    ``_scalar_products`` are at most ``SCALAR_PASS_PRODUCTS`` runs
+    ``_scalar_first_singular`` on the minors of its cached RREF's
+    non-pivot block, in Python, for any k. Any other code runs the numpy
+    pass, ``kernels.first_singular``: level i holds the determinants of
+    rows 0..i-1 on every i-column set, each expanded along row i-1 from
+    level i-1, sum_i i * C(n, i) field products in blocks of 2^14 sets,
+    stopping at the first block of level k with a zero. For k > n/2 it
+    runs on the n - k rows of the generator of ``dual`` instead, whose
+    minor on the complement of S vanishes iff the code's minor on S does;
+    complements reverse lex order, so the witness is the complement of
+    its last singular set.
 
-    For k > n/2 the pass runs on the n - k rows of [A^T | I] instead, for
-    the systematic form [I | A]: its minor on the complement of S is, up
-    to sign, the same minor of A as that of [I | A] on S. Complements
-    reverse lex order, so the witness is the complement of its last
-    singular set. (A singular leading block is itself the first witness.)
-    Either way no level exceeds C(n, k) sets; a code with more than
-    ``minor_limit`` minors is refused with TooManyMinors.
-
-    Over a field with Zech tables (order up to 2^16), a pass of at most
-    ``SCALAR_PASS_PRODUCTS`` field products runs in Python on logs
-    (``_scalar_first_singular``), so it needs no numpy, whose import
-    costs a fresh process about 120 ms; a larger pass runs on numpy
-    arrays (``kernels.first_singular``). Warm, on 2 vCPUs, the scalar
-    pass over F_343 against the array pass: [7,3] (147 products) 34
-    against 42 us, [8,3] (224) 47 against 46 us, [9,3] (324) 67 against
-    49 us, [12,2] (132) 33 against 29 us, [16,2] (240) 49 against 31 us,
-    [8,4] (504) 84 against 69 us and [14,7] (57,330) 11 against 1.8 ms
-    (``BENCH_11.json``). On the array pass over F_49,
-    GRS[16,8] (12,870 minors) takes 6-8 ms, or 25-45 ms on the first
-    call for that shape, GRS[20,10] (184,756) about 0.5 s in 43 MB of
-    RSS, and GRS[30,25] (142,506, through the dual) 0.08 s.
+    Warm, in-process on 2 vCPUs, the scalar pass against the numpy pass
+    over F_49 (``BENCH_12.json``, which also has F_343): [8,3] (90
+    products) 18 against 26 us, [8,4] (124) 29 against 35 us, [9,3]
+    (150) 23 against 25 us, [10,3] (231) 29 against 26 us, [9,4] (260)
+    36 against 39 us, [12,2] (90) 21 against 19 us, [16,2] (182) 39
+    against 26 us, [12,6] (2,736) 0.27 against 0.20 ms, and GRS[8,5]
+    (90, k > n/2, the numpy pass through the dual) 19 against 98 us. On
+    the numpy pass over F_49, GRS[16,8] (12,870 minors) takes 6-8 ms, or
+    25-45 ms on the first call for that shape, GRS[20,10] (184,756) about
+    0.5 s in 43 MB of RSS, and GRS[30,25] (142,506, through the dual)
+    0.08 s.
     """
     k, n = code.k, code.n
     if comb(n, k) > minor_limit:
@@ -334,15 +372,12 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
                             f"limit {minor_limit}")
     if k == 0 or k == n:
         return None  # the one k x k minor, if any, is nonzero by full rank
+    if _scalar_products(k, n) <= SCALAR_PASS_PRODUCTS and code.spec._scalar_zech() is not None:
+        return _scalar_first_singular(code.generator)
+    from .kernels import first_singular
     if 2 * k <= n:
-        return _first_singular(code.generator)
-    try:
-        a = code.systematic_generator().to_lists()
-    except LeadingBlockSingular:
-        return tuple(range(k))
-    dual = FieldMatrix(code.spec, [[r[j] for r in a] + [int(i == j) for i in range(k, n)]
-                                   for j in range(k, n)])
-    found = _first_singular(dual, last=True)
+        return first_singular(code.generator)
+    found = first_singular(code.dual().generator, last=True)
     return None if found is None else tuple(sorted(set(range(n)) - set(found)))
 
 

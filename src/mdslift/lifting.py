@@ -55,11 +55,12 @@ class DhDiagonal:
     def __init__(self, spec: FieldSpec, entries: Sequence[FieldElement | int]) -> None:
         diag = tuple(spec.element(e) if isinstance(e, FieldElement)
                      else spec.from_code(operator.index(e)) for e in entries)
-        if any(e.code == 0 for e in diag):
+        codes = [e.code for e in diag]
+        if 0 in codes:
             raise ZeroDiagonalEntry("diagonal entries must be nonzero")
         self.spec = spec
         self.diag = diag
-        self.l_value = l_statistic(diag)
+        self.l_value = 1 if len(set(codes)) == len(codes) > 0 else l_statistic(diag)
 
     @property
     def n(self) -> int:

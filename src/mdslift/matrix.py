@@ -5,11 +5,18 @@ explicit shape; matrices are immutable values, and every operation
 returns a new matrix, computed on the rows with the field's scalar code
 ops. ``codes`` builds a numpy array of the entries on first access, for
 the array kernels (``kernels``). All elimination goes through one
-kernel, ``row_reduce``, shared by rank, solve and the systematic form.
-(The MDS minor check eliminates nothing: ``codes.singular_minor``
-expands all minors in one Laplace pass.) Pivoting is first-nonzero
-with no column permutation: coordinate positions carry meaning for
-codes and erasure patterns.
+kernel, ``row_reduce``, shared by solve and the reduced row-echelon
+form (RREF) that ``FieldMatrix.echelon`` computes on first use and then
+keeps; rank, nonsingularity and the systematic form read that cache.
+Scaling the columns by nonzero d_j keeps the pivot columns P and maps
+the RREF R to diag(d_P)^-1 R diag(d), and scaling the rows keeps it
+(Huffman and Pless, Sec. 1.7), so ``diag_product`` and ``embed_matrix``
+hand a cached RREF on to their result, the scaling left pending until
+its rows are read (``FieldMatrix.echelon``): a lift eliminates nothing.
+(The MDS minor check eliminates nothing either: ``codes.singular_minor``
+expands minors in one Laplace pass, of the RREF's non-pivot block on a
+small code.) Pivoting is first-nonzero with no column permutation:
+coordinate positions carry meaning for codes and erasure patterns.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .field import FieldElement, FieldSpec
 class FieldMatrix:
     """Matrix over a single FieldSpec, entries in row-major order."""
 
-    __slots__ = ("spec", "shape", "_rows", "_codes")
+    __slots__ = ("spec", "shape", "_rows", "_codes", "_rref")
 
     def __init__(self, spec: FieldSpec, codes) -> None:
         """``codes``: a 2-dimensional array or nested sequence of entries,
@@ -53,14 +60,15 @@ class FieldMatrix:
             raise DimensionMismatch("matrix rows must all have the same length")
         if any(not 0 <= c < spec.order for r in rows for c in r):
             raise ValueError(f"entry code out of range for {spec}")
-        self.spec, self.shape, self._rows, self._codes = spec, shape, rows, None
+        self.spec, self.shape, self._rows, self._codes, self._rref = spec, shape, rows, None, None
 
     @classmethod
     def _of(cls, spec: FieldSpec, rows: tuple[tuple[int, ...], ...],
-            shape: tuple[int, int]) -> "FieldMatrix":
-        """Unchecked: for rows of valid codes that field ops produced."""
+            shape: tuple[int, int], rref: tuple | None = None) -> "FieldMatrix":
+        """Unchecked: for rows of valid codes that field ops produced, and
+        their RREF, as ``echelon`` holds it, when it is known."""
         m = object.__new__(cls)
-        m.spec, m.shape, m._rows, m._codes = spec, shape, rows, None
+        m.spec, m.shape, m._rows, m._codes, m._rref = spec, shape, rows, None, rref
         return m
 
     @classmethod
@@ -103,6 +111,31 @@ class FieldMatrix:
             codes.setflags(write=False)
             self._codes = codes
         return self._codes
+
+    def echelon(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...],
+                               tuple[int, ...] | None]:
+        """The cached RREF as (rows R, pivot columns P, scale d), built by
+        ``row_reduce`` on first use: with d None, R itself; else row i
+        of the RREF is R_ij * d_j / d_(P_i), for a nonzero column scaling
+        d carried over by ``diag_product`` and not yet applied."""
+        if self._rref is None:
+            rows = [list(r) for r in self._rows]
+            pivots = row_reduce(rows, self.spec)
+            self._rref = tuple(map(tuple, rows)), tuple(pivots), None
+        return self._rref
+
+    def rref(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The reduced row-echelon form as (rows, pivot columns), zero rows
+        last, with any pending scaling applied and kept."""
+        rows, pivots, scale = self.echelon()
+        if scale is not None:
+            spec = self.spec
+            mul = spec.mul_code
+            inverses = [spec.inv_code(scale[p]) for p in pivots]
+            rows = tuple(tuple(mul(mul(x, d), c) for x, d in zip(r, scale))
+                         for r, c in zip(rows, inverses)) + rows[len(pivots):]
+            self._rref = rows, pivots, None
+        return rows, pivots
 
     def __getitem__(self, key: tuple[int, int]) -> FieldElement:
         i, j = key
@@ -163,21 +196,30 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 def diag_product(left: Sequence[int] | None, a: FieldMatrix, right: Sequence[int]) -> FieldMatrix:
     """diag(left) . a . diag(right) for element codes: entry (i, j) is
     left_i * a_ij * right_j; with ``left`` None, a_ij * right_j. Callers
-    validate the diagonals."""
-    mul = a.spec.mul_code
+    validate the diagonals. When every entry of both is nonzero, a cached
+    RREF of ``a`` is carried over, ``right`` joining its pending scale: the
+    left scaling keeps it, and row i of it becomes R_ij * right_j /
+    right_(P_i), for its pivot column P_i."""
+    spec = a.spec
+    mul = spec.mul_code
     rows = [tuple(map(mul, r, right)) for r in a._rows]
     if left is not None:
         rows = [tuple(mul(c, x) for x in r) for c, r in zip(left, rows)]
-    return FieldMatrix._of(a.spec, tuple(rows), a.shape)
+    rref = a._rref
+    if rref is not None and 0 not in right and (left is None or 0 not in left):
+        reduced, pivots, scale = rref
+        rref = reduced, pivots, tuple(right if scale is None else map(mul, scale, right))
+    else:
+        rref = None
+    return FieldMatrix._of(spec, tuple(rows), a.shape, rref)
 
 
-def row_reduce(rows: list[list[int]], spec: FieldSpec, reduced: bool) -> list[int]:
-    """Row-reduce a list of code rows in place; return the pivot columns.
+def row_reduce(rows: list[list[int]], spec: FieldSpec) -> list[int]:
+    """Row-reduce a list of code rows in place to RREF (pivots 1, zeros
+    above and below them); return the pivot columns.
 
     Pivot choice: first nonzero entry at or below the next pivot row,
-    columns left to right, swapped into place. ``reduced`` leaves RREF
-    (pivots 1, zeros above and below them); otherwise a row echelon form
-    whose last pivot row may be left unnormalized.
+    columns left to right, swapped into place.
     """
     mul, sub = spec.mul_code, spec.sub_code
     nr = len(rows)
@@ -188,8 +230,6 @@ def row_reduce(rows: list[list[int]], spec: FieldSpec, reduced: bool) -> list[in
         if src is None:
             continue
         pivots.append(col)
-        if top == nr - 1 and not reduced:
-            break  # no rows below the pivot: only RREF has anything left to clear
         # rows from top down are zero left of col, so work on columns col..
         prow = rows[src]
         rows[src] = rows[top]
@@ -197,7 +237,7 @@ def row_reduce(rows: list[list[int]], spec: FieldSpec, reduced: bool) -> list[in
         tail = [mul(inv, x) for x in prow[col:]]
         prow[col:] = tail
         rows[top] = prow
-        for r in range(0 if reduced else top + 1, nr):
+        for r in range(nr):
             row = rows[r]
             f = row[col]
             if f and r != top:
@@ -208,8 +248,8 @@ def row_reduce(rows: list[list[int]], spec: FieldSpec, reduced: bool) -> list[in
 
 
 def rank(a: FieldMatrix) -> int:
-    """Row-echelon rank."""
-    return len(row_reduce([list(r) for r in a._rows], a.spec, reduced=False))
+    """The number of pivots of the cached RREF."""
+    return len(a.echelon()[1])
 
 
 def is_nonsingular(a: FieldMatrix) -> bool:
@@ -237,7 +277,7 @@ def solve(a: FieldMatrix, b: Sequence[FieldElement]) -> list[FieldElement]:
         raise DimensionMismatch(f"rhs length {len(b)} for {a.shape}")
     spec = a.spec
     aug = [[*row, spec.element(v).code] for row, v in zip(a._rows, b)]
-    pivots = row_reduce(aug, spec, reduced=True)
+    pivots = row_reduce(aug, spec)
     if pivots != list(range(a.rows)):
         raise Singular(f"matrix of rank {len(pivots)} in solve")
     return [FieldElement(spec, row[-1]) for row in aug]
@@ -256,13 +296,13 @@ def embed_matrix(a: FieldMatrix, target: FieldSpec) -> FieldMatrix:
     """Entrywise constant-polynomial embedding of a prime-field matrix.
 
     The embedding is the identity on codes, so only the field tag
-    changes; the result shares the rows of ``a``.
+    changes; the result shares the rows of ``a`` and any cached RREF.
     """
     if a.spec.t != 1:
         raise FieldMismatch("embedding is defined on prime-field matrices")
     if a.spec.p != target.p:
         raise CharacteristicMismatch(f"cannot embed {a.spec} matrix into {target}")
-    return FieldMatrix._of(target, a._rows, a.shape)
+    return FieldMatrix._of(target, a._rows, a.shape, a._rref)
 
 
 def to_systematic(g: FieldMatrix) -> FieldMatrix:
@@ -270,13 +310,14 @@ def to_systematic(g: FieldMatrix) -> FieldMatrix:
 
     No column permutation is performed: the leading k x k block must
     already be nonsingular, else LeadingBlockSingular. Rank-deficient
-    input raises RankDeficient.
+    input raises RankDeficient. This is the cached RREF of ``g``, and its
+    own RREF.
     """
-    rows = [list(r) for r in g._rows]
-    pivots = row_reduce(rows, g.spec, reduced=True)
+    pivots = g.echelon()[1]
     if len(pivots) < g.rows:
         raise RankDeficient(f"rank {len(pivots)} < {g.rows} rows")
-    if pivots != list(range(g.rows)):
-        raise LeadingBlockSingular(f"pivot columns {pivots}")
-    return FieldMatrix._of(g.spec, tuple(map(tuple, rows)), g.shape)
+    if pivots != tuple(range(g.rows)):
+        raise LeadingBlockSingular(f"pivot columns {list(pivots)}")
+    reduced = g.rref()[0]
+    return FieldMatrix._of(g.spec, reduced, g.shape, (reduced, pivots, None))
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-_MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
+_MASK64 = _TWO64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 T = TypeVar("T")
@@ -47,7 +48,7 @@ class SplitMix64:
         """Uniform integer in [0, bound) via rejection sampling."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        threshold = (1 << 64) - ((1 << 64) % bound)
+        threshold = _TWO64 - _TWO64 % bound
         while True:
             z = self.next_u64()
             if z < threshold:
@@ -57,15 +58,27 @@ class SplitMix64:
         """``count`` distinct items, via partial Fisher-Yates.
 
         The population is not copied: ``moved`` maps each slot the
-        shuffle has written to the population index it now holds.
+        shuffle has written to the population index it now holds. Each
+        draw is ``below(size - i)``, written out inline.
         """
         size = len(population)
         if count > size:
             raise ValueError("sample larger than population")
         moved: dict[int, int] = {}
         out = []
+        state = self._state
         for i in range(count):
-            j = i + self.below(size - i)
+            bound = size - i
+            threshold = _TWO64 - _TWO64 % bound
+            while True:
+                state = (state + _GAMMA) & _MASK64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                z ^= z >> 31
+                if z < threshold:
+                    break
+            j = i + z % bound
             out.append(population[moved.get(j, j)])
             moved[j] = moved.get(i, i)
+        self._state = state
         return out

@@ -15,6 +15,7 @@ from mdslift.codes import (
     SCALAR_PASS_PRODUCTS,
     LinearCode,
     _scalar_first_singular,
+    _scalar_products,
     encode_message,
     example1_code,
     grs_generator,
@@ -44,10 +45,11 @@ from mdslift.errors import (
 from mdslift.field import make_extension_field, make_prime_field
 from mdslift.kernels import _MINOR_BLOCK, _cached_plan, _maximal_minors, _plan_block
 from mdslift.lifting import lift, sample_dh
-from mdslift.matrix import FieldMatrix, rank, solve, submatrix, to_systematic
+from mdslift.matrix import FieldMatrix, diag_product, rank, solve, submatrix, to_systematic
 from mdslift.rng import SplitMix64
 from oracles import (
     oracle_det,
+    oracle_mat_mul,
     oracle_is_mds,
     oracle_min_distance,
     oracle_rank,
@@ -570,8 +572,8 @@ def test_singular_minor_of_mds_code_is_none(example1):
 
 
 # (p, t, k, n) over prime, char-2 and odd extension fields: k = 1, k > n/2,
-# and shapes on both sides of SCALAR_PASS_PRODUCTS ([8,3] is 224 products,
-# [9,3] 324, [8,4] 504, [7,5] 2,555)
+# and shapes on both sides of SCALAR_PASS_PRODUCTS ([8,3] is 90 products,
+# [9,3] 150, [8,4] 124, [7,5] 20)
 _PASS_SHAPES = [(7, 1, 1, 6), (7, 1, 2, 6), (7, 1, 3, 8), (11, 1, 3, 9), (2, 2, 2, 5),
                 (2, 3, 3, 8), (2, 4, 4, 8), (3, 2, 3, 8), (7, 2, 3, 9), (7, 2, 4, 8),
                 (7, 3, 3, 8), (7, 1, 5, 7), (3, 2, 1, 7)]
@@ -620,6 +622,92 @@ def test_singular_minor_on_both_passes_matches_oracle(f7, f49):
     assert outcomes >= {None, (0, 1, 2), "later"}
 
 
+def _rows_with_pattern(spec, k, n, rng, pattern):
+    """Random k x n rows over ``spec`` with a forced shape: "zero column"
+    (column n // 2 zero), "late pivots" (columns 0 and 1 zero, and column 2
+    repeated in 3, so the RREF pivots are not leading), "rank" (row 0
+    repeated in the last row) or "any"."""
+    g = [[rng.below(spec.order) for _ in range(n)] for _ in range(k)]
+    if pattern == "zero column":
+        for r in g:
+            r[n // 2] = 0
+    elif pattern == "late pivots" and n >= 4:
+        for r in g:
+            r[0] = r[1] = 0
+            r[3] = r[2]
+    elif pattern == "rank" and k >= 2:
+        g[-1] = list(g[0])
+    return g
+
+
+def test_scalar_pass_witnesses_match_oracle_on_every_shape():
+    # every k from 1 to n - 1 over F_7, F_11, F_8, F_9, F_49 and F_343, so
+    # k = 1, k = n - 1 and k > n/2 all occur; rank-deficient rows, pivots
+    # past the leading columns and zero columns are forced in turn
+    rng = SplitMix64(41)
+    patterns = ("any", "zero column", "late pivots", "rank")
+    seen = set()
+    for at, (p, t) in enumerate([(7, 1), (11, 1), (2, 3), (3, 2), (7, 2), (7, 3)]):
+        spec = _field(p, t)
+        for n in range(2, 7):
+            for k in range(1, n):
+                for pattern in (patterns[(at + k) % 4], patterns[(at + n + k + 2) % 4]):
+                    g = FieldMatrix(spec, _rows_with_pattern(spec, k, n, rng, pattern))
+                    # and its column scaling, which carries the RREF with a pending scale
+                    g.echelon()
+                    d = [1 + rng.below(spec.order - 1) for _ in range(n)]
+                    scaled = diag_product(None, g, d)
+                    assert scaled.echelon()[2] is not None
+                    for m in (g, scaled):
+                        singular = oracle_singular_sets(m) or [None]
+                        assert _scalar_first_singular(m) == singular[0]
+                        assert _scalar_first_singular(m, last=True) == singular[-1]
+                    seen.add((pattern, singular != [None], rank(g) == k))
+    assert {("any", False, True), ("late pivots", True, True), ("zero column", True, True),
+            ("rank", True, False)} <= seen
+
+
+@pytest.mark.parametrize("products", [-1, 10 ** 9], ids=["numpy pass", "scalar pass"])
+def test_singular_minor_on_each_pass_matches_oracle(monkeypatch, f7, f49, products):
+    # the same codes on the numpy pass alone (k > n/2 through ``dual``) and on
+    # the scalar pass alone: a repeated leading column makes the leading
+    # block singular, with no special case on either pass
+    monkeypatch.setattr(codes, "SCALAR_PASS_PRODUCTS", products)
+    rng = SplitMix64(43)
+    outcomes = set()
+    for spec, k, n in [(f7, 3, 7), (f49, 4, 8), (f7, 5, 7), (f49, 6, 8), (f49, 1, 5), (f7, 6, 7)]:
+        for repeat in (None, (0, 1), (n - 2, n - 1)):
+            g = _grs_rows(spec, k, n, rng)
+            if repeat is not None:
+                for r in g:
+                    r[repeat[1]] = r[repeat[0]]
+            code = LinearCode(FieldMatrix(spec, g))
+            witness = singular_minor(code)
+            assert witness == oracle_singular_minor(code)
+            outcomes.add(witness if witness in (None, tuple(range(k))) else "later")
+    assert outcomes >= {None, (0, 1, 2), (0, 1, 2, 3, 4), "later"}
+
+
+def test_dual_is_orthogonal_and_needs_no_leading_block(f7, f49):
+    rng = SplitMix64(47)
+    for spec, k, n in [(f7, 3, 7), (f49, 5, 8), (f7, 1, 4), (f49, 4, 4)]:
+        for pattern in ("any", "late pivots", "zero column") if k < n else ("any",):
+            code = _random_full_rank_rows(spec, k, n, rng, pattern)
+            dual = code.dual()
+            assert (dual.n, dual.k) == (n, n - k)
+            assert all(x == 0 for row in oracle_mat_mul(code.generator, dual.generator.transpose())
+                       for x in row)
+    late = LinearCode(FieldMatrix(f7, [[0, 1, 2, 3], [0, 0, 1, 5]]))
+    assert late.dual().generator.to_lists() == [[1, 0, 0, 0], [0, 0, 2, 1]]  # pivots 1, 2
+
+
+def _random_full_rank_rows(spec, k, n, rng, pattern):
+    while True:
+        g = FieldMatrix(spec, _rows_with_pattern(spec, k, n, rng, pattern))
+        if rank(g) == k:
+            return LinearCode(g)
+
+
 def test_minor_pass_choice_follows_product_count(monkeypatch, f49, f2_17):
     calls = []
 
@@ -631,11 +719,12 @@ def test_minor_pass_choice_follows_product_count(monkeypatch, f49, f2_17):
 
     monkeypatch.setattr(codes, "_scalar_first_singular", spy("scalar", _scalar_first_singular))
     monkeypatch.setattr(kernels, "first_singular", spy("array", kernels.first_singular))
-    assert 224 <= SCALAR_PASS_PRODUCTS < 324
+    # [9,3] needs 150 products, [16,2] 182 and [8,7] none (k > n/2 needs no dual)
+    assert _scalar_products(3, 9) <= SCALAR_PASS_PRODUCTS < _scalar_products(2, 16)
     for code in (grs_generator(f49, 8, 3), grs_generator(f49, 9, 3), grs_generator(f49, 8, 7),
                  grs_generator(f49, 16, 8), grs_generator(f2_17, 8, 3)):
         assert singular_minor(code) is None
-    assert calls == [("scalar", (3, 8)), ("array", (3, 9)), ("scalar", (1, 8)),
+    assert calls == [("scalar", (3, 8)), ("scalar", (3, 9)), ("scalar", (7, 8)),
                      ("array", (8, 16)), ("array", (3, 8))]  # F_2^17 has no tables
 
 

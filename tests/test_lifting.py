@@ -10,6 +10,7 @@ from mdslift.errors import (
     DimensionMismatch,
     EmptyDiagonal,
     FieldTooSmall,
+    LeadingBlockSingular,
     NotDh,
     NotPrime,
     ZeroDiagonalEntry,
@@ -24,7 +25,8 @@ from mdslift.lifting import (
     sample_dh,
     verify_lift,
 )
-from mdslift.matrix import FieldMatrix
+from mdslift import matrix
+from mdslift.matrix import FieldMatrix, diag_product, embed_matrix, to_systematic
 from mdslift.rng import SplitMix64
 from oracles import oracle_binomial
 
@@ -126,6 +128,47 @@ def test_lift_systematize_flag(example1, f343):
     lifted = lift(example1, sample_dh(f343, 8, 9), systematize=True)
     assert lifted.generator.codes[:, :3].tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert is_mds(lifted)
+
+
+def test_lift_eliminates_nothing(monkeypatch, example1, f343):
+    # the base's RREF, cached by its rank check, is carried to the lift, whose
+    # own rank check then reads k pivots
+    calls = []
+    monkeypatch.setattr(matrix, "row_reduce", lambda *a: calls.append(a))
+    for seed, systematize in ((1, False), (2, True)):
+        lifted = lift(example1, sample_dh(f343, 8, seed), systematize=systematize)
+        assert lifted.generator.rref()[1] == (0, 1, 2)
+    assert calls == []
+
+
+def test_lift_systematize_equals_systematic_form_of_the_product(f7, f49):
+    # pivots (0, 2, 3): the lift keeps them, so the systematic form is refused
+    # with the message of to_systematic on the product itself
+    late = LinearCode(FieldMatrix.from_rows(f7, [[2, 4, 1, 0, 3, 5], [1, 2, 4, 1, 0, 6],
+                                                 [0, 0, 3, 2, 2, 1]]))
+    for base in (grs_generator(f7, 6, 3), late):
+        for seed in range(3):
+            m = sample_dh(f49, 6, seed)
+            fresh = FieldMatrix(f7, base.generator.to_lists())  # no cached RREF
+            product = diag_product(None, embed_matrix(fresh, f49), [e.code for e in m.diag])
+            assert product._rref is None
+            try:
+                want = to_systematic(product)
+            except LeadingBlockSingular as exc:
+                with pytest.raises(LeadingBlockSingular) as got:
+                    lift(base, m, systematize=True)
+                assert str(got.value) == str(exc) == "pivot columns [0, 2, 3]"
+            else:
+                assert lift(base, m, systematize=True).generator == want
+                assert base is not late
+
+
+def test_dh_diagonal_reads_l_from_distinct_entries(f4, f343):
+    assert DhDiagonal(f343, [5, 9, 1]).l_value == 1
+    assert DhDiagonal(f343, [5, 9, 5, 5]).l_value == 3
+    assert DhDiagonal(f4, [1]).l_value == 1
+    with pytest.raises(EmptyDiagonal):
+        DhDiagonal(f4, [])
 
 
 def test_lift_strictness(example1, f343):

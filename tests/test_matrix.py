@@ -18,6 +18,7 @@ from mdslift.errors import (
 from mdslift.codes import LinearCode, monomial_sandwich, scale_col, scale_row
 from mdslift.field import make_extension_field, make_prime_field
 from mdslift.lifting import lift, sample_dh
+from mdslift import matrix
 from mdslift.matrix import (
     FieldMatrix,
     diag_product,
@@ -25,13 +26,14 @@ from mdslift.matrix import (
     is_nonsingular,
     mat_mul,
     rank,
+    row_reduce,
     solve,
     submatrix,
     to_systematic,
     vec_mat_mul,
 )
 from mdslift.rng import SplitMix64
-from oracles import oracle_mat_mul
+from oracles import oracle_mat_mul, oracle_systematic
 
 EX1_ROWS = [
     [1, 0, 0, 6, 4, 2, 5, 3],
@@ -379,6 +381,70 @@ def test_to_systematic_failure_modes(f7):
     with pytest.raises(LeadingBlockSingular):
         # full rank, but the leading 2x2 block is singular
         to_systematic(FieldMatrix.from_rows(f7, [[1, 1, 0], [2, 2, 1]]))
+
+
+# the cached reduced row-echelon form ------------------------------------------
+
+
+def _bases(f7):
+    """The reference generator, one with pivot columns (0, 2, 3), and one of
+    rank 2 in three rows, each with its RREF cached."""
+    late = FieldMatrix.from_rows(f7, [[2, 4, 1, 0, 3, 5], [1, 2, 4, 1, 0, 6], [0, 0, 3, 2, 2, 1]])
+    low = FieldMatrix.from_rows(f7, [[1, 2, 3, 4], [2, 4, 6, 1], [0, 0, 0, 3]])
+    bases = [FieldMatrix.from_rows(f7, EX1_ROWS), late, low]
+    assert [b.rref()[1] for b in bases] == [(0, 1, 2), (0, 2, 3), (0, 3)]
+    return bases
+
+
+def _assert_carried_rref(m):
+    """m carries an RREF, whose pending scaling applied gives a fresh
+    row_reduce and, for full rank with leading pivots, the Cramer's-rule
+    oracle."""
+    assert m._rref is not None
+    carried = m.rref()
+    rows = [list(r) for r in m.to_lists()]
+    pivots = row_reduce(rows, m.spec)
+    assert carried == (tuple(map(tuple, rows)), tuple(pivots))
+    if tuple(pivots) == tuple(range(m.rows)):
+        assert FieldMatrix._of(m.spec, carried[0], m.shape) == oracle_systematic(m)
+
+
+def test_rref_is_carried_by_scalings_and_embedding(f7, f343):
+    rng = SplitMix64(59)
+    for base in _bases(f7):
+        k, n = base.shape
+        d = [1 + rng.below(342) for _ in range(n)]
+        left = [1 + rng.below(342) for _ in range(k)]
+        up = embed_matrix(base, f343)
+        products = [up, diag_product(None, up, d), diag_product(left, up, d),
+                    scale_row(base, k - 1, 3), scale_col(base, 1, 5), scale_col(up, n - 1, d[0]),
+                    monomial_sandwich(up, left, d),
+                    # scalings of a scaled matrix compose their pending scales
+                    diag_product(None, diag_product(None, up, d), d[::-1]),
+                    scale_row(scale_col(diag_product(left, up, d), 0, 6), 0, 2)]
+        for m in products:
+            _assert_carried_rref(m)
+    lifted = lift(LinearCode(FieldMatrix.from_rows(f7, EX1_ROWS)), sample_dh(f343, 8, 3))
+    _assert_carried_rref(lifted.generator)
+
+
+def test_rref_is_not_carried_through_zero_scalings(f7):
+    base = FieldMatrix.from_rows(f7, EX1_ROWS)
+    base.rref()
+    assert diag_product(None, base, [1, 0, 1, 1, 1, 1, 1, 1])._rref is None
+    assert diag_product([1, 0, 1], base, [1] * 8)._rref is None
+    fresh = FieldMatrix.from_rows(f7, EX1_ROWS)
+    assert diag_product(None, fresh, [2] * 8)._rref is None  # nothing cached to carry
+
+
+def test_rank_and_systematic_form_read_the_cache(monkeypatch, f7):
+    base = _bases(f7)[1]
+    calls = []
+    monkeypatch.setattr(matrix, "row_reduce", lambda *a: calls.append(a))
+    assert rank(base) == 3
+    with pytest.raises(LeadingBlockSingular, match=r"pivot columns \[0, 2, 3\]"):
+        to_systematic(base)
+    assert calls == []
 
 
 # equality ---------------------------------------------------------------------

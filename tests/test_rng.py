@@ -83,3 +83,22 @@ def test_sample_is_pinned_on_lists_and_ranges():
     assert SplitMix64(6).sample(list(range(10, 30)), 20) == [
         22, 12, 24, 18, 21, 20, 13, 16, 29, 15, 27, 14, 26, 28, 25, 11, 17, 10, 23, 19]
     assert SplitMix64(7).sample(range(3, 1000, 7), 6) == [171, 822, 647, 45, 542, 521]
+
+
+def test_sample_draws_as_below_does():
+    # sample inlines its draws; the reference is the partial Fisher-Yates on
+    # below(), the same procedure written out
+    def reference(r, population, count):
+        pool, out = list(population), []
+        for i in range(count):
+            j = i + r.below(len(pool) - i)
+            pool[i], pool[j] = pool[j], pool[i]
+            out.append(pool[i])
+        return out
+
+    for seed in range(40):
+        size = 1 + seed * 37 % 400
+        count = seed % (size + 1)
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        assert a.sample(range(size), count) == reference(b, range(size), count)
+        assert a.next_u64() == b.next_u64()  # the state advances alike
