@@ -8,11 +8,11 @@ sandwich products, and a hard-coded [8,3,6] reference code over F_7.
 Two algorithms decide MDS: ``is_mds`` checks nonsingularity of every
 k-column submatrix and scales with C(n, k), while the enumeration
 behind ``weight_distribution`` covers one codeword per projective
-point, (q^k - 1)/(q - 1) in all. On a small code the minor check reads
-the generator's cached RREF: every k-column minor is, up to a nonzero
+point, (q^k - 1)/(q - 1) in all. The minor check reads the
+generator's cached RREF: every k-column minor is, up to a nonzero
 factor, a square minor of its k x (n - k) non-pivot block, so it
-computes those (90 field products for [8,3], against 224 for all
-k x k minors of G) and needs no dual for k > n/2.
+computes those (90 field products for [8,3], against 224 for all k x k
+minors of G, on scalar tables or numpy arrays) and needs no dual.
 
 ``min_distance`` uses both: d = n - k + 1 iff all minors are
 nonsingular, so where the minors are the fewer it reads d from them and
@@ -235,8 +235,8 @@ def weight_distribution(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) 
 
 #: Largest minor pass, in sum_{j=2..min(k, n-k)} j * C(k, j) * C(n - k, j)
 #: field products, that runs on the scalar Zech tables rather than on numpy
-#: arrays: where the two cross when both are warm (see ``singular_minor``).
-SCALAR_PASS_PRODUCTS = 150
+#: arrays; both passes do these products, and cross at [10,5] (605) warm.
+SCALAR_PASS_PRODUCTS = 605
 
 
 @functools.lru_cache(maxsize=64)
@@ -281,10 +281,10 @@ def _log_sum_tables(spec: FieldSpec) -> tuple[list[int], list[int]]:
     return red, step
 
 
-def _scalar_first_singular(a: FieldMatrix, last: bool = False) -> tuple[int, ...] | None:
-    """First (or last) singular k-column set of the k x n matrix ``a``, in
-    lex order, for a field with a Zech list; all are singular when ``a``
-    has rank below k.
+def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
+    """First singular k-column set of the k x n matrix ``a``, in lex
+    order, for a field with a Zech list; all are singular when ``a`` has
+    rank below k.
 
     With RREF R, pivot columns P and the other columns Q, A = R[:, Q]: the
     minor of ``a`` on S is zero iff that of A on the rows i with P_i not
@@ -298,7 +298,7 @@ def _scalar_first_singular(a: FieldMatrix, last: bool = False) -> tuple[int, ...
     k, n = a.shape
     reduced, pivots, scale = a.echelon()
     if len(pivots) < k:
-        return tuple(range(n - k, n)) if last else tuple(range(k))
+        return tuple(range(k))
     red, step = _log_sum_tables(spec)
     log, neg, m = spec._scalar_log(), spec._neg_log, spec.order - 1
     zero = log[0]
@@ -332,7 +332,7 @@ def _scalar_first_singular(a: FieldMatrix, last: bool = False) -> tuple[int, ...
             rs, cs = cs, rs
         sets.append(tuple(sorted([p for i, p in enumerate(pivots) if i not in rs]
                                  + [free[c] for c in cs])))
-    return max(sets) if last else min(sets)
+    return min(sets)
 
 
 def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
@@ -341,30 +341,15 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
     generator is singular, or None when every such minor is nonsingular;
     more than ``minor_limit`` minors C(n, k) raise TooManyMinors.
 
-    Over a field with Zech tables (order up to 2^16), a code whose
-    ``_scalar_products`` are at most ``SCALAR_PASS_PRODUCTS`` runs
-    ``_scalar_first_singular`` on the minors of its cached RREF's
-    non-pivot block, in Python, for any k. Any other code runs the numpy
-    pass, ``kernels.first_singular``: level i holds the determinants of
-    rows 0..i-1 on every i-column set, each expanded along row i-1 from
-    level i-1, sum_i i * C(n, i) field products in blocks of 2^14 sets,
-    stopping at the first block of level k with a zero. For k > n/2 it
-    runs on the n - k rows of the generator of ``dual`` instead, whose
-    minor on the complement of S vanishes iff the code's minor on S does;
-    complements reverse lex order, so the witness is the complement of
-    its last singular set.
-
-    Warm, in-process on 2 vCPUs, the scalar pass against the numpy pass
-    over F_49 (``BENCH_12.json``, which also has F_343): [8,3] (90
-    products) 18 against 26 us, [8,4] (124) 29 against 35 us, [9,3]
-    (150) 23 against 25 us, [10,3] (231) 29 against 26 us, [9,4] (260)
-    36 against 39 us, [12,2] (90) 21 against 19 us, [16,2] (182) 39
-    against 26 us, [12,6] (2,736) 0.27 against 0.20 ms, and GRS[8,5]
-    (90, k > n/2, the numpy pass through the dual) 19 against 98 us. On
-    the numpy pass over F_49, GRS[16,8] (12,870 minors) takes 6-8 ms, or
-    25-45 ms on the first call for that shape, GRS[20,10] (184,756) about
-    0.5 s in 43 MB of RSS, and GRS[30,25] (142,506, through the dual)
-    0.08 s.
+    Both passes compute the square minors of the cached RREF's non-pivot
+    block (see ``_scalar_first_singular``), for any k and with no dual: in
+    Python on the Zech tables (order up to 2^16) when that takes at most
+    ``SCALAR_PASS_PRODUCTS`` field products, else on numpy arrays
+    (``kernels.first_singular``). Warm, in-process on 2 vCPUs
+    (``BENCH_13.json``): [8,3] over F_49 (90 products) takes 18-28 us on
+    the scalar pass; on the numpy pass over F_49, GRS[16,8] (12,870
+    minors) takes 1.1-1.9 ms, GRS[20,10] (184,756) 15-28 ms, GRS[24,12]
+    (2,704,156) 0.38-0.53 s and GRS[30,25] (142,506) 33-37 ms.
     """
     k, n = code.k, code.n
     if comb(n, k) > minor_limit:
@@ -375,10 +360,7 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
     if _scalar_products(k, n) <= SCALAR_PASS_PRODUCTS and code.spec._scalar_zech() is not None:
         return _scalar_first_singular(code.generator)
     from .kernels import first_singular
-    if 2 * k <= n:
-        return first_singular(code.generator)
-    found = first_singular(code.dual().generator, last=True)
-    return None if found is None else tuple(sorted(set(range(n)) - set(found)))
+    return first_singular(code.generator)
 
 
 def is_mds(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT) -> bool:

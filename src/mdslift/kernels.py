@@ -1,7 +1,8 @@
 """numpy kernels behind ``codes``: the projective codeword enumeration
 (``weight_distribution``, and ``min_distance`` for a code it cannot
 decide by minors) and the Laplace minor pass (``singular_minor``,
-``is_mds``) for shapes above ``codes.SCALAR_PASS_PRODUCTS``. With
+``is_mds``) for shapes above ``codes.SCALAR_PASS_PRODUCTS``, over the
+same minors of the RREF's non-pivot block as the scalar pass. With
 ``FieldSpec``'s array tables, the only code that uses numpy; ``codes``
 imports it on first use, so fields, matrices, lifts, erasure coding and
 the minor checks of small codes run without numpy."""
@@ -19,8 +20,7 @@ from .field import FieldSpec
 from .matrix import FieldMatrix
 
 _CHUNK = 1 << 16  # messages per enumeration block
-_MINOR_BLOCK = 1 << 14  # column sets per block of the minor pass
-_PLAN_CACHE = 1 << 17  # largest one-block level plan, in column indices, kept across calls
+_MINOR_BLOCK = 1 << 14  # products per block of the minor pass
 
 
 def _projective_weights(code: LinearCode) -> Iterator[np.ndarray]:
@@ -69,85 +69,101 @@ def projective_weight_counts(code: LinearCode) -> list[int]:
     return counts.tolist()
 
 
+@functools.lru_cache(maxsize=16)  # a small pass's plans; a block is 2 x 2^14 indices at most
 def _plan_block(n: int, i: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """``cols``, the i-column sets S with lex ranks start..stop-1, and ``sub``,
-    where sub[s, r] is the lex rank of S - S[r] among the (i-1)-sets. An
-    m-set T has rank C(n, m) - 1 - sum_j C(n - 1 - T[j], m - j); the sets
-    come from peeling that sum greedily, one position at a time."""
-    binom = np.array([[comb(a, b) for b in range(i + 1)] for a in range(n)], dtype=np.int64)
+    """``cols``, whose column s is the i-set S of lex rank start + s, and
+    ``sub``, where sub[r, s] is the lex rank of S - S[r] among the
+    (i-1)-sets; both i x (stop - start). An m-set T has rank
+    C(n, m) - 1 - sum_j C(n - 1 - T[j], m - j); the sets come from peeling
+    that sum greedily, one position at a time."""
+    binom = np.zeros((i + 1, n), dtype=np.int64)  # binom[b, a] = C(a, b)
+    binom[0] = 1
+    for b in range(1, i + 1):
+        np.cumsum(binom[b - 1, :-1], out=binom[b, 1:])
     rest = comb(n, i) - 1 - np.arange(start, stop, dtype=np.int64)
-    cols = np.empty((stop - start, i), dtype=np.intp)
+    cols, hi, lo = (np.empty((i, stop - start), dtype=np.int64) for _ in range(3))
     for j in range(i):
-        c = np.searchsorted(binom[:, i - j], rest, side="right") - 1
-        rest -= binom[c, i - j]
-        cols[:, j] = n - 1 - c
-    # in rank(S - S[r]), S[j] is term j (lo) when j < r and term j - 1 (hi)
-    # when j > r: sum_{j<r} lo_j + sum_{j>r} hi_j = sum hi - cumsum(hi - lo)_r - lo_r
-    lo = binom[n - 1 - cols, np.arange(i - 1, -1, -1)]
-    hi = binom[n - 1 - cols, np.arange(i, 0, -1)]
-    terms = hi.sum(axis=1, keepdims=True) - (hi - lo).cumsum(axis=1) - lo
-    return cols, comb(n, i - 1) - 1 - terms
-
-
-@functools.lru_cache(maxsize=16)
-def _cached_plan(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    plan = _plan_block(n, i, 0, comb(n, i))
-    for arr in plan:
+        c = np.searchsorted(binom[i - j], rest, side="right") - 1
+        cols[j], hi[j], lo[j] = n - 1 - c, binom[i - j, c], binom[i - 1 - j, c]
+        rest -= hi[j]
+    # in the rank of S - S[r], S[j] keeps term j (lo) for j < r and takes term j - 1 (hi) for j > r
+    sub = comb(n, i - 1) - 1 - (lo.cumsum(axis=0) - lo) - (hi[::-1].cumsum(axis=0)[::-1] - hi)
+    for arr in (cols, sub):
         arr.setflags(write=False)  # shared by every caller through the cache
-    return plan
+    return cols, sub
 
 
-def _laplace(spec: FieldSpec, row: np.ndarray, cols: np.ndarray, sub: np.ndarray,
-             below: np.ndarray) -> np.ndarray:
-    """Determinants of rows 0..i-1 on the i-sets ``cols``, expanded along
-    row i-1 = ``row``: sum_r (-1)^(i-1+r) row[S[r]] * below[S - S[r]]."""
-    i = cols.shape[1]
-    terms = spec.coords_array(spec.mul_array(row[cols], below[sub]))
-    sign = np.array([(-1) ** (i - 1 + r) for r in range(i)])
-    return (sign @ terms) % spec.p @ spec._array_tables()[3]  # digit-wise signed sum
+def _laplace(spec: FieldSpec, block: np.ndarray, below: np.ndarray, rows: np.ndarray,
+             prev: np.ndarray, cols: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """The j x j minors of an h x w matrix M, h <= w, held transposed in
+    ``block``, on its row sets ``rows`` and column sets ``cols`` (j x R
+    and j x B, a set per column), as a B x R array, each expanded along
+    row I[-1]: sum_r (-1)^(j-1+r) M[I[-1], J[r]] * below[sub[r, J], prev[I]],
+    with ``below`` the (j-1) x (j-1) minors held the same way, prev[I]
+    the rank of I - I[-1] and sub[r, J] that of J - J[r]. Products come
+    from ``mul_array`` and are summed digit-wise, so no table is needed."""
+    j = len(cols)
+    terms = spec.coords_array(spec.mul_array(block.take(rows[-1], axis=1).take(cols, axis=0),
+                                             below.take(sub, axis=0).take(prev, axis=2)))
+    plus = (j - 1) % 2  # term r has sign (-1)^(j-1+r)
+    return (terms[plus::2].sum(axis=0) - terms[1 - plus::2].sum(axis=0)) % spec.p \
+        @ spec._array_tables()[3]
 
 
-def _level_blocks(spec: FieldSpec, row: np.ndarray, n: int, i: int, below: np.ndarray
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Level i as (cols, dets) blocks of at most ``_MINOR_BLOCK`` sets in lex
-    order, expanded along ``row`` from the whole level i-1 ``below``. Only a
-    one-block level of at most ``_PLAN_CACHE`` indices keeps its plan, so
-    the cache holds at most 16 * 2 * 8 * _PLAN_CACHE bytes (32 MB)."""
-    size = comb(n, i)
-    for start in range(0, size, _MINOR_BLOCK):
-        if size <= _MINOR_BLOCK and i * size <= _PLAN_CACHE:
-            cols, sub = _cached_plan(n, i)
-        else:
-            cols, sub = _plan_block(n, i, start, min(start + _MINOR_BLOCK, size))
-        yield cols, _laplace(spec, row, cols, sub, below)
+def _first_zero(dets: np.ndarray, rows: np.ndarray, cols: np.ndarray, sides, n: int
+                ) -> tuple[int, ...]:
+    """Lex-first k-set P ^ I' ^ J' over the zeros of ``dets`` (B x R, on
+    ``cols`` and ``rows``), P the pivot columns ``sides[0]`` and I', J'
+    the columns that the sets stand for in ``sides[1]``, ``sides[2]``.
+    On sets of one size, lex order is descending order of the membership
+    bits, column x worth 2^(n-1-x); keys compare 62 columns at a time."""
+    c, r = np.divmod(np.flatnonzero(dets == 0), dets.shape[1])
+    pivots, rows, cols = sides[0], sides[1][rows], sides[2][cols]
+    keep = np.arange(len(r))
+    for lo in range(0, n, 62):
+        weight = np.zeros(n, dtype=np.int64)
+        span = weight[lo:lo + 62]
+        span[:] = 1 << np.arange(61, 61 - len(span), -1)
+        key = (int(weight[pivots].sum()) ^ weight[rows].sum(axis=0)[r[keep]]
+               ^ weight[cols].sum(axis=0)[c[keep]])
+        keep = keep[key == key.max()]
+    return tuple(sorted(set(pivots.tolist()) ^ set(rows[:, r[keep[0]]].tolist())
+                        ^ set(cols[:, c[keep[0]]].tolist())))
 
 
-def _maximal_minors(a: FieldMatrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """All k x k minors of a k x n matrix, k >= 1, as (cols, dets) blocks in
-    lex order of the column sets. Levels 1..k-1 are held whole, one at a
-    time; level k is yielded block by block."""
-    spec, g = a.spec, a.codes
+def first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
+    """Lex-first k-column set whose k x k minor of the k x n matrix ``a``
+    is zero, k >= 1, or None; every set when ``a`` has rank below k.
+
+    The minors are those of ``codes._scalar_first_singular``, of M = A or
+    A^T, whichever has fewer rows, for the non-pivot block A of the RREF.
+    Level j is built from level j - 1 for all row sets at once and blocks
+    of column sets, at most ``_MINOR_BLOCK`` products a block; only two
+    levels are held.
+    """
     k, n = a.shape
-    # level 1 lists the columns in order, so it is the first row; a k = 1
-    # pass expands it from the empty minor like any other final level
-    below = g[0] if k > 1 else np.ones(1, dtype=np.int64)
-    for i in range(2, k):
-        level, at = np.empty(comb(n, i), dtype=np.int64), 0
-        for _, dets in _level_blocks(spec, g[i - 1], n, i, below):
-            level[at:at + dets.size], at = dets, at + dets.size
+    reduced, pivots = a.rref()
+    if len(pivots) < k:
+        return tuple(range(k))
+    free = [j for j in range(n) if j not in pivots]
+    block = np.array([r[j] for j in free for r in reduced], dtype=np.int64).reshape(n - k, k)
+    # the pivots, and the columns that the rows and the columns of M stand for
+    sides = [np.array(pivots), np.array(pivots), np.array(free, dtype=np.int64)]
+    if k > n - k:
+        block, sides[1:] = block.T, sides[2:0:-1]
+    w, h = block.shape  # block is M^T
+    found = [] if block.all() else [_first_zero(block, np.arange(h)[None], np.arange(w)[None],
+                                                sides, n)]
+    below = block
+    for j in range(2, h + 1):
+        rows, prev = _plan_block(h, j, 0, comb(h, j))
+        size, step = comb(w, j), max(1, _MINOR_BLOCK // (j * rows.shape[1]))
+        level = np.empty((size, rows.shape[1]), dtype=np.int64)
+        for start in range(0, size, step):
+            cols, sub = _plan_block(w, j, start, min(start + step, size))
+            dets = level[start:start + cols.shape[1]] = _laplace(a.spec, block, below, rows,
+                                                                 prev[-1], cols, sub)
+            if not dets.all():
+                found.append(_first_zero(dets, rows, cols, sides, n))
         below = level
-    yield from _level_blocks(spec, g[k - 1], n, k, below)
-
-
-def first_singular(a: FieldMatrix, last: bool = False) -> tuple[int, ...] | None:
-    """Column set of the first (or last) zero k x k minor of the k x n
-    matrix ``a``, k >= 1, in lex order; without ``last`` the pass stops at
-    the first block with a zero."""
-    found = None
-    for cols, dets in _maximal_minors(a):
-        zero = np.flatnonzero(dets == 0)
-        if zero.size:
-            found = tuple(cols[zero[-1 if last else 0]].tolist())
-            if not last:
-                break
-    return found
+    return min(found, default=None)

@@ -22,8 +22,8 @@ library uses, so agreement is evidence rather than tautology:
   from them rank, the MDS minor criterion and its first singular column
   set, and the systematic form by Cramer's rule (the library row-reduces
   lists of code rows once per matrix, carries that form through column
-  scalings, and expands minors in one Laplace pass: those of the
-  non-pivot block on discrete logs, or all of them on numpy arrays);
+  scalings, and expands the minors of its non-pivot block in one
+  Laplace pass, on discrete logs or on numpy arrays);
 - matrix products entry by entry in FieldElement arithmetic (the library
   works on rows of codes with the field's code ops).
 """

@@ -43,7 +43,7 @@ from mdslift.errors import (
     ZeroScalar,
 )
 from mdslift.field import make_extension_field, make_prime_field
-from mdslift.kernels import _MINOR_BLOCK, _cached_plan, _maximal_minors, _plan_block
+from mdslift.kernels import _MINOR_BLOCK, _plan_block
 from mdslift.lifting import lift, sample_dh
 from mdslift.matrix import FieldMatrix, diag_product, rank, solve, submatrix, to_systematic
 from mdslift.rng import SplitMix64
@@ -431,8 +431,9 @@ def test_elimination_matches_leibniz_oracle(f2_17, case):
 
 def test_singular_minor_in_second_block(f343):
     # columns (1, a) for the codes a = 0..188, then 2 * column 188: the one
-    # dependent pair (188, 189) is the last of C(190, 2) = 17,955, so the
-    # scan must reach the second block of 2^14 column sets
+    # dependent pair (188, 189) is the last of C(190, 2) = 17,955; on the
+    # RREF, pivots (0, 1), it is the last of C(188, 2) = 17,578 column sets
+    # of level 2, so the pass must reach its third block of 2^14 products
     pairs = [[1, a] for a in range(189)] + [[2, f343.mul_code(2, 188)]]
     g = FieldMatrix(f343, np.array(pairs, dtype=np.int64).T)
     code = LinearCode(g)
@@ -446,13 +447,15 @@ def test_singular_minor_in_second_block(f343):
 
 def test_singular_minor_in_second_block_of_three_sets(f343):
     # Vandermonde columns (1, a, a^2) for a = 0..46, then column 45 + column 46:
-    # (45, 46, 47) is the last of C(48, 3) = 17,296 sets, in the second block
+    # (45, 46, 47) is the last of C(48, 3) = 17,296 sets; on the RREF, pivots
+    # (0, 1, 2), the last of C(45, 3) = 14,190 column sets of level 3, whose
+    # 3 products each fill more than two blocks
     vander = [[1, a, f343.mul_code(a, a)] for a in range(47)]
     vander.append([f343.add_code(x, y) for x, y in zip(vander[45], vander[46])])
     g = FieldMatrix(f343, np.array(vander, dtype=np.int64).T)
     witness = singular_minor(LinearCode(g))
     assert witness == (45, 46, 47)
-    assert comb(48, 3) - 1 >= _MINOR_BLOCK
+    assert 3 * comb(45, 3) > 2 * _MINOR_BLOCK
     earlier = combinations(range(48), 3)
     assert all(oracle_det(g, [0, 1, 2], cols) for cols in earlier if cols < witness)
 
@@ -465,53 +468,52 @@ def test_plan_blocks_match_combinations():
             for start, stop in [(0, len(sets))] + [(a, min(a + 4, len(sets)))
                                                    for a in range(1, len(sets), 3)]:
                 cols, sub = _plan_block(n, i, start, stop)
-                assert [tuple(c) for c in cols.tolist()] == sets[start:stop]
-                assert sub.tolist() == [[rank_of[s[:r] + s[r + 1:]] for r in range(i)]
-                                        for s in sets[start:stop]]
+                assert [tuple(c) for c in cols.T.tolist()] == sets[start:stop]
+                assert sub.T.tolist() == [[rank_of[s[:r] + s[r + 1:]] for r in range(i)]
+                                          for s in sets[start:stop]]
 
 
 def test_minor_pass_in_small_blocks_matches_oracle(monkeypatch, f7, f49):
-    # blocks of 4 sets and no plan cache: every level is built block by block
+    # blocks of at most 4 products, or of one column set when one takes
+    # more: every level past the first is built block by block
     monkeypatch.setattr(kernels, "_MINOR_BLOCK", 4)
-    monkeypatch.setattr(kernels, "_PLAN_CACHE", 0)
-    laplace, widths = kernels._laplace, []
+    laplace, shapes = kernels._laplace, []
 
-    def spy(spec, row, cols, sub, below):
-        widths.append(len(cols))
-        return laplace(spec, row, cols, sub, below)
+    def spy(spec, block, below, rows, prev, cols, sub):
+        shapes.append(cols.shape + (rows.shape[1],))
+        return laplace(spec, block, below, rows, prev, cols, sub)
 
     monkeypatch.setattr(kernels, "_laplace", spy)
     rng = SplitMix64(3)
-    for spec, k, n in [(f7, 3, 7), (f49, 4, 8), (f7, 5, 6), (f49, 1, 9)]:
+    for spec, k, n in [(f7, 3, 7), (f49, 4, 8), (f7, 5, 6), (f49, 1, 9), (f49, 2, 7)]:
         g = FieldMatrix(spec, np.array([[rng.below(spec.order) for _ in range(n)]
                                         for _ in range(k)], dtype=np.int64))
-        got = [(tuple(c), d) for cols, dets in _maximal_minors(g)
-               for c, d in zip(cols.tolist(), dets.tolist())]
-        assert got == [(cols, oracle_det(g, range(k), cols).code)
-                       for cols in combinations(range(n), k)]
-    assert max(widths) == 4
+        assert kernels.first_singular(g) == (oracle_singular_sets(g) or [None])[0]
+    assert all(j * r * c <= max(4, j * r) for j, c, r in shapes)
+    assert {c for _, c, _ in shapes} == {1, 2}
 
 
 def test_minor_pass_memory_is_bounded_by_levels_and_blocks(f49):
-    # GRS[18,9]: levels of up to C(18,9) = 48,620 minors (0.4 MB each) and
-    # blocks of 2^14 sets; a plan held whole would be sum_i 2 i C(18, i)
-    # indices, about 38 MB
-    code = grs_generator(f49, 18, 9)
-    _cached_plan.cache_clear()
-    tracemalloc.start()
-    try:
-        assert singular_minor(code) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 << 20
+    # GRS[18,9]/F_49: levels of up to C(9, 4)^2 = 15,876 minors of the 9 x 9
+    # non-pivot block; GRS[1000,2]/F_2^10: C(998, 2) = 497,503 minors of the
+    # 2 x 998 block (4 MB) in blocks of 2^14, where the plan of the whole
+    # level would be 4 * 497,503 indices (16 MB) before its temporaries
+    for code in (grs_generator(f49, 18, 9), grs_generator(make_extension_field(2, 10), 1000, 2)):
+        kernels._plan_block.cache_clear()
+        tracemalloc.start()
+        try:
+            assert singular_minor(code) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 def test_minor_check_caps_the_minor_count(f49):
     with pytest.raises(TooManyMinors):
         is_mds(grs_generator(f49, 24, 12), minor_limit=comb(24, 12) - 1)
     assert DEFAULT_MINOR_LIMIT >= comb(24, 12)
-    # C(8, 3) = 56 minors on the generator; C(12, 10) = 66 on the 2-row dual
+    # C(8, 3) = 56 minors; C(12, 10) = 66, from the 10 x 2 non-pivot block
     for code in (grs_generator(f49, 8, 3), grs_generator(f49, 12, 10)):
         assert singular_minor(code, minor_limit=comb(code.n, code.k)) is None
         with pytest.raises(TooManyMinors):
@@ -519,7 +521,7 @@ def test_minor_check_caps_the_minor_count(f49):
 
 
 def test_singular_minor_of_high_rate_codes_matches_oracle(f7, f49):
-    # k > n/2 goes through the dual [A^T | I] of the systematic form
+    # k > n/2: the passes expand the transposed non-pivot block
     rng = SplitMix64(17)
     witnesses = set()
     for spec, k, n in [(f7, 4, 6), (f7, 5, 7), (f49, 5, 8), (f7, 6, 9)] * 6:
@@ -531,8 +533,9 @@ def test_singular_minor_of_high_rate_codes_matches_oracle(f7, f49):
 
 
 def test_singular_minor_of_a_long_high_rate_code(f49):
-    # [40,36]: 91,390 minors through the 4 x 40 dual, where a pass on the
-    # generator would build level 20 with C(40, 20) = 1.4e11 sets
+    # [40,36]: 91,390 minors from the 4 x 36 transposed non-pivot block,
+    # where a pass over the k x k minors of G would build level 20 with
+    # C(40, 20) = 1.4e11 sets
     g = grs_generator(f49, 40, 36).generator
     assert singular_minor(LinearCode(g)) is None
     # column 36 repeats column 35: the first set holding both is
@@ -559,11 +562,7 @@ def test_minor_pass_matches_leibniz_oracle(f2_17, case):
     p, t, rows, _ = case
     spec = f2_17 if (p, t) == (2, 17) else _field(p, t)
     g = FieldMatrix(spec, np.array(rows, dtype=np.int64))
-    k, n = g.shape
-    got = [(tuple(c), d) for cols, dets in _maximal_minors(g)
-           for c, d in zip(cols.tolist(), dets.tolist())]
-    assert got == [(cols, oracle_det(g, range(k), cols).code)
-                   for cols in combinations(range(n), k)]
+    assert kernels.first_singular(g) == (oracle_singular_sets(g) or [None])[0]
 
 
 def test_singular_minor_of_mds_code_is_none(example1):
@@ -572,8 +571,8 @@ def test_singular_minor_of_mds_code_is_none(example1):
 
 
 # (p, t, k, n) over prime, char-2 and odd extension fields: k = 1, k > n/2,
-# and shapes on both sides of SCALAR_PASS_PRODUCTS ([8,3] is 90 products,
-# [9,3] 150, [8,4] 124, [7,5] 20)
+# and passes of 20 to 150 products ([7,5] 20, [8,3] 90, [8,4] 124, [9,3]
+# 150); the test calls each pass directly, whatever SCALAR_PASS_PRODUCTS is
 _PASS_SHAPES = [(7, 1, 1, 6), (7, 1, 2, 6), (7, 1, 3, 8), (11, 1, 3, 9), (2, 2, 2, 5),
                 (2, 3, 3, 8), (2, 4, 4, 8), (3, 2, 3, 8), (7, 2, 3, 9), (7, 2, 4, 8),
                 (7, 3, 3, 8), (7, 1, 5, 7), (3, 2, 1, 7)]
@@ -588,11 +587,15 @@ def test_scalar_pass_matches_array_pass_and_oracle():
             # about one entry in four zero, so that some minors vanish
             g = FieldMatrix(spec, [[rng.below(spec.order) if rng.below(4) else 0
                                     for _ in range(n)] for _ in range(k)])
-            singular = oracle_singular_sets(g)
-            for last in (False, True):
-                want = singular[-1 if last else 0] if singular else None
-                assert _scalar_first_singular(g, last) == kernels.first_singular(g, last) == want
-            seen.add(bool(singular))
+            # and a column scaling of it, which carries the RREF with a pending scale
+            g.echelon()
+            scaled = diag_product(None, g, [1 + rng.below(spec.order - 1) for _ in range(n)])
+            assert scaled.echelon()[2] is not None
+            for m in (g, scaled):
+                singular = oracle_singular_sets(m)
+                want = singular[0] if singular else None
+                assert _scalar_first_singular(m) == kernels.first_singular(m) == want
+                seen.add(bool(singular))
     assert seen == {True, False}
 
 
@@ -604,7 +607,7 @@ def _grs_rows(spec, k, n, rng):
 
 
 def test_singular_minor_on_both_passes_matches_oracle(f7, f49):
-    # through the dispatch, with k > n/2 on the dual: a repeated column makes
+    # through the dispatch, with k > n/2: a repeated column makes
     # a code non-MDS, a repeated leading column its leading block singular
     rng = SplitMix64(31)
     outcomes = set()
@@ -641,9 +644,10 @@ def _rows_with_pattern(spec, k, n, rng, pattern):
 
 
 def test_scalar_pass_witnesses_match_oracle_on_every_shape():
-    # every k from 1 to n - 1 over F_7, F_11, F_8, F_9, F_49 and F_343, so
-    # k = 1, k = n - 1 and k > n/2 all occur; rank-deficient rows, pivots
-    # past the leading columns and zero columns are forced in turn
+    # both passes, for every k from 1 to n - 1 over F_7, F_11, F_8, F_9,
+    # F_49 and F_343, so k = 1, k = n - 1 and k > n/2 all occur;
+    # rank-deficient rows, pivots past the leading columns and zero columns
+    # are forced in turn
     rng = SplitMix64(41)
     patterns = ("any", "zero column", "late pivots", "rank")
     seen = set()
@@ -660,8 +664,7 @@ def test_scalar_pass_witnesses_match_oracle_on_every_shape():
                     assert scaled.echelon()[2] is not None
                     for m in (g, scaled):
                         singular = oracle_singular_sets(m) or [None]
-                        assert _scalar_first_singular(m) == singular[0]
-                        assert _scalar_first_singular(m, last=True) == singular[-1]
+                        assert _scalar_first_singular(m) == kernels.first_singular(m) == singular[0]
                     seen.add((pattern, singular != [None], rank(g) == k))
     assert {("any", False, True), ("late pivots", True, True), ("zero column", True, True),
             ("rank", True, False)} <= seen
@@ -669,9 +672,9 @@ def test_scalar_pass_witnesses_match_oracle_on_every_shape():
 
 @pytest.mark.parametrize("products", [-1, 10 ** 9], ids=["numpy pass", "scalar pass"])
 def test_singular_minor_on_each_pass_matches_oracle(monkeypatch, f7, f49, products):
-    # the same codes on the numpy pass alone (k > n/2 through ``dual``) and on
-    # the scalar pass alone: a repeated leading column makes the leading
-    # block singular, with no special case on either pass
+    # the same codes on the numpy pass alone and on the scalar pass alone:
+    # a repeated leading column makes the leading block singular, with no
+    # special case on either pass
     monkeypatch.setattr(codes, "SCALAR_PASS_PRODUCTS", products)
     rng = SplitMix64(43)
     outcomes = set()
@@ -712,20 +715,23 @@ def test_minor_pass_choice_follows_product_count(monkeypatch, f49, f2_17):
     calls = []
 
     def spy(name, fn):
-        def traced(a, last=False):
+        def traced(a):
             calls.append((name, a.shape))
-            return fn(a, last)
+            return fn(a)
         return traced
 
     monkeypatch.setattr(codes, "_scalar_first_singular", spy("scalar", _scalar_first_singular))
     monkeypatch.setattr(kernels, "first_singular", spy("array", kernels.first_singular))
-    # [9,3] needs 150 products, [16,2] 182 and [8,7] none (k > n/2 needs no dual)
-    assert _scalar_products(3, 9) <= SCALAR_PASS_PRODUCTS < _scalar_products(2, 16)
+    # [9,3] needs 150 products, [10,5] 605, [30,2] 756 and [8,7] none (k > n/2
+    # needs no dual)
+    assert _scalar_products(5, 10) <= SCALAR_PASS_PRODUCTS < _scalar_products(2, 30)
     for code in (grs_generator(f49, 8, 3), grs_generator(f49, 9, 3), grs_generator(f49, 8, 7),
-                 grs_generator(f49, 16, 8), grs_generator(f2_17, 8, 3)):
+                 grs_generator(f49, 10, 5), grs_generator(f49, 30, 2), grs_generator(f49, 16, 8),
+                 grs_generator(f2_17, 8, 3)):
         assert singular_minor(code) is None
     assert calls == [("scalar", (3, 8)), ("scalar", (3, 9)), ("scalar", (7, 8)),
-                     ("array", (8, 16)), ("array", (3, 8))]  # F_2^17 has no tables
+                     ("scalar", (5, 10)), ("array", (2, 30)), ("array", (8, 16)),
+                     ("array", (3, 8))]  # F_2^17 has no tables
 
 
 def test_min_distance_reads_mds_distance_from_minors(monkeypatch, f4, f7):
