@@ -106,7 +106,7 @@ class LinearCode:
         be nonsingular."""
         reduced, pivots = self.generator.rref()
         n, rows = self.n, []
-        for j in (j for j in range(n) if j not in pivots):
+        for j in _free_columns(n, pivots):
             on_pivots = dict(zip(pivots, (self.spec.neg_code(r[j]) for r in reduced)))
             rows.append(tuple(on_pivots.get(c, int(c == j)) for c in range(n)))
         return LinearCode(FieldMatrix._of(self.spec, tuple(rows), (len(rows), n)))
@@ -281,6 +281,12 @@ def _log_sum_tables(spec: FieldSpec) -> tuple[list[int], list[int]]:
     return red, step
 
 
+@functools.lru_cache(maxsize=64)
+def _free_columns(n: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
+    """The columns 0..n-1 that are not pivot columns, ascending."""
+    return tuple(j for j in range(n) if j not in pivots)
+
+
 def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     """First singular k-column set of the k x n matrix ``a``, in lex
     order, for a field with a Zech list; all are singular when ``a`` has
@@ -302,16 +308,17 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     red, step = _log_sum_tables(spec)
     log, neg, m = spec._scalar_log(), spec._neg_log, spec.order - 1
     zero = log[0]
-    free = [j for j in range(n) if j not in pivots]
+    free = _free_columns(n, pivots)
     # log A_ic = log R_i,free[c] + log d_free[c] - log d_(P_i), d the pending scale
     ls = [0] * n if scale is None else [log[d] for d in scale]
-    rows = [[(log[r[j]] + ls[j] - lp) % m if r[j] else zero for j in free]
-            for r, lp in zip(reduced, [ls[p] for p in pivots])]
+    on_free, on_rows = [(j, ls[j]) for j in free], [(r, ls[p]) for r, p in zip(reduced, pivots)]
     flip = k > n - k  # expand along the shorter side: A^T has the same minors
+    h, w = min(k, n - k), max(k, n - k)
+    # level 1, flattened as in _level_plan: A row by row, or A^T when flipped
     if flip:
-        rows = [list(c) for c in zip(*rows)]
-    h, w = len(rows), max(k, n - k)
-    below = [x for row in rows for x in row]  # level 1, flattened as in _level_plan
+        below = [(log[r[j]] + a - b) % m if r[j] else zero for j, a in on_free for r, b in on_rows]
+    else:
+        below = [(log[r[j]] + a - b) % m if r[j] else zero for r, b in on_rows for j, a in on_free]
     signed = below + [red[x + neg] for x in below]
     hits = [(1, at) for at, x in enumerate(below) if x == zero] if zero in below else []
     for j in range(2, h + 1):
@@ -322,8 +329,6 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
         if zero in level:
             hits += [(j, at) for at, x in enumerate(level) if x == zero]
         below = level
-    if not hits:
-        return None
     sets = []
     for j, at in hits:
         row_sets, col_sets, _ = _level_plan(h, w, j)
@@ -332,7 +337,7 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
             rs, cs = cs, rs
         sets.append(tuple(sorted([p for i, p in enumerate(pivots) if i not in rs]
                                  + [free[c] for c in cs])))
-    return min(sets)
+    return min(sets, default=None)
 
 
 def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT

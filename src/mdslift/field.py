@@ -44,13 +44,14 @@ w^k is exp[k mod (q - 1)]. Sums read a Zech list built with them,
 zech[e] = log(1 + w^e), which holds log[0] where 1 + w^e = 0: for nonzero
 a and b, a + b = w^log(a) * (1 + w^(log(b) - log(a))), and -1 is
 w^((q - 1)/2) for odd p. Adding 1 changes only base-p digit 0, so the
-list costs one pass over exp. The numpy kernels copy exp and log, with a
-zero tail of 2(q-1)+1 entries on exp that every sum with log[0] lands
-in, so they need no zero test. Tables are built on first use up to
-order 2^16 (``_AUTO_TABLE_LIMIT``); above it, products run on
-polynomials unless ``dlog`` built the exp/log lists, and sums digit by
-digit, as ``dlog`` builds no Zech list. That path stays: tables take
-seconds and ~100 MB at 2^20, and orders between ``DLOG_TABLE_LIMIT``
+list costs one pass over exp. In characteristic 2 a sum is the xor of
+the codes, with no table at any order. The numpy kernels copy exp and
+log, with a zero tail of 2(q-1)+1 entries on exp that every sum with
+log[0] lands in, so they need no zero test. Tables are built on first
+use up to order 2^16 (``_AUTO_TABLE_LIMIT``); above it, products run on
+polynomials unless ``dlog`` built the exp/log lists, and sums for odd p
+digit by digit, as ``dlog`` builds no Zech list. That path stays: tables
+take seconds and ~100 MB at 2^20, and orders between ``DLOG_TABLE_LIMIT``
 and the 2^24 cap have no other.
 """
 
@@ -396,6 +397,8 @@ class FieldSpec:
     # code-level arithmetic ----------------------------------------------------
 
     def add_code(self, a: int, b: int) -> int:
+        if self.p == 2:  # digits mod 2: a sum is a bitwise xor, and -b = b
+            return a ^ b
         if self.t == 1:
             return (a + b) % self.p
         if a == 0 or b == 0:
@@ -406,6 +409,8 @@ class FieldSpec:
         return self._zech_sum(self._log[a], self._log[b], zech)
 
     def sub_code(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self.t == 1:
             return (a - b) % self.p
         if b == 0:

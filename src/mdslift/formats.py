@@ -204,7 +204,7 @@ def parse_code(text: str) -> LinearCode:
 
 
 def format_dh(m: DhDiagonal, dlog_limit: int | None = None) -> str:
-    row = FieldMatrix.from_rows(m.spec, [list(m.diag)])
+    row = FieldMatrix.from_rows(m.spec, [m.codes])
     return "\n".join(_matrix_lines(row, dlog_limit) + [f"# dh l={m.l_value}"]) + "\n"
 
 
@@ -214,7 +214,7 @@ def parse_dh(text: str) -> DhDiagonal:
         raise FormatError(f"trailing content: {rest[0]!r}")
     if m.rows != 1:
         raise FormatError(f"diagonal file must have rows=1, got {m.rows}")
-    return DhDiagonal(m.spec, m.row(0))
+    return DhDiagonal(m.spec, m.to_lists()[0])
 
 
 def format_erasure(word: ErasureWord, dlog_limit: int | None = None) -> str:

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .codes import LinearCode
+from .codes import LinearCode, _free_columns
 from .field import FieldSpec
 from .matrix import FieldMatrix
 
@@ -139,13 +139,13 @@ def first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     A^T, whichever has fewer rows, for the non-pivot block A of the RREF.
     Level j is built from level j - 1 for all row sets at once and blocks
     of column sets, at most ``_MINOR_BLOCK`` products a block; only two
-    levels are held.
+    levels are held, and the last is checked block by block, not kept.
     """
     k, n = a.shape
     reduced, pivots = a.rref()
     if len(pivots) < k:
         return tuple(range(k))
-    free = [j for j in range(n) if j not in pivots]
+    free = _free_columns(n, pivots)
     block = np.array([r[j] for j in free for r in reduced], dtype=np.int64).reshape(n - k, k)
     # the pivots, and the columns that the rows and the columns of M stand for
     sides = [np.array(pivots), np.array(pivots), np.array(free, dtype=np.int64)]
@@ -158,11 +158,12 @@ def first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     for j in range(2, h + 1):
         rows, prev = _plan_block(h, j, 0, comb(h, j))
         size, step = comb(w, j), max(1, _MINOR_BLOCK // (j * rows.shape[1]))
-        level = np.empty((size, rows.shape[1]), dtype=np.int64)
+        level = np.empty((size, rows.shape[1]), dtype=np.int64) if j < h else None
         for start in range(0, size, step):
             cols, sub = _plan_block(w, j, start, min(start + step, size))
-            dets = level[start:start + cols.shape[1]] = _laplace(a.spec, block, below, rows,
-                                                                 prev[-1], cols, sub)
+            dets = _laplace(a.spec, block, below, rows, prev[-1], cols, sub)
+            if level is not None:  # the last level is only checked, block by block
+                level[start:start + len(dets)] = dets
             if not dets.all():
                 found.append(_first_zero(dets, rows, cols, sides, n))
         below = level

@@ -5,7 +5,9 @@ statistic equals 1) acts on a generator matrix by column scaling after
 the base code is embedded into the larger field. The resulting code
 keeps n, k and, as the tests verify instance by instance, the minimum
 distance. Sampling such diagonals with a seeded generator makes every
-lift in the test suite and CLI reproducible.
+lift in the test suite and CLI reproducible. A diagonal keeps its entry
+codes, and a lift scales by them on the field's log tables, so sampling
+and lifting build no ``FieldElement``.
 
 Distinctness is not what preserves distance (any nonzero diagonal
 does, which the property tests also exercise); it is what makes
@@ -48,31 +50,39 @@ class DhDiagonal:
 
     Entries must be nonzero but need not be distinct; ``is_dh`` tells
     the two cases apart (l_value 1 = distance holder, s > 1 = s-dh).
+    The entries are kept as element codes (``codes``); ``diag`` builds
+    them as ``FieldElement``s each time it is read.
     """
 
-    __slots__ = ("spec", "diag", "l_value")
+    __slots__ = ("spec", "codes", "l_value")
 
     def __init__(self, spec: FieldSpec, entries: Sequence[FieldElement | int]) -> None:
-        diag = tuple(spec.element(e) if isinstance(e, FieldElement)
-                     else spec.from_code(operator.index(e)) for e in entries)
-        codes = [e.code for e in diag]
+        codes = []
+        for e in entries:
+            c = spec.element(e).code if isinstance(e, FieldElement) else operator.index(e)
+            if not 0 <= c < spec.order:
+                raise ValueError(f"code {c} out of range for {spec}")
+            codes.append(c)
         if 0 in codes:
             raise ZeroDiagonalEntry("diagonal entries must be nonzero")
-        self.spec = spec
-        self.diag = diag
-        self.l_value = 1 if len(set(codes)) == len(codes) > 0 else l_statistic(diag)
+        self.spec, self.codes = spec, tuple(codes)
+        self.l_value = 1 if len(set(codes)) == len(codes) > 0 else l_statistic(self.diag)
+
+    @property
+    def diag(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.spec, c) for c in self.codes)
 
     @property
     def n(self) -> int:
-        return len(self.diag)
+        return len(self.codes)
 
     def as_matrix(self) -> FieldMatrix:
-        return FieldMatrix.diagonal(self.spec, self.diag)
+        return FieldMatrix.diagonal(self.spec, self.codes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DhDiagonal):
             return NotImplemented
-        return self.spec.field_id == other.spec.field_id and self.diag == other.diag
+        return self.spec.field_id == other.spec.field_id and self.codes == other.codes
 
     __hash__ = None
 
@@ -121,7 +131,7 @@ def lift(
         raise FieldTooSmall(f"need field order > {code.n}, got {target.order}")
     if strict_dh and not is_dh(m):
         raise NotDh(f"diagonal has l={m.l_value}; pass strict_dh=False to allow")
-    lifted = diag_product(None, embed_matrix(code.generator, target), [e.code for e in m.diag])
+    lifted = diag_product(None, embed_matrix(code.generator, target), m.codes)
     if systematize:
         lifted = to_systematic(lifted)
     return LinearCode(lifted)

@@ -196,13 +196,19 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 def diag_product(left: Sequence[int] | None, a: FieldMatrix, right: Sequence[int]) -> FieldMatrix:
     """diag(left) . a . diag(right) for element codes: entry (i, j) is
     left_i * a_ij * right_j; with ``left`` None, a_ij * right_j. Callers
-    validate the diagonals. When every entry of both is nonzero, a cached
-    RREF of ``a`` is carried over, ``right`` joining its pending scale: the
-    left scaling keeps it, and row i of it becomes R_ij * right_j /
-    right_(P_i), for its pivot column P_i."""
+    validate the diagonals. With exp/log tables and no zero in ``right``,
+    a_ij * right_j is exp[log a_ij + log right_j], as in ``mul_code``. When
+    every entry of both is nonzero, a cached RREF of ``a`` is carried over,
+    ``right`` joining its pending scale: the left scaling keeps it, and row
+    i of it becomes R_ij * right_j / right_(P_i), for its pivot column P_i."""
     spec = a.spec
     mul = spec.mul_code
-    rows = [tuple(map(mul, r, right)) for r in a._rows]
+    log = spec._scalar_log() if spec.t > 1 and 0 not in right else None
+    if log is None:
+        rows = [tuple(map(mul, r, right)) for r in a._rows]
+    else:
+        exp, logs = spec._exp, [log[d] for d in right]
+        rows = [tuple([exp[log[x] + e] if x else 0 for x, e in zip(r, logs)]) for r in a._rows]
     if left is not None:
         rows = [tuple(mul(c, x) for x in r) for c, r in zip(left, rows)]
     rref = a._rref

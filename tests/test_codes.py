@@ -509,6 +509,19 @@ def test_minor_pass_memory_is_bounded_by_levels_and_blocks(f49):
         assert peak < 16 << 20
 
 
+def test_minor_pass_keeps_no_last_level():
+    # the 497,503 level-2 minors of GRS[1000,2]/F_2^10 are the last level: it
+    # is checked block by block, and no 4 MB array of it is allocated
+    kernels._plan_block.cache_clear()
+    tracemalloc.start()
+    try:
+        assert singular_minor(grs_generator(make_extension_field(2, 10), 1000, 2)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
 def test_minor_check_caps_the_minor_count(f49):
     with pytest.raises(TooManyMinors):
         is_mds(grs_generator(f49, 24, 12), minor_limit=comb(24, 12) - 1)

@@ -328,12 +328,28 @@ def test_zech_add_and_sub_match_digitwise_oracle(p, t):
         pairs = list(product(range(spec.order), repeat=2))
     else:
         pairs = list(zip(_sample(spec, 7), _sample(spec, 8))) + [(0, 5), (5, 0), (0, 0)]
-    assert spec._scalar_zech() is not None  # the sums below read the Zech list
+    assert spec._scalar_zech() is not None  # the sums below read it for odd p
     for sign, op in ((1, spec.add_code), (-1, spec.sub_code)):
         assert [op(a, b) for a, b in pairs] == [oracle_field_add(spec, a, b, sign)
                                                 for a, b in pairs]
     assert [spec.neg_code(a) for a, _ in pairs] == [oracle_field_add(spec, 0, a, -1)
                                                     for a, _ in pairs]
+
+
+# every pair for F_2, F_8 and F_2^8; seeded pairs for F_2^16 and F_2^17, which
+# is above the automatic table limit and has no Zech list
+@pytest.mark.parametrize("p,t", [(2, 1), (2, 3), (2, 8), (2, 16), (2, 17)])
+def test_characteristic_two_sums_are_xor(p, t, f2_17):
+    spec = f2_17 if t == 17 else _make(p, t)
+    if spec.order <= 256:
+        pairs = list(product(range(spec.order), repeat=2))
+    else:
+        pairs = list(zip(_sample(spec, 9), _sample(spec, 10))) + [(0, 5), (5, 0), (0, 0)]
+    digitwise = [spec._digit_sum(a, b, 1) for a, b in pairs]
+    assert [a ^ b for a, b in pairs] == digitwise == [spec._digit_sum(a, b, -1) for a, b in pairs]
+    assert [spec.add_code(a, b) for a, b in pairs] == digitwise
+    assert [spec.sub_code(a, b) for a, b in pairs] == digitwise
+    assert [spec.neg_code(a) for a, _ in pairs] == [a for a, _ in pairs]
 
 
 @pytest.mark.parametrize("p,t", [(2, 1), (7, 1), (2, 2), (2, 3), (3, 2), (7, 2), (7, 3), (2, 16)])

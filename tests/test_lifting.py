@@ -3,19 +3,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mdslift.codes import LinearCode, grs_generator, is_mds, min_distance
+from mdslift import codes
+from mdslift.codes import LinearCode, grs_generator, is_mds, min_distance, singular_minor
 from mdslift.errors import (
     CharacteristicMismatch,
     DegreeTooSmall,
     DimensionMismatch,
     EmptyDiagonal,
+    FieldMismatch,
     FieldTooSmall,
     LeadingBlockSingular,
     NotDh,
     NotPrime,
     ZeroDiagonalEntry,
 )
-from mdslift.field import make_extension_field, make_prime_field
+from mdslift.field import FieldElement, FieldSpec, make_extension_field, make_prime_field
 from mdslift.lifting import (
     DhDiagonal,
     diversity_count,
@@ -26,9 +28,9 @@ from mdslift.lifting import (
     verify_lift,
 )
 from mdslift import matrix
-from mdslift.matrix import FieldMatrix, diag_product, embed_matrix, to_systematic
+from mdslift.matrix import FieldMatrix, diag_product, embed_matrix, mat_mul, to_systematic
 from mdslift.rng import SplitMix64
-from oracles import oracle_binomial
+from oracles import oracle_binomial, oracle_singular_minor
 
 
 # l statistic ------------------------------------------------------------------
@@ -70,6 +72,33 @@ def test_dh_diagonal_as_matrix(f4):
     w = f4.generator_w
     m = DhDiagonal(f4, [w, f4.one()]).as_matrix()
     assert m.to_lists() == [[w.code, 0], [0, 1]]
+
+
+def test_dh_diagonal_keeps_the_codes_of_any_integer_entry(f343):
+    for want in ((5, 9, 1), (5, 9, 5, 5)):
+        forms = [DhDiagonal(f343, entries) for entries in
+                 (list(want), [f343.from_code(c) for c in want], [np.int64(c) for c in want])]
+        for m in forms:
+            assert m.codes == want and {type(c) for c in m.codes} == {int}
+            assert m.diag == tuple(f343.from_code(c) for c in want)
+            assert m.l_value == l_statistic(m.diag) == max(map(want.count, want))
+            assert m == forms[0] and m.n == len(want)
+
+
+def test_dh_diagonal_input_errors(f49, f343):
+    # the entries are read in order, each checked before the next one
+    for entries, error, message in [
+        ([2.7, 3], TypeError, "'float' object cannot be interpreted as an integer"),
+        ([5, 343], ValueError, "code 343 out of range for F_7^3"),
+        ([400, 2.7], ValueError, "code 400 out of range for F_7^3"),
+        ([5, 0], ZeroDiagonalEntry, "diagonal entries must be nonzero"),
+        ([f343.zero(), 3], ZeroDiagonalEntry, "diagonal entries must be nonzero"),
+        ([], EmptyDiagonal, "l statistic of an empty diagonal"),
+        ([f49.from_code(5), 1], FieldMismatch, "F_7^2 element used in F_7^3"),
+    ]:
+        with pytest.raises(error) as exc:
+            DhDiagonal(f343, entries)
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 # sampling ---------------------------------------------------------------------
@@ -122,6 +151,62 @@ def test_lift_preserves_distance_where_enumerable(f7, f49):
     for seed in range(5):
         lifted = lift(base, sample_dh(f49, 6, seed))
         assert min_distance(lifted) == 5
+
+
+def test_lift_equals_the_product_with_the_diagonal_matrix(example1, f49, f343):
+    f7_6 = make_extension_field(7, 6)
+    # a spec of its own, with no tables built: products run on polynomials
+    untabled = FieldSpec(7, 6, f7_6.modulus, f7_6.generator_w.code)
+    assert untabled._scalar_log() is None
+    for target in (f49, f343, make_extension_field(7, 4), untabled):
+        for seed in range(3):
+            m = sample_dh(target, 8, seed)
+            want = mat_mul(embed_matrix(example1.generator, target), m.as_matrix())
+            assert lift(example1, m).generator == want
+
+
+def test_diag_product_with_a_zero_entry(example1, f343):
+    g = embed_matrix(example1.generator, f343)
+    right = [0, 5, 9, 1, 342, 0, 7, 49]
+    assert diag_product(None, g, right) == mat_mul(g, FieldMatrix.diagonal(f343, right))
+
+
+def test_sweep_op_builds_no_field_elements(monkeypatch, example1, f343):
+    calls = []
+    init = FieldElement.__init__
+    monkeypatch.setattr(FieldElement, "__init__",
+                        lambda self, spec, code: calls.append(code) or init(self, spec, code))
+    for seed in range(5):
+        m = sample_dh(f343, 8, seed)
+        assert is_mds(lift(example1, m))
+    assert calls == []
+    assert [e.code for e in m.diag] == calls == list(m.codes)  # elements are built on read
+
+
+def test_each_lift_runs_its_own_minor_pass(monkeypatch, example1, f343):
+    seen = []
+    real = codes._scalar_first_singular
+    monkeypatch.setattr(codes, "_scalar_first_singular", lambda a: seen.append(a) or real(a))
+    assert is_mds(example1)
+    lifts = [lift(example1, sample_dh(f343, 8, seed)) for seed in range(4)]
+    assert all(is_mds(c) for c in lifts)
+    assert [id(a) for a in seen] == [id(c.generator) for c in [example1] + lifts]
+
+
+def test_lifts_of_a_non_mds_base_keep_its_witness(f7, f49, f343):
+    # columns 6 and 7 are equal, so every 3-set holding both is singular
+    base = LinearCode(FieldMatrix.from_rows(f7, [
+        [1, 0, 0, 6, 4, 2, 5, 5],
+        [0, 1, 0, 3, 1, 5, 1, 1],
+        [0, 0, 1, 3, 5, 2, 4, 4],
+    ]))
+    witness = oracle_singular_minor(base)
+    assert witness == (0, 6, 7)
+    for target in (f49, f343):
+        for seed in range(3):
+            lifted = lift(base, sample_dh(target, 8, seed))
+            assert is_mds(lifted) is False
+            assert singular_minor(lifted) == oracle_singular_minor(lifted) == witness
 
 
 def test_lift_systematize_flag(example1, f343):
