@@ -33,6 +33,7 @@ from typing import Sequence
 from .errors import (
     DimensionMismatch,
     DuplicateAlpha,
+    FieldMismatch,
     FieldTooLarge,
     IndexOutOfRange,
     RankDeficient,
@@ -250,18 +251,35 @@ def _level_plan(h: int, w: int, j: int) -> tuple[tuple, tuple, tuple]:
     """Level j of the minors of an h x w block, flattened: the minor on
     rows I and columns J, both j-sets, sits at rank(I) * C(w, j) + rank(J)
     for lex ranks. Returns the row sets, the column sets, and the terms of
-    each minor's expansion along row I[-1], by position r: (a, b), with
-    a = w * I[-1] + J[r] + h * w * (j - 1 + r mod 2) in the block followed
-    by its negation, and b the place of (I[:-1], J - J[r]) in level j - 1."""
+    each minor's expansion along row I[-1], one flat tuple per minor:
+    (a_0, b_0, ..., a_(j-1), b_(j-1)), with a_r = w * I[-1] + J[r]
+    + h * w * (j - 1 + r mod 2) in the block followed by its negation, and
+    b_r the place of (I[:-1], J - J[r]) in level j - 1."""
     row_sets = tuple(itertools.combinations(range(h), j))
     col_sets = tuple(itertools.combinations(range(w), j))
     row_rank = {s: r for r, s in enumerate(itertools.combinations(range(h), j - 1))}
     col_rank = {s: r for r, s in enumerate(itertools.combinations(range(w), j - 1))}
     width = comb(w, j - 1)
-    terms = tuple(tuple((w * rs[-1] + cs[r] + h * w * ((j - 1 + r) & 1),
-                         row_rank[rs[:-1]] * width + col_rank[cs[:r] + cs[r + 1:]])
-                        for rs in row_sets for cs in col_sets) for r in range(j))
+    terms = tuple(tuple(x for r in range(j)
+                        for x in (w * rs[-1] + cs[r] + h * w * ((j - 1 + r) & 1),
+                                  row_rank[rs[:-1]] * width + col_rank[cs[:r] + cs[r + 1:]]))
+                  for rs in row_sets for cs in col_sets)
     return row_sets, col_sets, terms
+
+
+@functools.lru_cache(maxsize=None)  # one per level j, and j <= 5 on the scalar pass
+def _level_sum(j: int):
+    """The expansion of level j in one comprehension: a function of
+    (terms, signed, below, red, step) that returns, for each flat term
+    tuple of ``_level_plan``, the log of sum_r w^(signed[a_r] + below[b_r]),
+    added term by term as x + step[y - x]. Its source is built from a
+    fixed template on the integer j alone."""
+    term = "red[signed[a{0}] + below[b{0}]]"
+    total = term.format(0)
+    for r in range(1, j):
+        total = f"red[(x := {total}) + step[{term.format(r)} - x]]"
+    names = ", ".join(f"a{r}, b{r}" for r in range(j))
+    return eval(f"lambda terms, signed, below, red, step: [{total} for {names} in terms]")
 
 
 @functools.lru_cache(maxsize=8)
@@ -287,6 +305,20 @@ def _free_columns(n: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(j for j in range(n) if j not in pivots)
 
 
+@functools.lru_cache(maxsize=64)
+def _block_logs(spec: FieldSpec, reduced: tuple[tuple[int, ...], ...],
+                pivots: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Level 1 of the scalar pass on the RREF ``reduced`` of full rank:
+    the logs of its non-pivot block A (2(q - 1) for zero), by row of A, or
+    by column when A has more rows (its rows and columns as ``_level_plan``
+    reads them, from A^T). Kept per RREF, which every lift of one base
+    shares."""
+    log, free = spec._scalar_log(), _free_columns(len(reduced[0]), pivots)
+    if len(pivots) > len(free):
+        return tuple(tuple(log[r[j]] for r in reduced) for j in free)
+    return tuple(tuple(log[r[j]] for j in free) for r in reduced)
+
+
 def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     """First singular k-column set of the k x n matrix ``a``, in lex
     order, for a field with a Zech list; all are singular when ``a`` has
@@ -297,8 +329,10 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     in S and the columns of S in Q is (MacWilliams and Sloane, Ch. 11,
     Thm 8). Every square minor of A is computed, level j from level j - 1
     by expansion along the last row, each held as its log (2(q - 1) for
-    zero): a product is a sum of logs and a sum one Zech lookup. Each
-    zero is mapped back to its k-set.
+    zero): a product is a sum of logs and a sum one Zech lookup. Level 1
+    is the logs of the block of R, kept per RREF (``_block_logs``), plus
+    those of a pending scale; each later level is one comprehension
+    (``_level_sum``). Each zero is mapped back to its k-set.
     """
     spec = a.spec
     k, n = a.shape
@@ -306,26 +340,27 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     if len(pivots) < k:
         return tuple(range(k))
     red, step = _log_sum_tables(spec)
-    log, neg, m = spec._scalar_log(), spec._neg_log, spec.order - 1
-    zero = log[0]
+    m = spec.order - 1
+    zero = 2 * m
     free = _free_columns(n, pivots)
-    # log A_ic = log R_i,free[c] + log d_free[c] - log d_(P_i), d the pending scale
-    ls = [0] * n if scale is None else [log[d] for d in scale]
-    on_free, on_rows = [(j, ls[j]) for j in free], [(r, ls[p]) for r, p in zip(reduced, pivots)]
     flip = k > n - k  # expand along the shorter side: A^T has the same minors
     h, w = min(k, n - k), max(k, n - k)
-    # level 1, flattened as in _level_plan: A row by row, or A^T when flipped
-    if flip:
-        below = [(log[r[j]] + a - b) % m if r[j] else zero for j, a in on_free for r, b in on_rows]
+    groups = _block_logs(spec, reduced, pivots)
+    if scale is None:
+        below = [x for group in groups for x in group]
     else:
-        below = [(log[r[j]] + a - b) % m if r[j] else zero for r, b in on_rows for j, a in on_free]
+        # log A_ic = log R_i,free[c] + log d_free[c] - log d_(P_i), d the pending
+        # scale, each offset reduced mod q - 1 so that red keeps zero as zero
+        log = spec._scalar_log()
+        on_free, on_rows = [log[scale[j]] for j in free], [m - log[scale[p]] for p in pivots]
+        outer, inner = (on_free, on_rows) if flip else (on_rows, on_free)
+        below = [red[x + red[a + b]] for a, group in zip(outer, groups)
+                 for x, b in zip(group, inner)]
+    neg = spec._neg_log
     signed = below + [red[x + neg] for x in below]
     hits = [(1, at) for at, x in enumerate(below) if x == zero] if zero in below else []
     for j in range(2, h + 1):
-        terms = _level_plan(h, w, j)[2]
-        level = [red[signed[a] + below[b]] for a, b in terms[0]]
-        for more in terms[1:]:
-            level = [red[x + step[red[signed[a] + below[b]] - x]] for x, (a, b) in zip(level, more)]
+        level = _level_sum(j)(_level_plan(h, w, j)[2], signed, below, red, step)
         if zero in level:
             hits += [(j, at) for at, x in enumerate(level) if x == zero]
         below = level
@@ -350,9 +385,10 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
     block (see ``_scalar_first_singular``), for any k and with no dual: in
     Python on the Zech tables (order up to 2^16) when that takes at most
     ``SCALAR_PASS_PRODUCTS`` field products, else on numpy arrays
-    (``kernels.first_singular``). Warm, in-process on 2 vCPUs
-    (``BENCH_13.json``): [8,3] over F_49 (90 products) takes 18-28 us on
-    the scalar pass; on the numpy pass over F_49, GRS[16,8] (12,870
+    (``kernels.first_singular``). Warm, in-process on 2 vCPUs: [8,3] over
+    F_49 (90 products) takes 18 us on the scalar pass, and ``is_mds`` of a
+    lift of it, its pending scale included, 23-25 us (``BENCH_15.json``);
+    on the numpy pass over F_49 (``BENCH_13.json``), GRS[16,8] (12,870
     minors) takes 1.1-1.9 ms, GRS[20,10] (184,756) 15-28 ms, GRS[24,12]
     (2,704,156) 0.38-0.53 s and GRS[30,25] (142,506) 33-37 ms.
     """
@@ -407,8 +443,13 @@ def scale_col(g: FieldMatrix, j: int, c: int | FieldElement) -> FieldMatrix:
 
 
 def _diag_codes(spec: FieldSpec, diag, length: int, side: str) -> list[int]:
-    entries = getattr(diag, "diag", diag)
-    codes = [_scalar_code(spec, e) for e in entries]
+    from .lifting import DhDiagonal  # lifting imports this module
+    if isinstance(diag, DhDiagonal):  # its codes are checked, in its own field
+        if diag.spec.field_id != spec.field_id:
+            raise FieldMismatch(f"{diag.spec} element used in {spec}")
+        codes = list(diag.codes)
+    else:
+        codes = [_scalar_code(spec, e) for e in getattr(diag, "diag", diag)]
     if len(codes) != length:
         raise DimensionMismatch(f"{side} diagonal length {len(codes)}, need {length}")
     if any(c == 0 for c in codes):
@@ -419,8 +460,9 @@ def _diag_codes(spec: FieldSpec, diag, length: int, side: str) -> list[int]:
 def monomial_sandwich(d: FieldMatrix, m1, m2) -> FieldMatrix:
     """Product M1 . d . M2 for nonzero diagonals M1 (rows), M2 (cols).
 
-    m1 and m2 may be element sequences or any object with a ``diag``
-    attribute; entry (i, j) of the result is m1_i * d_ij * m2_j.
+    m1 and m2 may be element sequences, ``DhDiagonal``s (read by their
+    ``codes``) or any other object with a ``diag`` attribute; entry (i, j)
+    of the result is m1_i * d_ij * m2_j.
     """
     spec = d.spec
     left = _diag_codes(spec, m1, d.rows, "left")

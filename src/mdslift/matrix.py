@@ -3,8 +3,11 @@
 Entries are stored as rows of integer codes (see ``field``) with an
 explicit shape; matrices are immutable values, and every operation
 returns a new matrix, computed on the rows with the field's scalar code
-ops. ``codes`` builds a numpy array of the entries on first access, for
-the array kernels (``kernels``). All elimination goes through one
+ops. A column scaling multiplies no entry: the result keeps the unscaled
+rows and a pending scale, and a further scaling composes the scales, in
+O(n); the rows are scaled when first read (``FieldMatrix._rows``).
+``codes`` builds a numpy array of the entries on first access, for the
+array kernels (``kernels``). All elimination goes through one
 kernel, ``row_reduce``, shared by solve and the reduced row-echelon
 form (RREF) that ``FieldMatrix.echelon`` computes on first use and then
 keeps; rank, nonsingularity and the systematic form read that cache.
@@ -12,7 +15,8 @@ Scaling the columns by nonzero d_j keeps the pivot columns P and maps
 the RREF R to diag(d_P)^-1 R diag(d), and scaling the rows keeps it
 (Huffman and Pless, Sec. 1.7), so ``diag_product`` and ``embed_matrix``
 hand a cached RREF on to their result, the scaling left pending until
-its rows are read (``FieldMatrix.echelon``): a lift eliminates nothing.
+its rows are read (``FieldMatrix.echelon``): a lift eliminates nothing
+and scales no entry, and its rank check and minor pass read no row.
 (The MDS minor check eliminates nothing either: ``codes.singular_minor``
 expands minors in one Laplace pass, of the RREF's non-pivot block on a
 small code.) Pivoting is first-nonzero with no column permutation:
@@ -42,7 +46,7 @@ from .field import FieldElement, FieldSpec
 class FieldMatrix:
     """Matrix over a single FieldSpec, entries in row-major order."""
 
-    __slots__ = ("spec", "shape", "_rows", "_codes", "_rref")
+    __slots__ = ("spec", "shape", "_data", "_codes", "_rref")
 
     def __init__(self, spec: FieldSpec, codes) -> None:
         """``codes``: a 2-dimensional array or nested sequence of entries,
@@ -60,15 +64,18 @@ class FieldMatrix:
             raise DimensionMismatch("matrix rows must all have the same length")
         if any(not 0 <= c < spec.order for r in rows for c in r):
             raise ValueError(f"entry code out of range for {spec}")
-        self.spec, self.shape, self._rows, self._codes, self._rref = spec, shape, rows, None, None
+        self.spec, self.shape, self._data = spec, shape, (rows, None)
+        self._codes = self._rref = None
 
     @classmethod
     def _of(cls, spec: FieldSpec, rows: tuple[tuple[int, ...], ...],
-            shape: tuple[int, int], rref: tuple | None = None) -> "FieldMatrix":
-        """Unchecked: for rows of valid codes that field ops produced, and
-        their RREF, as ``echelon`` holds it, when it is known."""
+            shape: tuple[int, int], rref: tuple | None = None,
+            scale: tuple[int, ...] | None = None) -> "FieldMatrix":
+        """Unchecked: for rows of valid codes that field ops produced, their
+        RREF, as ``echelon`` holds it, when it is known, and a column scale
+        still to be applied to the rows (``_rows``), if any."""
         m = object.__new__(cls)
-        m.spec, m.shape, m._rows, m._codes, m._rref = spec, shape, rows, None, rref
+        m.spec, m.shape, m._data, m._codes, m._rref = spec, shape, (rows, scale), None, rref
         return m
 
     @classmethod
@@ -79,7 +86,7 @@ class FieldMatrix:
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "FieldMatrix":
         m = cls.zeros(spec, n, n)
-        m._rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        m._data = tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), None
         return m
 
     @classmethod
@@ -100,6 +107,17 @@ class FieldMatrix:
     @property
     def cols(self) -> int:
         return self.shape[1]
+
+    @property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """The entry codes, row by row: a pending column scale (``_data``,
+        left by ``diag_product``) is applied on the first read and kept.
+        Only this module reads the rows."""
+        rows, scale = self._data
+        if scale is not None:
+            rows = _scale_columns(self.spec, rows, scale)
+            self._data = rows, None  # one store: a concurrent reader sees either pair
+        return rows
 
     @property
     def codes(self):
@@ -193,31 +211,44 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return FieldMatrix._of(spec, rows, (a.rows, b.cols))
 
 
+def _scale_columns(spec: FieldSpec, rows, scale: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The rows with entry j of each multiplied by scale_j: with exp/log
+    tables and no zero in ``scale``, a_ij * scale_j is
+    exp[log a_ij + log scale_j], as in ``mul_code``."""
+    log = spec._scalar_log() if spec.t > 1 and 0 not in scale else None
+    if log is None:
+        return tuple(tuple(map(spec.mul_code, r, scale)) for r in rows)
+    exp, logs = spec._exp, [log[d] for d in scale]
+    return tuple(tuple([exp[log[x] + e] if x else 0 for x, e in zip(r, logs)]) for r in rows)
+
+
 def diag_product(left: Sequence[int] | None, a: FieldMatrix, right: Sequence[int]) -> FieldMatrix:
     """diag(left) . a . diag(right) for element codes: entry (i, j) is
     left_i * a_ij * right_j; with ``left`` None, a_ij * right_j. Callers
-    validate the diagonals. With exp/log tables and no zero in ``right``,
-    a_ij * right_j is exp[log a_ij + log right_j], as in ``mul_code``. When
-    every entry of both is nonzero, a cached RREF of ``a`` is carried over,
-    ``right`` joining its pending scale: the left scaling keeps it, and row
-    i of it becomes R_ij * right_j / right_(P_i), for its pivot column P_i."""
+    validate the diagonals.
+
+    With ``left`` None no entry is multiplied: the result keeps the rows of
+    ``a`` unscaled, with ``right`` joining their pending column scale, in
+    O(n) products, and its rows are scaled when first read (``_rows``).
+    When every entry of both is nonzero, a cached RREF of ``a`` is carried
+    over, ``right`` joining its pending scale: the left scaling keeps it,
+    and row i of it becomes R_ij * right_j / right_(P_i), for its pivot
+    column P_i."""
     spec = a.spec
     mul = spec.mul_code
-    log = spec._scalar_log() if spec.t > 1 and 0 not in right else None
-    if log is None:
-        rows = [tuple(map(mul, r, right)) for r in a._rows]
-    else:
-        exp, logs = spec._exp, [log[d] for d in right]
-        rows = [tuple([exp[log[x] + e] if x else 0 for x, e in zip(r, logs)]) for r in a._rows]
+    rows, scale = a._data
+    scale = tuple(right) if scale is None else tuple(map(mul, scale, right))
     if left is not None:
-        rows = [tuple(mul(c, x) for x in r) for c, r in zip(left, rows)]
+        rows = tuple(tuple(mul(c, x) for x in r)
+                     for c, r in zip(left, _scale_columns(spec, rows, scale)))
+        scale = None
     rref = a._rref
     if rref is not None and 0 not in right and (left is None or 0 not in left):
-        reduced, pivots, scale = rref
-        rref = reduced, pivots, tuple(right if scale is None else map(mul, scale, right))
+        reduced, pivots, pending = rref
+        rref = reduced, pivots, tuple(right if pending is None else map(mul, pending, right))
     else:
         rref = None
-    return FieldMatrix._of(spec, tuple(rows), a.shape, rref)
+    return FieldMatrix._of(spec, rows, a.shape, rref, scale)
 
 
 def row_reduce(rows: list[list[int]], spec: FieldSpec) -> list[int]:
@@ -302,13 +333,15 @@ def embed_matrix(a: FieldMatrix, target: FieldSpec) -> FieldMatrix:
     """Entrywise constant-polynomial embedding of a prime-field matrix.
 
     The embedding is the identity on codes, so only the field tag
-    changes; the result shares the rows of ``a`` and any cached RREF.
+    changes; the result shares the rows of ``a``, any pending column scale
+    and any cached RREF.
     """
     if a.spec.t != 1:
         raise FieldMismatch("embedding is defined on prime-field matrices")
     if a.spec.p != target.p:
         raise CharacteristicMismatch(f"cannot embed {a.spec} matrix into {target}")
-    return FieldMatrix._of(target, a._rows, a.shape, a._rref)
+    rows, scale = a._data
+    return FieldMatrix._of(target, rows, a.shape, a._rref, scale)
 
 
 def to_systematic(g: FieldMatrix) -> FieldMatrix:

@@ -208,6 +208,23 @@ def test_lift_determinism_end_to_end(tmp_path, ex1_file):
     assert payloads[0] == payloads[1]
 
 
+# files written by this implementation before lifts left their scaling pending;
+# F_7^6 has no log tables, so its lifts are scaled on polynomials
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 6])
+def test_dh_and_lift_files_are_pinned(tmp_path, t):
+    ex1, dh = tmp_path / "example1.txt", tmp_path / f"dh-t{t}.txt"
+    lifted, systematic = tmp_path / f"lift-t{t}.txt", tmp_path / f"lift-systematic-t{t}.txt"
+    assert main(["example1", "-o", str(ex1)]) == 0
+    assert main(["dh", "-p", "7", "-t", str(t), "-n", "8", "--seed", "15", "-o", str(dh)]) == 0
+    assert main(["lift", str(ex1), str(dh), "-o", str(lifted)]) == 0
+    assert main(["lift", str(ex1), str(dh), "--systematic", "-o", str(systematic)]) == 0
+    for path in (ex1, dh, lifted, systematic):
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
+
+
 # diversity ----------------------------------------------------------------------
 
 

@@ -30,6 +30,7 @@ from mdslift.codes import (
 from mdslift.errors import (
     DimensionMismatch,
     DuplicateAlpha,
+    FieldMismatch,
     FieldTooLarge,
     IndexOutOfRange,
     LeadingBlockSingular,
@@ -42,7 +43,7 @@ from mdslift.errors import (
     ZeroMultiplier,
     ZeroScalar,
 )
-from mdslift.field import make_extension_field, make_prime_field
+from mdslift.field import FieldElement, make_extension_field, make_prime_field
 from mdslift.kernels import _MINOR_BLOCK, _plan_block
 from mdslift.lifting import lift, sample_dh
 from mdslift.matrix import FieldMatrix, diag_product, rank, solve, submatrix, to_systematic
@@ -859,6 +860,20 @@ def test_sandwich_preserves_mds(f7, example1):
         left = [1 + rng.below(6) for _ in range(3)]
         right = [1 + rng.below(6) for _ in range(8)]
         assert is_mds(LinearCode(monomial_sandwich(g, left, right)))
+
+
+def test_sandwich_reads_the_codes_of_dh_diagonals(monkeypatch, example1, f49, f343):
+    g = lift(example1, sample_dh(f343, 8, 2)).generator
+    m1, m2 = sample_dh(f343, 3, 3), sample_dh(f343, 8, 4)
+    want = monomial_sandwich(g, list(m1.codes), list(m2.codes))
+    calls = []
+    init = FieldElement.__init__
+    monkeypatch.setattr(FieldElement, "__init__",
+                        lambda self, spec, code: calls.append(code) or init(self, spec, code))
+    assert monomial_sandwich(g, m1, m2) == want
+    assert calls == []
+    with pytest.raises(FieldMismatch, match=r"F_7\^2 element used in F_7\^3"):
+        monomial_sandwich(g, sample_dh(f49, 3, 3), m2)
 
 
 def test_sandwich_validation(example1):

@@ -183,6 +183,21 @@ def test_sweep_op_builds_no_field_elements(monkeypatch, example1, f343):
     assert [e.code for e in m.diag] == calls == list(m.codes)  # elements are built on read
 
 
+def test_sweep_op_scales_no_rows(monkeypatch, example1, f49, f343):
+    # the lift leaves its column scale pending, its rank check reads the
+    # base's RREF and the minor pass adds the scale's logs to the block's
+    calls = []
+    real = matrix._scale_columns
+    monkeypatch.setattr(matrix, "_scale_columns", lambda *a: calls.append(a) or real(*a))
+    for target in (f49, f343, make_extension_field(7, 4)):
+        for seed in range(3):
+            lifted = lift(example1, sample_dh(target, 8, seed))
+            assert is_mds(lifted)
+    assert calls == []
+    assert lifted.generator.to_lists() == lifted.generator.to_lists()
+    assert len(calls) == 1  # the rows are scaled on their first read, once
+
+
 def test_each_lift_runs_its_own_minor_pass(monkeypatch, example1, f343):
     seen = []
     real = codes._scalar_first_singular

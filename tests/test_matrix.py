@@ -16,7 +16,8 @@ from mdslift.errors import (
     Singular,
 )
 from mdslift.codes import LinearCode, monomial_sandwich, scale_col, scale_row
-from mdslift.field import make_extension_field, make_prime_field
+from mdslift.erasure import erasure_encode
+from mdslift.field import FieldSpec, make_extension_field, make_prime_field
 from mdslift.lifting import lift, sample_dh
 from mdslift import matrix
 from mdslift.matrix import (
@@ -33,7 +34,7 @@ from mdslift.matrix import (
     vec_mat_mul,
 )
 from mdslift.rng import SplitMix64
-from oracles import oracle_mat_mul, oracle_systematic
+from oracles import oracle_mat_mul, oracle_rank, oracle_systematic
 
 EX1_ROWS = [
     [1, 0, 0, 6, 4, 2, 5, 3],
@@ -445,6 +446,92 @@ def test_rank_and_systematic_form_read_the_cache(monkeypatch, f7):
     with pytest.raises(LeadingBlockSingular, match=r"pivot columns \[0, 2, 3\]"):
         to_systematic(base)
     assert calls == []
+
+
+# a pending column scale --------------------------------------------------------
+
+
+def _lift_target(name, request):
+    """F_2401, or F_7^6 in a spec of its own with no log tables, whose
+    products run on polynomials; else the fixture of that name."""
+    if name == "f2401":
+        return make_extension_field(7, 4)
+    if name == "f7_6_untabled":
+        f = make_extension_field(7, 6)
+        spec = FieldSpec(7, 6, f.modulus, f.generator_w.code)
+        assert spec._scalar_log() is None
+        return spec
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", ["f49", "f343", "f2401", "f7_6_untabled"])
+def test_a_pending_column_scale_reads_as_the_product(name, request, f7):
+    spec = _lift_target(name, request)
+    d = sample_dh(spec, 8, 15).codes
+    want = FieldMatrix.from_rows(spec, oracle_mat_mul(
+        embed_matrix(FieldMatrix.from_rows(f7, EX1_ROWS), spec), FieldMatrix.diagonal(spec, d)))
+
+    def pending(carry):
+        # a fresh one for each read: the first read of the rows scales them
+        up = embed_matrix(FieldMatrix.from_rows(f7, EX1_ROWS), spec)
+        if carry:
+            up.rref()
+        m = diag_product(None, up, d)
+        assert m._data == (up._data[0], d) and (m._rref is not None) is carry
+        return m
+
+    rng = SplitMix64(61)
+    right, left = _random_matrix(spec, 8, 2, rng), _random_matrix(spec, 2, 3, rng)
+    v = [spec.from_code(1 + rng.below(spec.order - 1)) for _ in range(3)]
+    encoded = oracle_mat_mul(FieldMatrix.from_rows(spec, [v]), oracle_systematic(want))[0]
+    for carry in (False, True):
+        assert pending(carry) == want and want == pending(carry)
+        assert pending(carry).codes.tolist() == want.to_lists()
+        assert pending(carry).transpose().to_lists() == [list(c) for c in zip(*want.to_lists())]
+        assert submatrix(pending(carry), [0, 2], [1, 3, 6]).to_lists() == [
+            [want.to_lists()[i][j] for j in (1, 3, 6)] for i in (0, 2)]
+        assert pending(carry).rref() == want.rref()
+        assert to_systematic(pending(carry)) == oracle_systematic(want)
+        assert mat_mul(pending(carry), right).to_lists() == oracle_mat_mul(want, right)
+        assert mat_mul(left, pending(carry)).to_lists() == oracle_mat_mul(left, want)
+        assert [e.code for e in vec_mat_mul(v, pending(carry))] == oracle_mat_mul(
+            FieldMatrix.from_rows(spec, [v]), want)[0]
+        assert [e.code for e in erasure_encode(LinearCode(pending(carry)), v)] == encoded
+    m = pending(True)
+    assert m.to_lists() == want.to_lists() and m._data[1] is None  # scaled once, then kept
+
+
+def test_scalings_of_a_lifted_generator(f7, f343):
+    base = LinearCode(FieldMatrix.from_rows(f7, EX1_ROWS))
+    m = sample_dh(f343, 8, 4)
+    explicit = FieldMatrix.from_rows(f343, oracle_mat_mul(embed_matrix(base.generator, f343),
+                                                          m.as_matrix()))
+
+    def lifted():
+        g = lift(base, m).generator
+        assert g._data[1] == m.codes  # its scaling still pending
+        return g
+
+    def times(a, b):
+        return FieldMatrix.from_rows(f343, oracle_mat_mul(a, b))
+
+    def diag(codes):
+        return FieldMatrix.diagonal(f343, codes)
+
+    left, right = [5, 200, 17], [3, 5, 9, 1, 342, 2, 7, 49]
+    with_zero = [0, 5, 9, 1, 342, 0, 7, 49]
+    assert scale_row(lifted(), 1, 5) == times(diag([1, 5, 1]), explicit)
+    assert scale_col(lifted(), 6, 5) == times(explicit, diag([1, 1, 1, 1, 1, 1, 5, 1]))
+    assert monomial_sandwich(lifted(), left, right) == times(times(diag(left), explicit),
+                                                             diag(right))
+    for d in (right, with_zero):
+        product = diag_product(None, lifted(), d)
+        assert (product._rref is None) is (0 in d)
+        assert product == times(explicit, diag(d))
+    twice = diag_product(None, diag_product(None, lifted(), with_zero), right)
+    assert twice._rref is None
+    assert twice == times(times(explicit, diag(with_zero)), diag(right))
+    assert rank(twice) == oracle_rank(times(times(explicit, diag(with_zero)), diag(right))) == 3
 
 
 # equality ---------------------------------------------------------------------

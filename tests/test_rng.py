@@ -102,3 +102,31 @@ def test_sample_draws_as_below_does():
         a, b = SplitMix64(seed), SplitMix64(seed)
         assert a.sample(range(size), count) == reference(b, range(size), count)
         assert a.next_u64() == b.next_u64()  # the state advances alike
+
+
+def test_sample_rejects_draws_as_below_does():
+    # each of the first five bounds, 2^62 + 5 - i, leaves 2^64 mod bound, about
+    # 2^62, of the words above its threshold, so about a quarter of the words
+    # are rejected and drawn again; the population is too large to list, so
+    # the reference swaps through a dict, drawing with below()
+    size = 2 ** 62 + 5
+    words = []
+
+    class Counted(SplitMix64):
+        def next_u64(self):
+            words.append(super().next_u64())
+            return words[-1]
+
+    def reference(r, count):
+        moved, out = {}, []
+        for i in range(count):
+            j = i + r.below(size - i)
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return out
+
+    for seed in range(40):
+        a, b = SplitMix64(seed), Counted(seed)
+        assert a.sample(range(size), 5) == reference(b, 5)
+        assert a.next_u64() == b.next_u64()  # the state advances alike
+    assert len(words) - 40 * 6 > 40  # about 67 rejected draws are expected
