@@ -2,8 +2,8 @@
 
 Samples many distinct-entry diagonals per target field, lifts a base GRS
 code through each, and tallies the MDS verdicts. Also reports the
-diversity count C(q-1, n) for each target, i.e. how many distinct
-diagonals the sampler is drawing from.
+diversity count C(q-1, n) for each target, i.e. how many sets of n
+distinct nonzero entries the sampler draws from (each in n! orders).
 
 Usage:
     python scripts/sweep_lifts.py [--trials 200] [--n 8] [--k 3] [--p 7]

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from math import comb
 from typing import Sequence
 
@@ -124,27 +123,24 @@ def grs_generator(
     spec: FieldSpec,
     n: int,
     k: int,
-    alphas: Sequence[FieldElement] | None = None,
-    vs: Sequence[FieldElement] | None = None,
+    alphas: Sequence[int | FieldElement] | None = None,
+    vs: Sequence[int | FieldElement] | None = None,
 ) -> LinearCode:
     """Generalized Reed-Solomon code with entries v_j * alpha_j^i.
 
-    Defaults: alphas = the first n field elements in code order, vs all
-    ones. Any choice of distinct alphas and nonzero vs yields an MDS
-    code (verified in tests, not assumed here: d is left uncached).
+    Alphas and vs are read by ``FieldSpec.code``. Defaults: alphas =
+    codes 0..n-1, vs all ones. Any choice of distinct alphas and nonzero
+    vs yields an MDS code (verified in tests, not assumed here: d is left
+    uncached).
     """
     if n > spec.order:
         raise TooLong(f"n={n} exceeds field order {spec.order}")
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k={k} outside [1, n={n}]")
-    if alphas is None:
-        alphas = [spec.from_code(c) for c in range(n)]
-    if vs is None:
-        vs = [spec.one()] * n
-    if len(alphas) != n or len(vs) != n:
+    a_codes = list(map(spec.code, range(n) if alphas is None else alphas))
+    v_codes = [1] * n if vs is None else list(map(spec.code, vs))
+    if len(a_codes) != n or len(v_codes) != n:
         raise DimensionMismatch(f"need {n} alphas and vs")
-    a_codes = [spec.element(a).code for a in alphas]
-    v_codes = [spec.element(v).code for v in vs]
     if len(set(a_codes)) != n:
         raise DuplicateAlpha("evaluation points must be pairwise distinct")
     if any(v == 0 for v in v_codes):
@@ -415,16 +411,9 @@ def is_mds(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT) -> bool:
     return singular_minor(code, minor_limit) is None
 
 
-def _scalar_code(spec: FieldSpec, c: int | FieldElement) -> int:
-    code = spec.element(c).code if isinstance(c, FieldElement) else operator.index(c)
-    if not 0 <= code < spec.order:
-        raise ValueError(f"scalar code {code} out of range for {spec}")
-    return code
-
-
 def scale_row(g: FieldMatrix, i: int, c: int | FieldElement) -> FieldMatrix:
     """Copy of g with row i multiplied by nonzero c (int = element code)."""
-    cc = _scalar_code(g.spec, c)
+    cc = g.spec.code(c)
     if cc == 0:
         raise ZeroScalar("row scaling by zero")
     if not 0 <= i < g.rows:
@@ -434,7 +423,7 @@ def scale_row(g: FieldMatrix, i: int, c: int | FieldElement) -> FieldMatrix:
 
 def scale_col(g: FieldMatrix, j: int, c: int | FieldElement) -> FieldMatrix:
     """Copy of g with column j multiplied by nonzero c (int = element code)."""
-    cc = _scalar_code(g.spec, c)
+    cc = g.spec.code(c)
     if cc == 0:
         raise ZeroScalar("column scaling by zero")
     if not 0 <= j < g.cols:
@@ -449,7 +438,7 @@ def _diag_codes(spec: FieldSpec, diag, length: int, side: str) -> list[int]:
             raise FieldMismatch(f"{diag.spec} element used in {spec}")
         codes = list(diag.codes)
     else:
-        codes = [_scalar_code(spec, e) for e in getattr(diag, "diag", diag)]
+        codes = list(map(spec.code, getattr(diag, "diag", diag)))
     if len(codes) != length:
         raise DimensionMismatch(f"{side} diagonal length {len(codes)}, need {length}")
     if any(c == 0 for c in codes):
@@ -460,9 +449,9 @@ def _diag_codes(spec: FieldSpec, diag, length: int, side: str) -> list[int]:
 def monomial_sandwich(d: FieldMatrix, m1, m2) -> FieldMatrix:
     """Product M1 . d . M2 for nonzero diagonals M1 (rows), M2 (cols).
 
-    m1 and m2 may be element sequences, ``DhDiagonal``s (read by their
-    ``codes``) or any other object with a ``diag`` attribute; entry (i, j)
-    of the result is m1_i * d_ij * m2_j.
+    m1 and m2 may be sequences read by ``FieldSpec.code``, ``DhDiagonal``s
+    (read by their ``codes``) or any other object with a ``diag``
+    attribute; entry (i, j) of the result is m1_i * d_ij * m2_j.
     """
     spec = d.spec
     left = _diag_codes(spec, m1, d.rows, "left")

@@ -227,18 +227,17 @@ class FieldElement:
     """One element of a specific field, in canonical coordinate form.
 
     Value-like and immutable; arithmetic between elements of different
-    fields raises ``FieldMismatch``. Plain ints mix in as constants
-    (reduced mod p).
+    fields raises ``FieldMismatch``. Integers follow two rules: every
+    place that takes an element, this constructor included, reads an int
+    as an element code, through ``FieldSpec.code``; an int operand n of
+    ``+ - * /`` is the multiple n * 1 instead, so ``a * p`` is zero.
     """
 
     __slots__ = ("spec", "code")
 
     def __init__(self, spec: "FieldSpec", code: int) -> None:
-        code = operator.index(code)
-        if not 0 <= code < spec.order:
-            raise ValueError(f"code {code} out of range for {spec}")
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "code", spec.code(code))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -254,8 +253,8 @@ class FieldElement:
             if other.spec.field_id != self.spec.field_id:
                 raise FieldMismatch(f"{self.spec} vs {other.spec}")
             return other
-        if isinstance(other, int):
-            return self.spec.element(other)
+        if isinstance(other, int):  # an operand n is n * 1, not the element of code n
+            return FieldElement(self.spec, other % self.spec.p)
         return None
 
     def __add__(self, other):
@@ -356,19 +355,33 @@ class FieldSpec:
     def one(self) -> FieldElement:
         return FieldElement(self, 1)
 
+    def code(self, value: "int | FieldElement") -> int:
+        """The code of ``value`` wherever an element is accepted: an element
+        of this field gives its code, of another raises FieldMismatch; else
+        an integer (``operator.index``: a float raises TypeError) in
+        [0, order), else ValueError. Builds no ``FieldElement``."""
+        if type(value) is int:  # the common case first: DhDiagonal reads each entry here
+            code = value
+        elif isinstance(value, FieldElement):
+            if value.spec.field_id != self.field_id:
+                raise FieldMismatch(f"{value.spec} element used in {self}")
+            return value.code
+        else:
+            code = operator.index(value)
+        if not 0 <= code < self.order:
+            raise ValueError(f"code {code} out of range for {self}")
+        return code
+
     def element(self, value: "int | Sequence[int] | FieldElement") -> FieldElement:
         """Coerce ``value`` into this field.
 
-        Ints are constants (reduced mod p); sequences are coordinate
-        vectors of length <= t, ascending degree.
+        An int is read by ``code``, as an element code, not a constant:
+        ``element(10)`` in F_343 is 3 + x. Sequences are coordinate
+        vectors of length <= t, ascending degree, reduced mod p.
         """
-        if isinstance(value, FieldElement):
-            if value.spec.field_id != self.field_id:
-                raise FieldMismatch(f"{value.spec} element used in {self}")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, value % self.p)
-        return self.from_coords(value)
+        if hasattr(value, "__iter__"):
+            return self.from_coords(value)
+        return FieldElement(self, value)
 
     def from_coords(self, coords: Iterable[int]) -> FieldElement:
         coords = list(coords)
@@ -524,15 +537,16 @@ class FieldSpec:
             return FieldElement(self, self._exp[k])
         return FieldElement(self, self.pow_code(self._w_code, k))
 
-    def dlog(self, a: FieldElement, *, table_limit: int | None = None) -> int:
-        """Exponent k in [0, order-1) with w^k = a; a must be nonzero."""
-        a = self.element(a)
-        if a.code == 0:
+    def dlog(self, a: "int | FieldElement", *, table_limit: int | None = None) -> int:
+        """Exponent k in [0, order-1) with w^k = a; a must be nonzero, and
+        is read by ``code``."""
+        code = self.code(a)
+        if code == 0:
             raise DivisionByZero(f"discrete log of zero in {self}")
         limit = DLOG_TABLE_LIMIT if table_limit is None else table_limit
         if self.order > limit:
             raise FieldTooLarge(f"order {self.order} exceeds dlog table limit {limit}")
-        return self._scalar_log(limit)[a.code]
+        return self._scalar_log(limit)[code]
 
     def embed(self, a: FieldElement) -> FieldElement:
         """Image of a prime-field element under the constant-polynomial

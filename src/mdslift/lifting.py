@@ -9,16 +9,15 @@ lift in the test suite and CLI reproducible. A diagonal keeps its entry
 codes, and a lift scales by them on the field's log tables, so sampling
 and lifting build no ``FieldElement``.
 
-Distinctness is not what preserves distance (any nonzero diagonal
-does, which the property tests also exercise); it is what makes
-distinct sampled diagonals give distinct generator matrices, counted
-by ``diversity_count``.
+Distinctness is not what preserves distance: any nonzero diagonal does,
+as every lift is monomially equivalent to the embedded base code (Huffman
+and Pless, Sec. 1.7). It makes distinct ordered diagonals give distinct
+generator matrices; ``diversity_count`` counts the unordered ones.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from typing import NamedTuple, Sequence
 
@@ -50,22 +49,17 @@ class DhDiagonal:
 
     Entries must be nonzero but need not be distinct; ``is_dh`` tells
     the two cases apart (l_value 1 = distance holder, s > 1 = s-dh).
-    The entries are kept as element codes (``codes``); ``diag`` builds
-    them as ``FieldElement``s each time it is read.
+    The entries, read by ``FieldSpec.code``, are kept as codes
+    (``codes``); ``diag`` builds their ``FieldElement``s on each read.
     """
 
     __slots__ = ("spec", "codes", "l_value")
 
     def __init__(self, spec: FieldSpec, entries: Sequence[FieldElement | int]) -> None:
-        codes = []
-        for e in entries:
-            c = spec.element(e).code if isinstance(e, FieldElement) else operator.index(e)
-            if not 0 <= c < spec.order:
-                raise ValueError(f"code {c} out of range for {spec}")
-            codes.append(c)
+        codes = tuple(map(spec.code, entries))
         if 0 in codes:
             raise ZeroDiagonalEntry("diagonal entries must be nonzero")
-        self.spec, self.codes = spec, tuple(codes)
+        self.spec, self.codes = spec, codes
         self.l_value = 1 if len(set(codes)) == len(codes) > 0 else l_statistic(self.diag)
 
     @property
@@ -187,10 +181,10 @@ def verify_lift(
 def diversity_count(p: int, t: int, n: int) -> int:
     """Number of size-n subsets of the p^t - 1 nonzero elements.
 
-    Exact arbitrary-precision binomial C(p^t - 1, n): how many distinct
-    diagonals exist up to entry order. Distinct orderings of one subset
-    scale columns differently, so this undercounts ordered choices by
-    n!; the subset count is the figure used for generator diversity.
+    Exact binomial C(p^t - 1, n): the unordered dh diagonals. It counts
+    neither distinct generator matrices, n! * C(p^t - 1, n) (one per
+    ordered diagonal), nor distinct codes (diagonals that differ by a
+    common factor give one code), and every lift is equivalent to its base.
     """
     if not is_prime(p):
         raise NotPrime(f"p={p}")

@@ -26,7 +26,6 @@ coordinate positions carry meaning for codes and erasure patterns.
 from __future__ import annotations
 
 import functools
-import operator
 from typing import Sequence
 
 from .errors import (
@@ -50,20 +49,19 @@ class FieldMatrix:
 
     def __init__(self, spec: FieldSpec, codes) -> None:
         """``codes``: a 2-dimensional array or nested sequence of entries,
-        copied into the matrix. Integer entries are element codes (for
-        prime fields, codes coincide with values)."""
+        copied into the matrix. Entries are read by ``FieldSpec.code``, so
+        an int is an element code, not a constant: in F_343, entry 10 is
+        3 + x (an operator of ``FieldElement`` reads an int n as n * 1)."""
         shape = getattr(codes, "shape", None)  # an array keeps its shape when empty
         if shape is not None:
             if len(shape) != 2:
                 raise DimensionMismatch("matrix codes must be 2-dimensional")
             codes = codes.tolist()
-        rows = tuple(tuple(_entry_code(spec, v) for v in r) for r in codes)
+        rows = tuple(tuple(map(spec.code, r)) for r in codes)
         if shape is None:
             shape = (len(rows), len(rows[0]) if rows else 0)
         if any(len(r) != shape[1] for r in rows):
             raise DimensionMismatch("matrix rows must all have the same length")
-        if any(not 0 <= c < spec.order for r in rows for c in r):
-            raise ValueError(f"entry code out of range for {spec}")
         self.spec, self.shape, self._data = spec, shape, (rows, None)
         self._codes = self._rref = None
 
@@ -147,11 +145,8 @@ class FieldMatrix:
         last, with any pending scaling applied and kept."""
         rows, pivots, scale = self.echelon()
         if scale is not None:
-            spec = self.spec
-            mul = spec.mul_code
-            inverses = [spec.inv_code(scale[p]) for p in pivots]
-            rows = tuple(tuple(mul(mul(x, d), c) for x, d in zip(r, scale))
-                         for r, c in zip(rows, inverses)) + rows[len(pivots):]
+            inverses = [self.spec.inv_code(scale[p]) for p in pivots]
+            rows = _scale(self.spec, inverses, rows, scale) + rows[len(pivots):]
             self._rref = rows, pivots, None
         return rows, pivots
 
@@ -184,14 +179,6 @@ class FieldMatrix:
         return f"FieldMatrix({self.spec}, {self.rows}x{self.cols})"
 
 
-def _entry_code(spec: FieldSpec, v: int | FieldElement) -> int:
-    if isinstance(v, FieldElement):
-        if v.spec.field_id != spec.field_id:
-            raise FieldMismatch(f"entry from {v.spec} in {spec} matrix")
-        return v.code
-    return operator.index(v)
-
-
 def _same_field(a: FieldMatrix, b: FieldMatrix) -> None:
     if a.spec.field_id != b.spec.field_id:
         raise FieldMismatch(f"{a.spec} vs {b.spec}")
@@ -222,6 +209,15 @@ def _scale_columns(spec: FieldSpec, rows, scale: Sequence[int]) -> tuple[tuple[i
     return tuple(tuple([exp[log[x] + e] if x else 0 for x, e in zip(r, logs)]) for r in rows)
 
 
+def _scale(spec: FieldSpec, left: Sequence[int], rows, right: Sequence[int]
+           ) -> tuple[tuple[int, ...], ...]:
+    """diag(left) . rows . diag(right), for the first len(left) rows: the
+    rows scaled by ``_scale_columns``, then row i by left_i."""
+    mul = spec.mul_code
+    return tuple(tuple(mul(c, x) for x in r)
+                 for c, r in zip(left, _scale_columns(spec, rows, right)))
+
+
 def diag_product(left: Sequence[int] | None, a: FieldMatrix, right: Sequence[int]) -> FieldMatrix:
     """diag(left) . a . diag(right) for element codes: entry (i, j) is
     left_i * a_ij * right_j; with ``left`` None, a_ij * right_j. Callers
@@ -239,9 +235,7 @@ def diag_product(left: Sequence[int] | None, a: FieldMatrix, right: Sequence[int
     rows, scale = a._data
     scale = tuple(right) if scale is None else tuple(map(mul, scale, right))
     if left is not None:
-        rows = tuple(tuple(mul(c, x) for x in r)
-                     for c, r in zip(left, _scale_columns(spec, rows, scale)))
-        scale = None
+        rows, scale = _scale(spec, left, rows, scale), None
     rref = a._rref
     if rref is not None and 0 not in right and (left is None or 0 not in left):
         reduced, pivots, pending = rref
@@ -306,26 +300,28 @@ def submatrix(a: FieldMatrix, row_indices: Sequence[int], col_indices: Sequence[
     return FieldMatrix._of(a.spec, rows, (len(row_indices), len(col_indices)))
 
 
-def solve(a: FieldMatrix, b: Sequence[FieldElement]) -> list[FieldElement]:
-    """Unique x with a @ x = b, for square nonsingular a."""
+def solve(a: FieldMatrix, b: Sequence[int | FieldElement]) -> list[FieldElement]:
+    """Unique x with a @ x = b, for square nonsingular a; each entry of b
+    is read by ``FieldSpec.code``."""
     if a.rows != a.cols:
         raise NotSquare(f"{a.shape} matrix")
     if len(b) != a.rows:
         raise DimensionMismatch(f"rhs length {len(b)} for {a.shape}")
     spec = a.spec
-    aug = [[*row, spec.element(v).code] for row, v in zip(a._rows, b)]
+    aug = [[*row, spec.code(v)] for row, v in zip(a._rows, b)]
     pivots = row_reduce(aug, spec)
     if pivots != list(range(a.rows)):
         raise Singular(f"matrix of rank {len(pivots)} in solve")
     return [FieldElement(spec, row[-1]) for row in aug]
 
 
-def vec_mat_mul(v: Sequence[FieldElement], a: FieldMatrix) -> list[FieldElement]:
-    """Row vector times matrix."""
+def vec_mat_mul(v: Sequence[int | FieldElement], a: FieldMatrix) -> list[FieldElement]:
+    """Row vector times matrix; each entry of v is read by
+    ``FieldSpec.code``."""
     if len(v) != a.rows:
         raise DimensionMismatch(f"vector length {len(v)} for {a.shape}")
     spec = a.spec
-    codes = [spec.element(x).code for x in v]
+    codes = list(map(spec.code, v))
     return [FieldElement(spec, _dot(spec, codes, c)) for c in a.transpose()._rows]
 
 
