@@ -1,12 +1,16 @@
 """Seed sweep: how often do random diagonal lifts preserve the MDS property?
 
-Samples many distinct-entry diagonals per target field, lifts a base GRS
-code through each, and tallies the MDS verdicts. Also reports the
-diversity count C(q-1, n) for each target, i.e. how many sets of n
-distinct nonzero entries the sampler draws from (each in n! orders).
+Samples many distinct-entry diagonals per target field F_{p^t}, lifts a
+base code through each, and tallies the MDS verdicts. The base is the
+[8,3] reference code over F_7 by default (``--base example1``), or
+GRS[n, k] over F_p (``--base grs``); --p, --n and --k apply only to the
+GRS base. Also reports the diversity count C(q-1, n) for each target,
+i.e. how many sets of n distinct nonzero entries the sampler draws from
+(each in n! orders).
 
 Usage:
-    python scripts/sweep_lifts.py [--trials 200] [--n 8] [--k 3] [--p 7]
+    python scripts/sweep_lifts.py [--base {example1,grs}] [--trials 200]
+        [--degrees 2 3 4] [--seed0 0] [--p 7] [--n 7] [--k 3]
 """
 
 from __future__ import annotations

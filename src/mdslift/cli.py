@@ -181,12 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-order", type=_positive, default=DEFAULT_ORDER_LIMIT,
                             help="refuse fields of larger order p^t")
 
-    def add_out(sp):
-        sp.add_argument("-o", "--out", help="output file (default stdout)")
-
     def add_dlog(sp):
         sp.add_argument("--max-dlog", type=_positive, default=DLOG_TABLE_LIMIT,
                         help="largest field order for w^k output")
+
+    def add_out(sp):  # an output file, and its element tokens
+        sp.add_argument("-o", "--out", help="output file (default stdout)")
+        add_dlog(sp)
 
     sp = sub.add_parser("field", help="describe a field's deterministic construction")
     add_field_args(sp)
@@ -197,12 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-k", type=int, required=True)
     add_out(sp)
-    add_dlog(sp)
     sp.set_defaults(func=cmd_grs)
 
     sp = sub.add_parser("example1", help="write the reference [8,3] code over F_7")
     add_out(sp)
-    add_dlog(sp)
     sp.set_defaults(func=cmd_example1)
 
     sp = sub.add_parser("mindist", help="exact minimum distance of a code file")
@@ -222,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("--seed", type=_seed_value, default=0)
     add_out(sp)
-    add_dlog(sp)
     sp.set_defaults(func=cmd_dh)
 
     sp = sub.add_parser("lift", help="lift a code file by a diagonal file")
@@ -233,10 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--systematic", action="store_true",
                     help="row-reduce the lifted generator to [I_k | A]")
     add_out(sp)
-    add_dlog(sp)
     sp.set_defaults(func=cmd_lift)
 
-    sp = sub.add_parser("diversity", help="count distinct diagonals: C(p^t - 1, n)")
+    sp = sub.add_parser("diversity", help="count unordered dh diagonals: C(p^t - 1, n)")
     add_field_args(sp, builds_field=False)
     sp.add_argument("-n", type=int, required=True)
     sp.set_defaults(func=cmd_diversity)
@@ -245,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("code")
     sp.add_argument("symbol", nargs="+", help="k message tokens")
     add_out(sp)
-    add_dlog(sp)
     sp.set_defaults(func=cmd_encode)
 
     sp = sub.add_parser("decode", help="recover the message from a word with ? erasures")

@@ -200,11 +200,9 @@ def min_distance(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) -> int:
     d = n - k + 1 (MacWilliams and Sloane, Ch. 11, Thm 2). So when the
     C(n, k) minors are no more than the (q^k - 1)/(q - 1) projective
     points, the minor pass of ``singular_minor`` runs first, and a code
-    with no singular minor gets d = n - k + 1 with no enumeration. Any
-    other code enumerates one codeword per projective point. On 2 vCPUs
-    the lifted [8,3] code over F_343 (56 minors against 117,993 points)
-    takes about 50 us this way, against about 90 ms of enumeration, and
-    needs no numpy.
+    with no singular minor gets d = n - k + 1 with no enumeration (56
+    minors against 117,993 points for the lifted [8,3] code over F_343).
+    Any other code enumerates one codeword per projective point.
     """
     if code.d is not None:
         return code.d
@@ -295,24 +293,37 @@ def _log_sum_tables(spec: FieldSpec) -> tuple[list[int], list[int]]:
     return red, step
 
 
-@functools.lru_cache(maxsize=64)
 def _free_columns(n: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
     """The columns 0..n-1 that are not pivot columns, ascending."""
     return tuple(j for j in range(n) if j not in pivots)
 
 
-@functools.lru_cache(maxsize=64)
-def _block_logs(spec: FieldSpec, reduced: tuple[tuple[int, ...], ...],
-                pivots: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Level 1 of the scalar pass on the RREF ``reduced`` of full rank:
-    the logs of its non-pivot block A (2(q - 1) for zero), by row of A, or
-    by column when A has more rows (its rows and columns as ``_level_plan``
-    reads them, from A^T). Kept per RREF, which every lift of one base
-    shares."""
-    log, free = spec._scalar_log(), _free_columns(len(reduced[0]), pivots)
-    if len(pivots) > len(free):
-        return tuple(tuple(log[r[j]] for r in reduced) for j in free)
-    return tuple(tuple(log[r[j]] for j in free) for r in reduced)
+#: Scalar-pass plans by (id of the field, id of the RREF rows): each plan
+#: holds both objects, so neither id is reused while it is kept.
+_PLANS: dict[tuple[int, int], tuple] = {}
+
+
+def _scalar_plan(spec: FieldSpec, reduced: tuple[tuple[int, ...], ...],
+                 pivots: tuple[int, ...]) -> tuple:
+    """Build and keep (64 at most) what the scalar pass over ``spec`` reads of
+    the full-rank RREF (``reduced``, ``pivots``), for later passes, as on
+    each lift of one base into one field, to find with one lookup: ``red``,
+    ``step``, the log list, the free columns, ``flip`` (A has more rows),
+    level 1's logs (2(q - 1) for zero) by row of A, or of A^T if flipped,
+    and each level's ``_level_sum`` (None for level 1) and ``_level_plan``."""
+    n, k = len(reduced[0]), len(pivots)
+    free, log = _free_columns(n, pivots), spec._scalar_log()
+    flip = k > n - k  # expand along the shorter side: A^T has the same minors
+    block = [[r[j] for j in free] for r in reduced]
+    flat = tuple(log[x] for row in (zip(*block) if flip else block) for x in row)
+    h, w = min(k, n - k), max(k, n - k)
+    levels = tuple((_level_sum(j) if j > 1 else None, _level_plan(h, w, j))
+                   for j in range(1, h + 1))
+    plan = *_log_sum_tables(spec), log, free, flip, flat, levels, spec, reduced
+    if len(_PLANS) >= 64:
+        _PLANS.clear()
+    _PLANS[id(spec), id(reduced)] = plan
+    return plan
 
 
 def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
@@ -326,8 +337,8 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     Thm 8). Every square minor of A is computed, level j from level j - 1
     by expansion along the last row, each held as its log (2(q - 1) for
     zero): a product is a sum of logs and a sum one Zech lookup. Level 1
-    is the logs of the block of R, kept per RREF (``_block_logs``), plus
-    those of a pending scale; each later level is one comprehension
+    is the logs of the block of R, kept in its plan (``_scalar_plan``),
+    plus those of a pending scale; each later level is one comprehension
     (``_level_sum``). Each zero is mapped back to its k-set.
     """
     spec = a.spec
@@ -335,34 +346,28 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     reduced, pivots, scale = a.echelon()
     if len(pivots) < k:
         return tuple(range(k))
-    red, step = _log_sum_tables(spec)
+    red, step, log, free, flip, flat, levels, _, _ = (
+        _PLANS.get((id(spec), id(reduced))) or _scalar_plan(spec, reduced, pivots))
     m = spec.order - 1
     zero = 2 * m
-    free = _free_columns(n, pivots)
-    flip = k > n - k  # expand along the shorter side: A^T has the same minors
-    h, w = min(k, n - k), max(k, n - k)
-    groups = _block_logs(spec, reduced, pivots)
-    if scale is None:
-        below = [x for group in groups for x in group]
-    else:
-        # log A_ic = log R_i,free[c] + log d_free[c] - log d_(P_i), d the pending
-        # scale, each offset reduced mod q - 1 so that red keeps zero as zero
-        log = spec._scalar_log()
-        on_free, on_rows = [log[scale[j]] for j in free], [m - log[scale[p]] for p in pivots]
-        outer, inner = (on_free, on_rows) if flip else (on_rows, on_free)
-        below = [red[x + red[a + b]] for a, group in zip(outer, groups)
-                 for x, b in zip(group, inner)]
+    # log A_ic = log R_i,free[c] + log d_free[c] - log d_(P_i), d the pending scale
+    # (all ones if none), each offset reduced mod q - 1 so that red keeps zero as zero
+    scale = scale or (1,) * n
+    on_free, on_rows = [log[scale[j]] for j in free], [m - log[scale[p]] for p in pivots]
+    outer, inner = (on_free, on_rows) if flip else (on_rows, on_free)
+    offsets = [red[a + b] for a in outer for b in inner]
+    below = [red[x + y] for x, y in zip(flat, offsets)]
     neg = spec._neg_log
     signed = below + [red[x + neg] for x in below]
     hits = [(1, at) for at, x in enumerate(below) if x == zero] if zero in below else []
-    for j in range(2, h + 1):
-        level = _level_sum(j)(_level_plan(h, w, j)[2], signed, below, red, step)
+    for j, (level_sum, (_, _, terms)) in enumerate(levels[1:], 2):
+        level = level_sum(terms, signed, below, red, step)
         if zero in level:
             hits += [(j, at) for at, x in enumerate(level) if x == zero]
         below = level
     sets = []
     for j, at in hits:
-        row_sets, col_sets, _ = _level_plan(h, w, j)
+        row_sets, col_sets, _ = levels[j - 1][1]
         rs, cs = row_sets[at // len(col_sets)], col_sets[at % len(col_sets)]
         if flip:
             rs, cs = cs, rs
@@ -381,12 +386,9 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
     block (see ``_scalar_first_singular``), for any k and with no dual: in
     Python on the Zech tables (order up to 2^16) when that takes at most
     ``SCALAR_PASS_PRODUCTS`` field products, else on numpy arrays
-    (``kernels.first_singular``). Warm, in-process on 2 vCPUs: [8,3] over
-    F_49 (90 products) takes 18 us on the scalar pass, and ``is_mds`` of a
-    lift of it, its pending scale included, 23-25 us (``BENCH_15.json``);
-    on the numpy pass over F_49 (``BENCH_13.json``), GRS[16,8] (12,870
-    minors) takes 1.1-1.9 ms, GRS[20,10] (184,756) 15-28 ms, GRS[24,12]
-    (2,704,156) 0.38-0.53 s and GRS[30,25] (142,506) 33-37 ms.
+    (``kernels.first_singular``). In-process on 2 vCPUs, ``is_mds`` of a
+    lift of the [8,3] code into F_49, F_343 or F_2401 takes about 24 us
+    (``BENCH_18.json``); README.md has both passes' figures.
     """
     k, n = code.k, code.n
     if comb(n, k) > minor_limit:

@@ -396,16 +396,11 @@ class FieldSpec:
         return FieldElement(self, code)
 
     def code_to_coords(self, code: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.t):
-            code, r = divmod(code, self.p)
-            digits.append(r)
-        return tuple(digits)
+        return tuple(code // pw % self.p for pw in self._powers)
 
     def elements(self) -> Iterator[FieldElement]:
         """All field elements in code order (0 first)."""
-        for c in range(self.order):
-            yield FieldElement(self, c)
+        return map(self.from_code, range(self.order))
 
     # code-level arithmetic ----------------------------------------------------
 

@@ -39,9 +39,13 @@ from .rng import SplitMix64
 
 def l_statistic(diag: Sequence[FieldElement]) -> int:
     """Maximum multiplicity among the diagonal entries."""
-    if len(diag) == 0:
+    return _l_value([e.code for e in diag])
+
+
+def _l_value(codes: Sequence[int]) -> int:
+    if not codes:
         raise EmptyDiagonal("l statistic of an empty diagonal")
-    return max(Counter(e.code for e in diag).values())
+    return 1 if len(set(codes)) == len(codes) else max(Counter(codes).values())
 
 
 class DhDiagonal:
@@ -59,8 +63,14 @@ class DhDiagonal:
         codes = tuple(map(spec.code, entries))
         if 0 in codes:
             raise ZeroDiagonalEntry("diagonal entries must be nonzero")
-        self.spec, self.codes = spec, codes
-        self.l_value = 1 if len(set(codes)) == len(codes) > 0 else l_statistic(self.diag)
+        self.spec, self.codes, self.l_value = spec, codes, _l_value(codes)
+
+    @classmethod
+    def _of(cls, spec: FieldSpec, codes: tuple[int, ...]) -> "DhDiagonal":
+        """Unchecked: for nonzero codes of ``spec``, as ``sample_dh`` draws."""
+        m = object.__new__(cls)
+        m.spec, m.codes, m.l_value = spec, codes, _l_value(codes)
+        return m
 
     @property
     def diag(self) -> tuple[FieldElement, ...]:
@@ -93,12 +103,12 @@ def sample_dh(spec: FieldSpec, n: int, seed: int) -> DhDiagonal:
     """n distinct nonzero elements drawn without replacement.
 
     Deterministic in (spec, n, seed); the generator algorithm is fixed
-    (see ``rng``), so samples are stable across platforms and runs.
+    (see ``rng``), so samples are stable across platforms and runs. The
+    drawn codes are kept unchecked (``DhDiagonal._of``).
     """
     if spec.order - 1 < n:
         raise FieldTooSmall(f"{spec} has {spec.order - 1} nonzero elements, need {n}")
-    picks = SplitMix64(seed).sample(range(1, spec.order), n)
-    return DhDiagonal(spec, picks)
+    return DhDiagonal._of(spec, tuple(SplitMix64(seed).sample(range(1, spec.order), n)))
 
 
 def lift(

@@ -179,18 +179,14 @@ class FieldMatrix:
         return f"FieldMatrix({self.spec}, {self.rows}x{self.cols})"
 
 
-def _same_field(a: FieldMatrix, b: FieldMatrix) -> None:
-    if a.spec.field_id != b.spec.field_id:
-        raise FieldMismatch(f"{a.spec} vs {b.spec}")
-
-
 def _dot(spec: FieldSpec, xs: Sequence[int], ys: Sequence[int]) -> int:
     return functools.reduce(spec.add_code, map(spec.mul_code, xs, ys), 0)
 
 
 def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """Standard matrix product over the common field."""
-    _same_field(a, b)
+    if a.spec.field_id != b.spec.field_id:
+        raise FieldMismatch(f"{a.spec} vs {b.spec}")
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.shape} x {b.shape}")
     spec, b_cols = a.spec, b.transpose()._rows

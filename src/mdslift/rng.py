@@ -59,23 +59,24 @@ class SplitMix64:
 
         The population is not copied: ``moved`` maps each slot the
         shuffle has written to the population index it now holds. Each
-        draw is ``below(size - i)``, written out inline.
+        draw is ``below(size - i)``, written out inline on locals.
         """
         size = len(population)
         if count > size:
             raise ValueError("sample larger than population")
+        two64, mask, gamma = _TWO64, _MASK64, _GAMMA
+        safe = two64 - size  # below each threshold 2^64 - 2^64 % bound > 2^64 - bound
         moved: dict[int, int] = {}
         out = []
         state = self._state
         for i in range(count):
             bound = size - i
-            threshold = _TWO64 - _TWO64 % bound
             while True:
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                state = (state + gamma) & mask
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
                 z ^= z >> 31
-                if z < threshold:
+                if z < safe or z < two64 - two64 % bound:
                     break
             j = i + z % bound
             out.append(population[moved.get(j, j)])

@@ -235,6 +235,14 @@ def test_diversity_values(capsys):
     assert code == 0 and out.strip() == "4274341943967810"
 
 
+def test_diversity_help_counts_unordered_diagonals(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    out = " ".join(out.split())
+    assert "diversity count unordered dh diagonals: C(p^t - 1, n)" in out
+    assert "distinct diagonals" not in out
+
+
 def test_diversity_field_too_small(capsys):
     code, _, err = run(capsys, "diversity", "-p", "2", "-t", "1", "-n", "5")
     assert code == 2 and "FieldTooSmall" in err

@@ -124,6 +124,29 @@ def test_sample_dh_exhausts_tiny_fields(f4):
         sample_dh(f4, 4, 0)
 
 
+def test_sample_dh_equals_the_checked_diagonal(f16, f49, f343):
+    # sample_dh keeps its drawn codes unchecked; the checked constructor on
+    # the same codes gives the same diagonal, n = q - 1 included
+    f7_6 = make_extension_field(7, 6)
+    for spec, sizes in ((f16, (1, 8, 15)), (f49, (8, 48)), (f343, (8, 342)), (f7_6, (8, 60))):
+        for n in sizes:
+            for seed in range(3):
+                m = sample_dh(spec, n, seed)
+                checked = DhDiagonal(spec, list(m.codes))
+                assert m.codes == checked.codes and {type(c) for c in m.codes} == {int}
+                assert m.l_value == checked.l_value == 1 and m == checked
+                assert m.spec is spec and m.n == n
+    assert sorted(sample_dh(f16, 15, 4).codes) == list(range(1, 16))
+
+
+def test_sample_dh_size_errors(f16, f343):
+    for spec in (f16, f343):
+        with pytest.raises(EmptyDiagonal, match="l statistic of an empty diagonal"):
+            sample_dh(spec, 0, 1)
+        with pytest.raises(FieldTooSmall):
+            sample_dh(spec, spec.order, 1)
+
+
 # lifting ----------------------------------------------------------------------
 
 
@@ -222,6 +245,24 @@ def test_lifts_of_a_non_mds_base_keep_its_witness(f7, f49, f343):
             lifted = lift(base, sample_dh(target, 8, seed))
             assert is_mds(lifted) is False
             assert singular_minor(lifted) == oracle_singular_minor(lifted) == witness
+
+
+def test_minor_plan_is_kept_per_field(example1, f7, f49, f343):
+    # embedding shares the RREF rows across fields, whose logs differ; each
+    # field must read a plan of its own, however the calls alternate
+    non_mds = LinearCode(FieldMatrix.from_rows(f7, [
+        [1, 0, 0, 6, 4, 2, 5, 5],
+        [0, 1, 0, 3, 1, 5, 1, 1],
+        [0, 0, 1, 3, 5, 2, 4, 4],
+    ]))
+    for base, want in ((example1, None), (non_mds, (0, 6, 7))):
+        family = [base] + [LinearCode(embed_matrix(base.generator, spec)) for spec in (f49, f343)]
+        rows = base.generator.echelon()[0]
+        assert all(c.generator.echelon()[0] is rows for c in family)
+        for c in family * 3 + family[::-1] * 2:
+            assert singular_minor(c) == oracle_singular_minor(c) == want
+    lifted = lift(non_mds, sample_dh(f49, 8, 3))
+    assert singular_minor(lifted) == oracle_singular_minor(lifted) == (0, 6, 7)
 
 
 def test_lift_systematize_flag(example1, f343):
