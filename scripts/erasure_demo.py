@@ -12,7 +12,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from mdslift import (
     ErasureWord,
@@ -27,20 +26,13 @@ from mdslift import (
 )
 
 
-@dataclass(frozen=True)
-class ErasureConfig:
-    seed: int = 7
-    positions: tuple[int, ...] = (0, 2, 4, 5, 7)
-    message: tuple[int, ...] = (2, 5, 1)
-
-
-def show_roundtrip(code, cfg: ErasureConfig) -> bool:
+def show_roundtrip(code, args: argparse.Namespace) -> bool:
     spec = code.spec
-    msg = [spec.from_code(c % spec.order) for c in cfg.message]
+    msg = [spec.from_code(c % spec.order) for c in args.message]
     codeword = erasure_encode(code, msg)
-    word = erase(code, codeword, cfg.positions)
+    word = erase(code, codeword, args.positions)
 
-    print(f"  field F_{spec.order}, erasing positions {list(cfg.positions)}")
+    print(f"  field F_{spec.order}, erasing positions {args.positions}")
     print(f"  sent:      {format_erasure(ErasureWord(code, list(codeword))).strip()}")
     print(f"  received:  {format_erasure(word).strip()}")
     decoded = erasure_decode(word)
@@ -59,17 +51,15 @@ def main() -> int:
                         help="coordinates to erase (at most n-k of them)")
     parser.add_argument("--message", type=int, nargs=3, default=[2, 5, 1])
     args = parser.parse_args()
-    cfg = ErasureConfig(seed=args.seed, positions=tuple(args.positions),
-                        message=tuple(args.message))
 
     base = example1_code()
     print("base code:")
-    ok = show_roundtrip(base, cfg)
+    ok = show_roundtrip(base, args)
 
     target = make_extension_field(base.spec.p, 3)
-    lifted = lift(base, sample_dh(target, base.n, cfg.seed))
+    lifted = lift(base, sample_dh(target, base.n, args.seed))
     print("lifted code:")
-    ok = show_roundtrip(lifted, cfg) and ok
+    ok = show_roundtrip(lifted, args) and ok
     return 0 if ok else 1
 
 

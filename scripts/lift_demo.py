@@ -11,7 +11,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from mdslift import (
     DEFAULT_ENUM_LIMIT,
@@ -25,30 +24,22 @@ from mdslift import (
 )
 
 
-@dataclass(frozen=True)
-class DemoConfig:
-    seed: int = 42
-    t: int = 3
-    enum_limit: int = DEFAULT_ENUM_LIMIT
-    systematic: bool = False
-
-
-def run(cfg: DemoConfig) -> bool:
+def run(args: argparse.Namespace) -> bool:
     base = example1_code()
-    target = make_extension_field(base.spec.p, cfg.t)
+    target = make_extension_field(base.spec.p, args.t)
 
     print(f"base code: [{base.n},{base.k}] over F_{base.spec.order}")
     print(format_code(base))
 
-    m = sample_dh(target, base.n, cfg.seed)
-    print(f"diagonal sampled with seed {cfg.seed} (l = {m.l_value}):")
+    m = sample_dh(target, base.n, args.seed)
+    print(f"diagonal sampled with seed {args.seed} (l = {m.l_value}):")
     print(format_dh(m))
 
-    lifted = lift(base, m, systematize=cfg.systematic)
+    lifted = lift(base, m, systematize=args.systematic)
     print(f"lifted code: [{lifted.n},{lifted.k}] over F_{target.order}")
     print(format_code(lifted))
 
-    report = verify_lift(base, lifted, enum_limit=cfg.enum_limit)
+    report = verify_lift(base, lifted, enum_limit=args.enum_limit)
     print(report.summary())
     return report.passed
 
@@ -62,10 +53,7 @@ def main() -> int:
                         help="skip distance enumeration above this codeword count")
     parser.add_argument("--systematic", action="store_true",
                         help="row reduce the lifted generator to [I | A] form")
-    args = parser.parse_args()
-    cfg = DemoConfig(seed=args.seed, t=args.t,
-                     enum_limit=args.enum_limit, systematic=args.systematic)
-    return 0 if run(cfg) else 1
+    return 0 if run(parser.parse_args()) else 1
 
 
 if __name__ == "__main__":

@@ -31,17 +31,6 @@ from mdslift import (
 )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    base: str = "example1"
-    p: int = 7
-    n: int = 7
-    k: int = 3
-    trials: int = 200
-    degrees: tuple[int, ...] = (2, 3, 4)
-    seed0: int = 0
-
-
 @dataclass
 class SweepResult:
     t: int
@@ -54,24 +43,24 @@ class SweepResult:
                 f"l histogram {dict(sorted(self.l_values.items()))}")
 
 
-def sweep(cfg: SweepConfig) -> list[SweepResult]:
-    if cfg.base == "example1":
+def sweep(args: argparse.Namespace) -> list[SweepResult]:
+    if args.base == "example1":
         base = example1_code()
     else:
-        base = grs_generator(make_prime_field(cfg.p), cfg.n, cfg.k)
+        base = grs_generator(make_prime_field(args.p), args.n, args.k)
     p = base.spec.p
-    print(f"base: [{base.n},{base.k}] {cfg.base} code over F_{base.spec.order}, "
+    print(f"base: [{base.n},{base.k}] {args.base} code over F_{base.spec.order}, "
           f"MDS = {is_mds(base)}")
 
     results = []
-    for t in cfg.degrees:
+    for t in args.degrees:
         target = make_extension_field(p, t)
         pool = diversity_count(p, t, base.n)
         print(f"target F_{p}^{t} (order {target.order}): "
               f"{pool} distinct-entry diagonals available")
         res = SweepResult(t=t)
         start = time.perf_counter()
-        for seed in range(cfg.seed0, cfg.seed0 + cfg.trials):
+        for seed in range(args.seed0, args.seed0 + args.trials):
             m = sample_dh(target, base.n, seed)
             res.l_values[m.l_value] = res.l_values.get(m.l_value, 0) + 1
             res.trials += 1
@@ -94,11 +83,7 @@ def main() -> int:
     parser.add_argument("--degrees", type=int, nargs="+", default=[2, 3, 4])
     parser.add_argument("--seed0", type=int, default=0,
                         help="first seed; trials use seed0..seed0+trials-1")
-    args = parser.parse_args()
-    cfg = SweepConfig(base=args.base, p=args.p, n=args.n, k=args.k,
-                      trials=args.trials, degrees=tuple(args.degrees),
-                      seed0=args.seed0)
-    results = sweep(cfg)
+    results = sweep(parser.parse_args())
     all_mds = all(r.mds == r.trials for r in results)
     print("every sampled lift preserved MDS" if all_mds
           else "WARNING: some lifts were not MDS")

@@ -262,12 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except DataError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
     except MdsLiftError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, DataError) else 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -44,7 +44,7 @@ from .errors import (
     ZeroScalar,
 )
 from .field import FieldElement, FieldSpec, make_prime_field
-from .matrix import FieldMatrix, diag_product, rank, to_systematic, vec_mat_mul
+from .matrix import FieldMatrix, diag_product, rank, vec_mat_mul
 
 #: Cap on the q^k - 1 codewords an exhaustive enumeration covers.
 DEFAULT_ENUM_LIMIT = 1 << 26
@@ -62,7 +62,7 @@ class LinearCode:
     bound 1 <= d <= n - k + 1.
     """
 
-    __slots__ = ("spec", "generator", "n", "k", "_d", "_systematic")
+    __slots__ = ("spec", "generator", "n", "k", "_d")
 
     def __init__(self, generator: FieldMatrix, d: int | None = None) -> None:
         k, n = generator.shape
@@ -75,7 +75,6 @@ class LinearCode:
         self.n = n
         self.k = k
         self._d = None
-        self._systematic = None
         if d is not None:
             self.set_distance(d)
 
@@ -91,13 +90,6 @@ class LinearCode:
         if self._d is not None and self._d != d:
             raise ValueError(f"distance already cached as {self._d}, got {d}")
         self._d = d
-
-    def systematic_generator(self) -> FieldMatrix:
-        """The [I_k | A] form of the generator (``to_systematic``), computed
-        once; a singular leading block raises on every call."""
-        if self._systematic is None:
-            self._systematic = to_systematic(self.generator)
-        return self._systematic
 
     def dual(self) -> "LinearCode":
         """The dual [n, n - k] code. With RREF R, pivot columns P and the

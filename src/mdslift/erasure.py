@@ -22,7 +22,7 @@ from .errors import (
     TooManyErasures,
 )
 from .field import FieldElement
-from .matrix import solve, submatrix, vec_mat_mul
+from .matrix import solve, submatrix, to_systematic, vec_mat_mul
 
 #: Marker for a position whose symbol is missing.
 ERASED = None
@@ -56,12 +56,12 @@ class ErasureWord:
 def erasure_encode(code: LinearCode, message: Sequence[FieldElement]) -> list[FieldElement]:
     """Systematic codeword for a length-k message.
 
-    The generator is row-reduced to [I_k | A] once per code (identity
-    when it already is systematic), so symbols 0..k-1 equal the message.
+    The generator's cached RREF is read as [I_k | A] (identity when it
+    already is systematic), so symbols 0..k-1 equal the message.
     """
     if len(message) != code.k:
         raise DimensionMismatch(f"message length {len(message)} != k={code.k}")
-    return vec_mat_mul(message, code.systematic_generator())
+    return vec_mat_mul(message, to_systematic(code.generator))
 
 
 def erase(code: LinearCode, codeword: Sequence[FieldElement], positions: Sequence[int]) -> ErasureWord:
@@ -85,7 +85,7 @@ def erasure_decode(word: ErasureWord) -> list[FieldElement]:
     erased = word.erased_positions
     if len(erased) > code.n - code.k:
         raise TooManyErasures(f"{len(erased)} erasures, correctable at most {code.n - code.k}")
-    sys_g = code.systematic_generator()
+    sys_g = to_systematic(code.generator)
     cols = [i for i, s in enumerate(word.symbols) if s is not None][:code.k]
     block = submatrix(sys_g, list(range(code.k)), cols)
     message = solve(block.transpose(), [word.symbols[j] for j in cols])

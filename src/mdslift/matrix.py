@@ -344,11 +344,10 @@ def to_systematic(g: FieldMatrix) -> FieldMatrix:
     input raises RankDeficient. This is the cached RREF of ``g``, and its
     own RREF.
     """
-    pivots = g.echelon()[1]
+    reduced, pivots = g.rref()
     if len(pivots) < g.rows:
         raise RankDeficient(f"rank {len(pivots)} < {g.rows} rows")
     if pivots != tuple(range(g.rows)):
         raise LeadingBlockSingular(f"pivot columns {list(pivots)}")
-    reduced = g.rref()[0]
     return FieldMatrix._of(g.spec, reduced, g.shape, (reduced, pivots, None))
 

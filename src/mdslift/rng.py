@@ -46,8 +46,8 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        if not 0 < bound <= _TWO64:  # above 2^64 every word would be rejected
+            raise ValueError(f"bound must be in [1, 2^64], got {bound}")
         threshold = _TWO64 - _TWO64 % bound
         while True:
             z = self.next_u64()

@@ -566,6 +566,21 @@ def test_singular_minor_of_a_long_high_rate_code(f49):
     assert singular_minor(LinearCode(FieldMatrix(f49, m))) == tuple(range(36))
 
 
+def test_witness_choice_past_column_62(f343):
+    # [I | A] of GRS[66,64] with A[62, 0] = A[63, 0] = 0: (0..62, 64),
+    # (0..61, 63, 64) and (0..61, 64, 65) are singular. The first two agree on
+    # columns 0..61, so only a key past column 61 tells them apart; the
+    # lex-first one is not the first zero in block order
+    rows = to_systematic(grs_generator(f343, 66, 64).generator).to_lists()
+    rows[62][64] = rows[63][64] = 0
+    g = FieldMatrix.from_rows(f343, rows)
+    want = tuple(range(63)) + (64,)
+    assert kernels.first_singular(g) == want
+    assert _scalar_first_singular(g) == want
+    assert singular_minor(LinearCode(g)) == want
+    assert rank(submatrix(g, range(64), want)) < 64
+
+
 @given(_elimination_case())
 @example((7, 1, [[3, 0, 5, 6]], [0]))  # k = 1
 @example((7, 2, [[1, 2, 0], [4, 0, 8], [0, 5, 5]], [0, 0, 0]))  # k = n

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import mdslift
 from mdslift.field import make_extension_field
 from mdslift.lifting import sample_dh
 from mdslift.rng import SplitMix64
@@ -46,6 +51,22 @@ def test_below_is_in_range_and_covers():
 def test_below_rejects_nonpositive():
     with pytest.raises(ValueError):
         SplitMix64(0).below(0)
+
+
+def test_below_refuses_bounds_above_two_to_the_64():
+    # above 2^64 the rejection threshold 2^64 - 2^64 % bound is 0, so no word
+    # would ever be accepted; the draw runs in a subprocess, so a loop that
+    # never returns fails by timeout instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(mdslift.__file__).parents[1]))
+    script = ("from mdslift.rng import SplitMix64\n"
+              "try:\n    SplitMix64(1).below(2**64 + 1)\n"
+              "except ValueError as e:\n    print(e)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "2^64" in proc.stdout
+    # 2^64 itself accepts every word, so the draw is the next word
+    assert SplitMix64(1).below(2 ** 64) == SplitMix64(1).next_u64()
 
 
 def test_sample_without_replacement():
