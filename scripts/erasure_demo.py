@@ -12,9 +12,12 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 
 from mdslift import (
+    DataError,
     ErasureWord,
+    MdsLiftError,
     erase,
     erasure_decode,
     erasure_encode,
@@ -52,14 +55,18 @@ def main() -> int:
     parser.add_argument("--message", type=int, nargs=3, default=[2, 5, 1])
     args = parser.parse_args()
 
-    base = example1_code()
-    print("base code:")
-    ok = show_roundtrip(base, args)
+    try:
+        base = example1_code()
+        print("base code:")
+        ok = show_roundtrip(base, args)
 
-    target = make_extension_field(base.spec.p, 3)
-    lifted = lift(base, sample_dh(target, base.n, args.seed))
-    print("lifted code:")
-    ok = show_roundtrip(lifted, args) and ok
+        target = make_extension_field(base.spec.p, 3)
+        lifted = lift(base, sample_dh(target, base.n, args.seed))
+        print("lifted code:")
+        ok = show_roundtrip(lifted, args) and ok
+    except MdsLiftError as e:  # as the CLI reports it: 1 for a DataError, else 2
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1 if isinstance(e, DataError) else 2
     return 0 if ok else 1
 
 

@@ -233,38 +233,62 @@ def _scalar_products(k: int, n: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _level_plan(h: int, w: int, j: int) -> tuple[tuple, tuple, tuple]:
-    """Level j of the minors of an h x w block, flattened: the minor on
-    rows I and columns J, both j-sets, sits at rank(I) * C(w, j) + rank(J)
-    for lex ranks. Returns the row sets, the column sets, and the terms of
-    each minor's expansion along row I[-1], one flat tuple per minor:
-    (a_0, b_0, ..., a_(j-1), b_(j-1)), with a_r = w * I[-1] + J[r]
-    + h * w * (j - 1 + r mod 2) in the block followed by its negation, and
-    b_r the place of (I[:-1], J - J[r]) in level j - 1."""
-    row_sets = tuple(itertools.combinations(range(h), j))
+def _level_plan(h: int, w: int, j: int) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """Level j >= 2 of the minors of an h x w block M, flattened, with its
+    row sets split in two: the inner sets avoid M's last row h - 1, and the
+    leaf sets hold it. Expansion along the last row of each set reads only
+    minors on the sets I[:-1], which avoid row h - 1, so level j + 1 reads
+    the inner minors alone and no level reads a leaf: a leaf is only tested
+    for zero. The minor on inner rows I and columns J sits at
+    rank(I) * C(w, j) + rank(J) for lex ranks among the inner j-sets (rows
+    of range(h - 1)) and all j-sets of columns. Level 1 is all of M, row r
+    at r * w, and (r,) has rank r among the 1-sets of range(h - 1) too, so
+    level 2 reads it by the same rule.
+
+    Returns the inner row sets, the leaf row sets, the column sets, and the
+    terms of each minor's expansion along row I[-1], one flat tuple per
+    (I, J) in row-set-major order: (a_0, b_0, ..., a_(j-1), b_(j-1)), with
+    a_r = w * I[-1] + J[r] + h * w * (j - 1 + r mod 2) in the block followed
+    by its negation, and b_r the place of (I[:-1], J - J[r]) in level j - 1.
+    A leaf's last a_r points at the negated term: the leaf is zero iff the
+    sum of its first j - 1 terms equals it."""
+    inner = tuple(itertools.combinations(range(h - 1), j))
+    leaves = tuple(s + (h - 1,) for s in itertools.combinations(range(h - 1), j - 1))
     col_sets = tuple(itertools.combinations(range(w), j))
-    row_rank = {s: r for r, s in enumerate(itertools.combinations(range(h), j - 1))}
+    row_rank = {s: r for r, s in enumerate(itertools.combinations(range(h - 1), j - 1))}
     col_rank = {s: r for r, s in enumerate(itertools.combinations(range(w), j - 1))}
     width = comb(w, j - 1)
-    terms = tuple(tuple(x for r in range(j)
-                        for x in (w * rs[-1] + cs[r] + h * w * ((j - 1 + r) & 1),
-                                  row_rank[rs[:-1]] * width + col_rank[cs[:r] + cs[r + 1:]]))
-                  for rs in row_sets for cs in col_sets)
-    return row_sets, col_sets, terms
+
+    def terms(row_sets, leaf):
+        # the sign bit of term r is j - 1 + r mod 2, 0 for the last term,
+        # and a leaf reads its last term negated
+        return tuple(tuple(x for r in range(j)
+                           for x in (w * rs[-1] + cs[r]
+                                     + h * w * ((j - 1 + r + (leaf and r == j - 1)) & 1),
+                                     row_rank[rs[:-1]] * width
+                                     + col_rank[cs[:r] + cs[r + 1:]]))
+                     for rs in row_sets for cs in col_sets)
+
+    return inner, leaves, col_sets, terms(inner, False), terms(leaves, True)
 
 
-@functools.lru_cache(maxsize=None)  # one per level j, and j <= 5 on the scalar pass
-def _level_sum(j: int):
-    """The expansion of level j in one comprehension: a function of
-    (terms, signed, below, red, step) that returns, for each flat term
-    tuple of ``_level_plan``, the log of sum_r w^(signed[a_r] + below[b_r]),
-    added term by term as x + step[y - x]. Its source is built from a
-    fixed template on the integer j alone."""
+@functools.lru_cache(maxsize=None)  # two per level j, and j <= 5 on the scalar pass
+def _level_sum(j: int, leaf: bool):
+    """Level j's part of the expansion in one comprehension: a function of
+    (terms, signed, below, red, step) over the flat term tuples of
+    ``_level_plan``. Inner (``leaf`` false): the list of logs of
+    sum_r w^(signed[a_r] + below[b_r]), added term by term as
+    x + step[y - x]. Leaf: the places of the tuples whose first j - 1 terms
+    sum to their last, read negated, that is, of the zero minors. Its
+    source is built from a fixed template on j and ``leaf`` alone."""
     term = "red[signed[a{0}] + below[b{0}]]"
     total = term.format(0)
-    for r in range(1, j):
+    for r in range(1, j - 1 if leaf else j):
         total = f"red[(x := {total}) + step[{term.format(r)} - x]]"
     names = ", ".join(f"a{r}, b{r}" for r in range(j))
+    if leaf:
+        return eval(f"lambda terms, signed, below, red, step: [at for at, ({names}) in "
+                    f"enumerate(terms) if {total} == {term.format(j - 1)}]")
     return eval(f"lambda terms, signed, below, red, step: [{total} for {names} in terms]")
 
 
@@ -301,17 +325,20 @@ def _scalar_plan(spec: FieldSpec, reduced: tuple[tuple[int, ...], ...],
     the full-rank RREF (``reduced``, ``pivots``), for later passes, as on
     each lift of one base into one field, to find with one lookup: ``red``,
     ``step``, the log list, the free columns, ``flip`` (A has more rows),
-    level 1's logs (2(q - 1) for zero) by row of A, or of A^T if flipped,
-    and each level's ``_level_sum`` (None for level 1) and ``_level_plan``."""
+    level 1 of M = A, or A^T if flipped, as (log, row, column) cells (log
+    2(q - 1) for zero) and as its row and column 1-sets, and for each later
+    level its two ``_level_sum``s and ``_level_plan``."""
     n, k = len(reduced[0]), len(pivots)
     free, log = _free_columns(n, pivots), spec._scalar_log()
     flip = k > n - k  # expand along the shorter side: A^T has the same minors
     block = [[r[j] for j in free] for r in reduced]
-    flat = tuple(log[x] for row in (zip(*block) if flip else block) for x in row)
     h, w = min(k, n - k), max(k, n - k)
-    levels = tuple((_level_sum(j) if j > 1 else None, _level_plan(h, w, j))
-                   for j in range(1, h + 1))
-    plan = *_log_sum_tables(spec), log, free, flip, flat, levels, spec, reduced
+    cells = tuple((log[x], r, c) for r, row in enumerate(zip(*block) if flip else block)
+                  for c, x in enumerate(row))
+    ones = tuple((i,) for i in range(h)), tuple((c,) for c in range(w))
+    levels = tuple((_level_sum(j, False), _level_sum(j, True), *_level_plan(h, w, j))
+                   for j in range(2, h + 1))
+    plan = *_log_sum_tables(spec), log, free, flip, cells, ones, levels, spec, reduced
     if len(_PLANS) >= 64:
         _PLANS.clear()
     _PLANS[id(spec), id(reduced)] = plan
@@ -326,19 +353,23 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     With RREF R, pivot columns P and the other columns Q, A = R[:, Q]: the
     minor of ``a`` on S is zero iff that of A on the rows i with P_i not
     in S and the columns of S in Q is (MacWilliams and Sloane, Ch. 11,
-    Thm 8). Every square minor of A is computed, level j from level j - 1
-    by expansion along the last row, each held as its log (2(q - 1) for
-    zero): a product is a sum of logs and a sum one Zech lookup. Level 1
-    is the logs of the block of R, kept in its plan (``_scalar_plan``),
-    plus those of a pending scale; each later level is one comprehension
-    (``_level_sum``). Each zero is mapped back to its k-set.
+    Thm 8). Every square minor of M = A (A^T if it has more rows) is
+    tested, level j from level j - 1 by expansion along the last row, each
+    held as its log (2(q - 1) for zero): a product is a sum of logs and a
+    sum one Zech lookup. Level 1 is one comprehension over the cells of
+    the plan (``_scalar_plan``) with the logs of a pending scale added.
+    Each later level is two (``_level_sum``): the minors off M's last row
+    are computed, as the next level reads them, and those on it, which no
+    level reads, are only tested for zero, with one Zech addition fewer
+    (for [8,3]: 10 values and 20 tests at level 2, 10 tests at level 3).
+    Each zero is mapped back to its k-set.
     """
     spec = a.spec
     k, n = a.shape
     reduced, pivots, scale = a.echelon()
     if len(pivots) < k:
         return tuple(range(k))
-    red, step, log, free, flip, flat, levels, _, _ = (
+    red, step, log, free, flip, cells, ones, levels, _, _ = (
         _PLANS.get((id(spec), id(reduced))) or _scalar_plan(spec, reduced, pivots))
     m = spec.order - 1
     zero = 2 * m
@@ -346,26 +377,30 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     # (all ones if none), each offset reduced mod q - 1 so that red keeps zero as zero
     scale = scale or (1,) * n
     on_free, on_rows = [log[scale[j]] for j in free], [m - log[scale[p]] for p in pivots]
-    outer, inner = (on_free, on_rows) if flip else (on_rows, on_free)
-    offsets = [red[a + b] for a in outer for b in inner]
-    below = [red[x + y] for x, y in zip(flat, offsets)]
+    on_row, on_col = (on_free, on_rows) if flip else (on_rows, on_free)
+    below = [red[red[x + on_row[r]] + on_col[c]] for x, r, c in cells]
     neg = spec._neg_log
     signed = below + [red[x + neg] for x in below]
-    hits = [(1, at) for at, x in enumerate(below) if x == zero] if zero in below else []
-    for j, (level_sum, (_, _, terms)) in enumerate(levels[1:], 2):
-        level = level_sum(terms, signed, below, red, step)
-        if zero in level:
-            hits += [(j, at) for at, x in enumerate(level) if x == zero]
-        below = level
+    hits = [(*ones, at) for at, x in enumerate(below) if x == zero] if zero in below else []
+    for inner_sum, leaf_test, inner, leaves, col_sets, inner_terms, leaf_terms in levels:
+        found = leaf_test(leaf_terms, signed, below, red, step)
+        if found:
+            hits += [(leaves, col_sets, at) for at in found]
+        if not inner_terms:
+            break  # level min(k, n - k) holds only leaves
+        below = inner_sum(inner_terms, signed, below, red, step)
+        if zero in below:
+            hits += [(inner, col_sets, at) for at, x in enumerate(below) if x == zero]
+    if not hits:
+        return None
     sets = []
-    for j, at in hits:
-        row_sets, col_sets, _ = levels[j - 1][1]
+    for row_sets, col_sets, at in hits:
         rs, cs = row_sets[at // len(col_sets)], col_sets[at % len(col_sets)]
         if flip:
             rs, cs = cs, rs
         sets.append(tuple(sorted([p for i, p in enumerate(pivots) if i not in rs]
                                  + [free[c] for c in cs])))
-    return min(sets, default=None)
+    return min(sets)
 
 
 def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
@@ -374,13 +409,14 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
     generator is singular, or None when every such minor is nonsingular;
     more than ``minor_limit`` minors C(n, k) raise TooManyMinors.
 
-    Both passes compute the square minors of the cached RREF's non-pivot
+    Both passes find the zero square minors of the cached RREF's non-pivot
     block (see ``_scalar_first_singular``), for any k and with no dual: in
     Python on the Zech tables (order up to 2^16) when that takes at most
-    ``SCALAR_PASS_PRODUCTS`` field products, else on numpy arrays
+    ``SCALAR_PASS_PRODUCTS`` field products, where the minors that no
+    level reads are only tested for zero, else on numpy arrays
     (``kernels.first_singular``). In-process on 2 vCPUs, ``is_mds`` of a
-    lift of the [8,3] code into F_49, F_343 or F_2401 takes about 24 us
-    (``BENCH_18.json``); README.md has both passes' figures.
+    lift of the [8,3] code into F_49, F_343 or F_2401 takes about 17 us
+    (``BENCH_20.json``); README.md has both passes' figures.
     """
     k, n = code.k, code.n
     if comb(n, k) > minor_limit:

@@ -672,6 +672,35 @@ def _rows_with_pattern(spec, k, n, rng, pattern):
     return g
 
 
+def _with_zero_minor(code, r, c, rows, cols):
+    """The systematic generator [I | A] of ``code`` with entry (r, c) of the
+    block M the pass expands (A, or A^T when k > n - k) reset so that the
+    minor of M on ``rows`` x ``cols`` is zero."""
+    spec, k, n = code.spec, code.k, code.n
+    flip = k > n - k
+    g = to_systematic(code.generator).to_lists()
+    a_rows, a_cols = (cols, rows) if flip else (rows, cols)
+    i, j = (c, k + r) if flip else (r, k + c)
+    for e in range(spec.order):
+        g[i][j] = e
+        m = FieldMatrix.from_rows(spec, g)
+        if not oracle_det(m, a_rows, [k + x for x in a_cols]):
+            return m
+
+
+def _pass_level(k, n, witness):
+    """Where the scalar pass finds the zero minor behind ``witness``, a
+    k-set of a generator with pivots 0..k-1: "level 1", or "inner j" or
+    "leaf j" for level j >= 2, a leaf holding the last row of M."""
+    h, flip = min(k, n - k), k > n - k
+    on_rows = [i for i in range(k) if i not in witness]
+    on_cols = [c for c in range(n - k) if k + c in witness]
+    m_rows = on_cols if flip else on_rows
+    if len(m_rows) == 1:
+        return "level 1"
+    return f"{'leaf' if h - 1 in m_rows else 'inner'} {len(m_rows)}"
+
+
 def test_scalar_pass_witnesses_match_oracle_on_every_shape():
     # both passes, for every k from 1 to n - 1 over F_7, F_11, F_8, F_9,
     # F_49 and F_343, so k = 1, k = n - 1 and k > n/2 all occur;
@@ -697,6 +726,30 @@ def test_scalar_pass_witnesses_match_oracle_on_every_shape():
                     seen.add((pattern, singular != [None], rank(g) == k))
     assert {("any", False, True), ("late pivots", True, True), ("zero column", True, True),
             ("rank", True, False)} <= seen
+    # the lex-first zero minor from each part of the pass in turn: a level-1
+    # entry, an inner level-2 minor, a level-2 leaf and a level-3 leaf, with
+    # M = A ([8,3]) and M = A^T ([8,5], k > n - k), each base with one entry
+    # (r, c) of M reset over F_7, in that order, and lifted into F_49 and
+    # F_343, both with the scale pending and applied (systematic)
+    designs = [(example1_code(), [(0, 0, (0,), (0,)), (0, 1, (0, 1), (0, 1)),
+                                  (0, 0, (0, 1), (0, 1)), (1, 2, (0, 1, 2), (0, 1, 2))]),
+               (example1_code().dual(), [(0, 0, (0,), (0,)), (1, 0, (0, 1), (0, 2)),
+                                         (0, 0, (0, 1), (0, 1)), (0, 1, (0, 1), (0, 1))])]
+    levels = set()
+    for code, entries in designs:
+        for seed, (r, c, rows, cols) in enumerate(entries):
+            base = LinearCode(_with_zero_minor(code, r, c, rows, cols))
+            for target in (_field(7, 2), _field(7, 3)):
+                dh = sample_dh(target, base.n, seed)
+                for lifted in (lift(base, dh), lift(base, dh, systematize=True)):
+                    witness = oracle_singular_minor(lifted)
+                    m = lifted.generator
+                    assert _scalar_first_singular(m) == kernels.first_singular(m) == witness
+                    assert singular_minor(lifted) == witness
+                    levels.add((target.order, code.k > code.n - code.k,
+                                _pass_level(code.k, code.n, witness)))
+    assert levels == {(q, flip, level) for q in (49, 343) for flip in (False, True)
+                      for level in ("level 1", "inner 2", "leaf 2", "leaf 3")}
 
 
 @pytest.mark.parametrize("products", [-1, 10 ** 9], ids=["numpy pass", "scalar pass"])

@@ -11,7 +11,7 @@ import pytest
 import mdslift
 from mdslift.field import make_extension_field
 from mdslift.lifting import sample_dh
-from mdslift.rng import SplitMix64
+from mdslift.rng import _LANES, SplitMix64, _lanes
 
 
 def test_reference_stream_seed_zero():
@@ -151,3 +151,63 @@ def test_sample_rejects_draws_as_below_does():
         assert a.sample(range(size), 5) == reference(b, 5)
         assert a.next_u64() == b.next_u64()  # the state advances alike
     assert len(words) - 40 * 6 > 40  # about 67 rejected draws are expected
+
+
+def _below_sample(r, population, count):
+    """Partial Fisher-Yates on below(), swapping through a dict: the
+    reference for the packed draws of ``sample``."""
+    moved, out = {}, []
+    for i in range(count):
+        j = i + r.below(len(population) - i)
+        out.append(population[moved.get(j, j)])
+        moved[j] = moved.get(i, i)
+    return out
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 3])
+def test_packed_draws_match_below_at_every_width(count):
+    # one batch below the lane cap, several above it; list and range
+    # populations; seeds near 2^64, where the lane states wrap
+    populations = [range(1, 343), list(range(500, 0, -3)), range(10, 10 ** 6, 7)]
+    seeds = [0, 1, 12345, (1 << 64) - 1, (1 << 64) - 2, (1 << 64) - 2 * _LANES]
+    for population in populations:
+        for seed in seeds:
+            a, b = SplitMix64(seed), SplitMix64(seed)
+            assert a.sample(population, count) == _below_sample(b, population, count)
+            assert a.next_u64() == b.next_u64()  # the state advances alike
+
+
+def test_packed_draws_reject_on_any_lane():
+    # over 2^62 + 5 items about a quarter of the words are rejected; each
+    # rejection ends its batch, and the rest is drawn from the state after
+    # it. The lanes of the rejected words are read off the reference
+    # stream, and rejections must fall on the first, a middle and the last
+    # lane of a batch
+    size = 2 ** 62 + 5
+    lanes = set()
+    for seed in range(60):
+        count = 1 + seed % 12
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        assert a.sample(range(size), count) == _below_sample(b, range(size), count)
+        assert a.next_u64() == b.next_u64()
+        r, i, start = SplitMix64(seed), 0, 0  # batch start, in words
+        width = min(count, _LANES)
+        for at in range(10 ** 4):
+            if i == count:
+                break
+            bound, lane = size - i, at - start
+            if r.next_u64() < 2 ** 64 - 2 ** 64 % bound:
+                i += 1
+                if lane < width - 1:
+                    continue
+            else:
+                lanes.add("first" if lane == 0 else "last" if lane == width - 1 else "middle")
+            start, width = at + 1, min(count - i, _LANES)  # the next batch
+    assert lanes == {"first", "middle", "last"}
+
+
+def test_lane_constants_stay_bounded():
+    # one entry per batch width, and no batch is wider than _LANES
+    for count in range(0, 5 * _LANES, 3):
+        SplitMix64(count).sample(range(10 ** 6), count)
+    assert 0 < _lanes.cache_info().currsize <= _LANES
