@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: field, grs, example1, mindist, ismds, dh, lift,
-diversity, encode, decode. All randomness flows through an explicit
---seed flag, and every run is deterministic given its flags: the same
-invocation always produces byte-identical output.
+verifylift, diversity, encode, decode. All randomness flows through an
+explicit --seed flag, and every run is deterministic given its flags:
+the same invocation always produces byte-identical output.
 
 Exit codes: 0 success (or true verdict), 1 false verdict or a data
-failure the input provoked (non-MDS, too many erasures, inconsistent
-word, singular system), 2 usage and parameter errors.
+failure the input provoked (non-MDS, a failed lift check, too many
+erasures, inconsistent word, singular system), 2 usage and parameter
+errors.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .formats import (
     parse_element,
     parse_erasure,
 )
-from .lifting import diversity_count, lift, sample_dh
+from .lifting import diversity_count, lift, sample_dh, verify_lift
 
 
 def _seed_value(s: str) -> int:
@@ -136,6 +137,12 @@ def cmd_lift(args: argparse.Namespace) -> int:
     lifted = lift(code, diag, strict_dh=args.strict, systematize=args.systematic)
     _emit(args, format_code(lifted, dlog_limit=args.max_dlog))
     return 0
+
+
+def cmd_verifylift(args: argparse.Namespace) -> int:
+    report = verify_lift(_load_code(args.base), _load_code(args.lifted))
+    print(report.summary())
+    return 0 if report.passed else 1
 
 
 def cmd_diversity(args: argparse.Namespace) -> int:
@@ -232,6 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="row-reduce the lifted generator to [I_k | A]")
     add_out(sp)
     sp.set_defaults(func=cmd_lift)
+
+    sp = sub.add_parser("verifylift", help="check a lift against its base code; exit 0 iff PASS")
+    sp.add_argument("base")
+    sp.add_argument("lifted")
+    sp.set_defaults(func=cmd_verifylift)
 
     sp = sub.add_parser("diversity", help="count unordered dh diagonals: C(p^t - 1, n)")
     add_field_args(sp, builds_field=False)

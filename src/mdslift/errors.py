@@ -130,5 +130,6 @@ class Inconsistent(DataError):
 
 # file formats
 
-class FormatError(MdsLiftError):
-    """Malformed matrix/code/diagonal text."""
+class FormatError(MdsLiftError, ValueError):
+    """Malformed matrix/code/diagonal text; also a ``ValueError``, as
+    ``json.JSONDecodeError`` is."""

@@ -200,6 +200,8 @@ def parse_code(text: str) -> LinearCode:
             raise FormatError(f"params disagree with a {m.rows}x{m.cols} generator")
         if kv["d"] != "?":
             d = _int_field(kv["d"], rest[0])
+            if not 1 <= d <= m.cols - m.rows + 1:
+                raise FormatError(f"params d={d} outside [1, n - k + 1]: {rest[0]!r}")
     return LinearCode(m, d=d)
 
 

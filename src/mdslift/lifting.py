@@ -52,7 +52,8 @@ class DhDiagonal:
     """Nonzero diagonal over one field with its l statistic cached.
 
     Entries must be nonzero but need not be distinct; ``is_dh`` tells
-    the two cases apart (l_value 1 = distance holder, s > 1 = s-dh).
+    the two cases apart (l_value 1 = pairwise distinct, s > 1 = s-dh).
+    Either kind keeps the distance of the code it lifts.
     The entries, read by ``FieldSpec.code``, are kept as codes
     (``codes``); ``diag`` builds their ``FieldElement``s on each read.
     """
@@ -120,8 +121,9 @@ def lift(
     """Code over m.spec generated by embed(G) . diag(m).
 
     ``strict_dh`` insists on pairwise distinct entries; disabling it
-    allows repeated-entry diagonals, which still preserve distance but
-    collapse the generator-diversity count. ``systematize`` applies
+    allows repeated-entry diagonals, which keep the distance too and reach
+    more codes (the tetracode into F_9: 512 over all 4,096 nonzero
+    diagonals, 210 over the 1,680 ordered dh ones). ``systematize`` applies
     reduced row echelon afterwards so the result displays an identity
     block. The lifted distance is left uncached: equality with the base
     distance is a claim to verify, not an input.

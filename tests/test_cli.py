@@ -225,6 +225,34 @@ def test_dh_and_lift_files_are_pinned(tmp_path, t):
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
 
 
+# lift check ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", [f"lift{s}-t{t}.txt" for s in ("", "-systematic")
+                                  for t in (2, 3, 4, 6)])
+def test_verifylift_on_the_golden_lifts(capsys, name):
+    # F_7^4 and F_7^6 hold more than 2^26 codewords: the d clause is skipped
+    d = "6" if name.endswith(("t2.txt", "t3.txt")) else "?"
+    code, out, err = run(capsys, "verifylift", str(GOLDEN / "example1.txt"), str(GOLDEN / name))
+    assert (code, err) == (0, "")
+    assert out == f"n_match=True k_match=True lifted_mds=True d_base={d} d_lifted={d} PASS\n"
+
+
+def test_verifylift_fail_is_a_false_verdict(capsys, tmp_path):
+    grs = tmp_path / "grs82.txt"
+    assert main(["grs", "-p", "7", "-t", "3", "-n", "8", "-k", "2", "-o", str(grs)]) == 0
+    code, out, _ = run(capsys, "verifylift", str(GOLDEN / "example1.txt"), str(grs))
+    assert code == 1
+    assert out == "n_match=True k_match=False lifted_mds=True d_base=6 d_lifted=7 FAIL\n"
+
+
+def test_verifylift_takes_two_files_and_no_option(capsys, ex1_file):
+    assert run(capsys, "verifylift", ex1_file)[0] == 2
+    assert run(capsys, "verifylift", ex1_file, ex1_file, "--max-enum", "100")[0] == 2
+    code, out, _ = run(capsys, "verifylift", ex1_file, ex1_file)
+    assert code == 0 and out.endswith(" PASS\n")
+
+
 # diversity ----------------------------------------------------------------------
 
 
@@ -310,6 +338,17 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("d", ["0", "7"])
+def test_out_of_range_params_d_is_a_format_error(capsys, tmp_path, d):
+    # [8,3]: a stated d must lie in [1, n - k + 1] = [1, 6]
+    path = tmp_path / "ex1.txt"
+    path.write_text((GOLDEN / "example1.txt").read_text().replace("d=?", f"d={d}"))
+    code, out, err = run(capsys, "ismds", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: FormatError: params d={d} outside [1, n - k + 1]")
+    assert err.count("\n") == 1
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
@@ -351,8 +390,10 @@ with contextlib.redirect_stdout(out):
 print(out.getvalue().splitlines()[-2])  # the decoded message
 print("numpy" in sys.modules)
 # the 56 minors of the lifted [8,3] code run on the scalar tables, and its
-# distance n - k + 1 = 6 follows from them with no enumeration
-for argv in (["ismds", str(d / "lifted")], ["mindist", str(d / "lifted")]):
+# distance n - k + 1 = 6 follows from them with no enumeration, as does the
+# base's in the lift check
+for argv in (["ismds", str(d / "lifted")], ["mindist", str(d / "lifted")],
+             ["verifylift", str(d / "ex1"), str(d / "lifted")]):
     assert main(argv) == 0, argv
 print("numpy" in sys.modules)
 # GRS[16,8] over F_49 has 12,870 minors: the numpy pass
@@ -368,7 +409,10 @@ def test_cli_steps_without_arrays_run_without_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _STEPS_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["w^5 0 1", "False", "MDS", "6", "False", "MDS", "True"]
+    assert proc.stdout.splitlines() == [
+        "w^5 0 1", "False", "MDS", "6",
+        "n_match=True k_match=True lifted_mds=True d_base=6 d_lifted=6 PASS", "False",
+        "MDS", "True"]
 
 
 def test_cli_import_loads_neither_numpy_nor_dataclasses():

@@ -1,15 +1,10 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mdslift
 from mdslift import matrix
 from mdslift.codes import LinearCode, grs_generator
 from mdslift.erasure import (
@@ -191,17 +186,3 @@ def test_grs_codes_recover_generic_erasures(f7, f49):
             cw = erasure_encode(code, msg)
             pattern = rng.sample(range(n), n - k)
             assert erasure_decode(erase(code, cw, pattern)) == msg
-
-
-def test_erasure_demo_reports_too_many_erasures_as_the_cli_does():
-    # six erasures of the [8,3] code: the demo prints one error line and
-    # exits 1, as `mdslift decode` does for a DataError, with no traceback
-    src = Path(mdslift.__file__).parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, str(src.parent / "scripts" / "erasure_demo.py"),
-                           "--positions", "0", "1", "2", "3", "4", "5"],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == [
-        "error: TooManyErasures: 6 erasures, correctable at most 5"]
-    assert proc.stdout.splitlines()[-1] == "  received:  ? ? ? ? ? ? 5 6"

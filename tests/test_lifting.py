@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -439,3 +441,23 @@ def test_any_nonzero_diagonal_preserves_mds(example1, f343):
         entries = [1 + rng.below(342) for _ in range(8)]  # repeats allowed
         diag = DhDiagonal(f343, entries)
         assert is_mds(lift(example1, diag, strict_dh=False))
+
+
+@pytest.mark.parametrize("rows, mds, d", [
+    ([[1, 0, 1, 1], [0, 1, 1, 2]], True, 3),  # the tetracode [4,2,3]
+    ([[1, 1, 0, 0], [0, 0, 1, 1]], False, 2),  # a [4,2,2] code, not MDS
+])
+def test_every_nonzero_diagonal_keeps_d(f3, rows, mds, d):
+    f9 = make_extension_field(3, 2)
+    base = LinearCode(FieldMatrix.from_rows(f3, rows))
+    assert (is_mds(base), min_distance(base)) == (mds, d)
+    reached, reached_by_dh = set(), set()  # distinct codes, by RREF
+    for entries in itertools.product(range(1, 9), repeat=4):  # repeats allowed
+        m = DhDiagonal(f9, entries)
+        lifted = lift(base, m, strict_dh=False)
+        assert (is_mds(lifted), min_distance(lifted)) == (mds, d), entries
+        reached.add(lifted.generator.rref())
+        if is_dh(m):
+            reached_by_dh.add(lifted.generator.rref())
+    if mds:  # repeated entries reach more codes than dh diagonals do
+        assert (len(reached), len(reached_by_dh)) == (512, 210)
