@@ -11,8 +11,8 @@ behind ``weight_distribution`` covers one codeword per projective
 point, (q^k - 1)/(q - 1) in all. The minor check reads the
 generator's cached RREF: every k-column minor is, up to a nonzero
 factor, a square minor of its k x (n - k) non-pivot block, so it
-computes those (90 field products for [8,3], against 224 for all k x k
-minors of G, on scalar tables or numpy arrays) and needs no dual.
+computes those (C(n, k) - 1, the k(n - k) entries among them: 15 and 40
+larger for [8,3], on scalar tables or numpy arrays) and needs no dual.
 
 ``min_distance`` uses both: d = n - k + 1 iff all minors are
 nonsingular, so where the minors are the fewer it reads d from them and
@@ -220,16 +220,11 @@ def weight_distribution(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) 
     return [c * (code.spec.order - 1) for c in projective_weight_counts(code)]
 
 
-#: Largest minor pass, in sum_{j=2..min(k, n-k)} j * C(k, j) * C(n - k, j)
-#: field products, that runs on the scalar Zech tables rather than on numpy
-#: arrays; both passes do these products, and cross at [10,5] (605) warm.
-SCALAR_PASS_PRODUCTS = 605
-
-
-@functools.lru_cache(maxsize=64)
-def _scalar_products(k: int, n: int) -> int:
-    """Field products of the scalar pass on an [n, k] code."""
-    return sum(j * comb(k, j) * comb(n - k, j) for j in range(2, min(k, n - k) + 1))
+#: Largest C(n, k) - k(n - k) (one more than the minors of size 2 and up, by
+#: Vandermonde; 1 when min(k, n - k) = 1) that runs on the scalar Zech tables,
+#: not numpy. Warm, the scalar pass wins up to [29,2] (352), [30,2] (379) is a
+#: tie and numpy wins from [15,3] (419) on (``BENCH_22.json``).
+SCALAR_PASS_MINORS = 352
 
 
 @functools.lru_cache(maxsize=64)
@@ -311,7 +306,7 @@ def _log_sum_tables(spec: FieldSpec) -> tuple[list[int], list[int]]:
 
 def _free_columns(n: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
     """The columns 0..n-1 that are not pivot columns, ascending."""
-    return tuple(j for j in range(n) if j not in pivots)
+    return tuple(sorted(set(range(n)).difference(pivots)))
 
 
 #: Scalar-pass plans by (id of the field, id of the RREF rows): each plan
@@ -411,20 +406,20 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
 
     Both passes find the zero square minors of the cached RREF's non-pivot
     block (see ``_scalar_first_singular``), for any k and with no dual: in
-    Python on the Zech tables (order up to 2^16) when that takes at most
-    ``SCALAR_PASS_PRODUCTS`` field products, where the minors that no
-    level reads are only tested for zero, else on numpy arrays
-    (``kernels.first_singular``). In-process on 2 vCPUs, ``is_mds`` of a
-    lift of the [8,3] code into F_49, F_343 or F_2401 takes about 17 us
-    (``BENCH_20.json``); README.md has both passes' figures.
+    Python on the Zech tables (order up to 2^16) when C(n, k) - k(n - k) is
+    at most ``SCALAR_PASS_MINORS``, where the minors that no level reads
+    are only tested for zero, else on numpy arrays (``kernels.first_singular``).
+    In-process on 2 vCPUs, ``is_mds`` of a lift of the [8,3] code into
+    F_49, F_343 or F_2401 takes about 17 us (``BENCH_20.json``).
     """
     k, n = code.k, code.n
-    if comb(n, k) > minor_limit:
-        raise TooManyMinors(f"[{n},{k}] minor check needs {comb(n, k)} minors, "
+    minors = comb(n, k)
+    if minors > minor_limit:
+        raise TooManyMinors(f"[{n},{k}] minor check needs {minors} minors, "
                             f"limit {minor_limit}")
     if k == 0 or k == n:
         return None  # the one k x k minor, if any, is nonzero by full rank
-    if _scalar_products(k, n) <= SCALAR_PASS_PRODUCTS and code.spec._scalar_zech() is not None:
+    if minors - k * (n - k) <= SCALAR_PASS_MINORS and code.spec._scalar_zech() is not None:
         return _scalar_first_singular(code.generator)
     from .kernels import first_singular
     return first_singular(code.generator)

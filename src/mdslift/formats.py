@@ -21,7 +21,7 @@ appear, so emitted comments never affect a roundtrip.
 
 from __future__ import annotations
 
-from .codes import LinearCode
+from .codes import LinearCode, min_distance
 from .erasure import ErasureWord
 from .errors import FormatError
 from .field import (
@@ -202,7 +202,10 @@ def parse_code(text: str) -> LinearCode:
             d = _int_field(kv["d"], rest[0])
             if not 1 <= d <= m.cols - m.rows + 1:
                 raise FormatError(f"params d={d} outside [1, n - k + 1]: {rest[0]!r}")
-    return LinearCode(m, d=d)
+    code = LinearCode(m)
+    if d is not None and min_distance(code) != d:
+        raise FormatError(f"params d={d}, but the code has minimum distance {code.d}")
+    return code
 
 
 def format_dh(m: DhDiagonal, dlog_limit: int | None = None) -> str:

@@ -1,8 +1,8 @@
 """numpy kernels behind ``codes``: the projective codeword enumeration
 (``weight_distribution``, and ``min_distance`` for a code it cannot
 decide by minors) and the Laplace minor pass (``singular_minor``,
-``is_mds``) for shapes above ``codes.SCALAR_PASS_PRODUCTS``, over the
-same minors of the RREF's non-pivot block as the scalar pass. With
+``is_mds``) above ``codes.SCALAR_PASS_MINORS`` or without Zech tables,
+over the same minors of the RREF's non-pivot block as the scalar pass. With
 ``FieldSpec``'s array tables, the only code that uses numpy; ``codes``
 imports it on first use, so fields, matrices, lifts, erasure coding and
 the minor checks of small codes run without numpy."""

@@ -349,6 +349,18 @@ def test_out_of_range_params_d_is_a_format_error(capsys, tmp_path, d):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["mindist"], ["ismds"], ["verifylift"]],
+                         ids=lambda argv: argv[0])
+def test_wrong_stated_d_is_a_format_error(capsys, tmp_path, argv):
+    # d=4 lies in [1, 6] but the [8,3] reference code has d = 6
+    path = tmp_path / "ex1.txt"
+    path.write_text((GOLDEN / "example1.txt").read_text().replace("d=?", "d=4"))
+    extra = [str(GOLDEN / "lift-t3.txt")] if argv == ["verifylift"] else []
+    code, out, err = run(capsys, *argv, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err == "error: FormatError: params d=4, but the code has minimum distance 6\n"
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

@@ -12,10 +12,9 @@ from mdslift import codes, kernels
 from mdslift.codes import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_MINOR_LIMIT,
-    SCALAR_PASS_PRODUCTS,
+    SCALAR_PASS_MINORS,
     LinearCode,
     _scalar_first_singular,
-    _scalar_products,
     encode_message,
     example1_code,
     grs_generator,
@@ -600,8 +599,8 @@ def test_singular_minor_of_mds_code_is_none(example1):
 
 
 # (p, t, k, n) over prime, char-2 and odd extension fields: k = 1, k > n/2,
-# and passes of 20 to 150 products ([7,5] 20, [8,3] 90, [8,4] 124, [9,3]
-# 150); the test calls each pass directly, whatever SCALAR_PASS_PRODUCTS is
+# and C(n, k) - k(n - k) from 11 to 66 ([7,5] 11, [8,3] 41, [8,4] 54, [9,3]
+# 66); the test calls each pass directly, whatever SCALAR_PASS_MINORS is
 _PASS_SHAPES = [(7, 1, 1, 6), (7, 1, 2, 6), (7, 1, 3, 8), (11, 1, 3, 9), (2, 2, 2, 5),
                 (2, 3, 3, 8), (2, 4, 4, 8), (3, 2, 3, 8), (7, 2, 3, 9), (7, 2, 4, 8),
                 (7, 3, 3, 8), (7, 1, 5, 7), (3, 2, 1, 7)]
@@ -752,12 +751,12 @@ def test_scalar_pass_witnesses_match_oracle_on_every_shape():
                       for level in ("level 1", "inner 2", "leaf 2", "leaf 3")}
 
 
-@pytest.mark.parametrize("products", [-1, 10 ** 9], ids=["numpy pass", "scalar pass"])
-def test_singular_minor_on_each_pass_matches_oracle(monkeypatch, f7, f49, products):
+@pytest.mark.parametrize("minors", [-1, 10 ** 9], ids=["numpy pass", "scalar pass"])
+def test_singular_minor_on_each_pass_matches_oracle(monkeypatch, f7, f49, minors):
     # the same codes on the numpy pass alone and on the scalar pass alone:
     # a repeated leading column makes the leading block singular, with no
     # special case on either pass
-    monkeypatch.setattr(codes, "SCALAR_PASS_PRODUCTS", products)
+    monkeypatch.setattr(codes, "SCALAR_PASS_MINORS", minors)
     rng = SplitMix64(43)
     outcomes = set()
     for spec, k, n in [(f7, 3, 7), (f49, 4, 8), (f7, 5, 7), (f49, 6, 8), (f49, 1, 5), (f7, 6, 7)]:
@@ -804,16 +803,26 @@ def test_minor_pass_choice_follows_product_count(monkeypatch, f49, f2_17):
 
     monkeypatch.setattr(codes, "_scalar_first_singular", spy("scalar", _scalar_first_singular))
     monkeypatch.setattr(kernels, "first_singular", spy("array", kernels.first_singular))
-    # [9,3] needs 150 products, [10,5] 605, [30,2] 756 and [8,7] none (k > n/2
-    # needs no dual)
-    assert _scalar_products(5, 10) <= SCALAR_PASS_PRODUCTS < _scalar_products(2, 30)
+    # C(n, k) - k(n - k): [9,3] 66, [10,5] 227, [13,3] 256, [11,4] 302,
+    # [30,2] 379, [15,3] 419, [32,2] 436, and 1 for [8,7], [1000,1] and
+    # [1000,999] (k > n/2 needs no dual). The [1000,999] code is the
+    # systematic dual of GRS[1000,1], whose elimination is cheap: that of
+    # GRS[1000,999] takes minutes
+    assert comb(11, 4) - 4 * 7 <= SCALAR_PASS_MINORS < comb(30, 2) - 2 * 28
+    f1024 = make_extension_field(2, 10)
+    parity = LinearCode(FieldMatrix(f1024, [[int(j in (i, 999)) for j in range(1000)]
+                                            for i in range(999)]))
     for code in (grs_generator(f49, 8, 3), grs_generator(f49, 9, 3), grs_generator(f49, 8, 7),
                  grs_generator(f49, 10, 5), grs_generator(f49, 30, 2), grs_generator(f49, 16, 8),
-                 grs_generator(f2_17, 8, 3)):
+                 grs_generator(f2_17, 8, 3), grs_generator(f49, 13, 3),
+                 grs_generator(f49, 11, 4), grs_generator(f49, 15, 3),
+                 grs_generator(f49, 32, 2), grs_generator(f1024, 1000, 1), parity):
         assert singular_minor(code) is None
     assert calls == [("scalar", (3, 8)), ("scalar", (3, 9)), ("scalar", (7, 8)),
                      ("scalar", (5, 10)), ("array", (2, 30)), ("array", (8, 16)),
-                     ("array", (3, 8))]  # F_2^17 has no tables
+                     ("array", (3, 8)),  # F_2^17 has no tables
+                     ("scalar", (3, 13)), ("scalar", (4, 11)), ("array", (3, 15)),
+                     ("array", (2, 32)), ("scalar", (1, 1000)), ("scalar", (999, 1000))]
 
 
 def test_min_distance_reads_mds_distance_from_minors(monkeypatch, f4, f7):

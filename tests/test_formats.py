@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdslift.codes import LinearCode, example1_code, grs_generator, min_distance
 from mdslift.erasure import ErasureWord, erase, erasure_encode
-from mdslift.errors import FormatError, NotPrime, ZeroDiagonalEntry
+from mdslift.errors import FormatError, NotPrime, TooManyCodewords, ZeroDiagonalEntry
 from mdslift.field import make_extension_field, make_prime_field
 from mdslift.formats import (
     format_code,
@@ -151,6 +151,14 @@ def test_code_roundtrip_with_known_distance(example1):
     text = format_code(example1)
     assert "d=6" in text
     assert parse_code(text).d == 6
+
+
+def test_code_stated_distance_too_costly_to_check_is_refused(f343):
+    # a stated d is checked by min_distance, which refuses 343^4 - 1 codewords
+    big = grs_generator(f343, 10, 4)
+    big.set_distance(7)
+    with pytest.raises(TooManyCodewords):
+        parse_code(format_code(big))
 
 
 def test_code_emit_parse_emit_is_stable(f7, f343, example1):
