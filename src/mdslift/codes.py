@@ -57,14 +57,14 @@ DEFAULT_MINOR_LIMIT = 1 << 22
 class LinearCode:
     """An [n, k] linear code given by a full-row-rank generator matrix.
 
-    The minimum distance ``d`` starts unknown and is cached set-once by
-    ``min_distance``; a cached value always satisfies the Singleton
-    bound 1 <= d <= n - k + 1.
+    The minimum distance ``d`` starts unknown. Only ``min_distance``
+    computes it and stores it here, so a known d is never one a caller
+    stated.
     """
 
     __slots__ = ("spec", "generator", "n", "k", "_d")
 
-    def __init__(self, generator: FieldMatrix, d: int | None = None) -> None:
+    def __init__(self, generator: FieldMatrix) -> None:
         k, n = generator.shape
         if k > n:
             raise DimensionMismatch(f"k={k} rows exceed n={n} columns")
@@ -75,21 +75,11 @@ class LinearCode:
         self.n = n
         self.k = k
         self._d = None
-        if d is not None:
-            self.set_distance(d)
 
     @property
     def d(self) -> int | None:
         """Known minimum distance, or None before computation."""
         return self._d
-
-    def set_distance(self, d: int) -> None:
-        """Set-once cache; repeated sets must agree."""
-        if not 1 <= d <= self.n - self.k + 1:
-            raise ValueError(f"d={d} violates Singleton for [{self.n},{self.k}]")
-        if self._d is not None and self._d != d:
-            raise ValueError(f"distance already cached as {self._d}, got {d}")
-        self._d = d
 
     def dual(self) -> "LinearCode":
         """The dual [n, n - k] code. With RREF R, pivot columns P and the
@@ -205,7 +195,7 @@ def min_distance(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) -> int:
     else:
         from .kernels import min_weight
         best = min_weight(code)
-    code.set_distance(best)
+    code._d = best
     return best
 
 
@@ -287,23 +277,6 @@ def _level_sum(j: int, leaf: bool):
     return eval(f"lambda terms, signed, below, red, step: [{total} for {names} in terms]")
 
 
-@functools.lru_cache(maxsize=8)
-def _log_sum_tables(spec: FieldSpec) -> tuple[list[int], list[int]]:
-    """``red`` and ``step`` for logs with zero held as z = 2(q - 1), m = q - 1.
-
-    red[x] is x mod m for x < 2m and z for x >= 2m, so red[a + b] is the
-    log of a product of two such logs. step[b - a] is what a + b needs
-    added to a, before ``red``: zech[(b - a) mod m] when both are nonzero,
-    0 when b is zero, and b - a when a is zero (b - z lies in [-2m, -m),
-    read from the end of the list, 4m + 1 long).
-    """
-    zech = spec._scalar_zech()
-    m = len(zech)
-    red = list(range(m)) * 2 + [2 * m] * (2 * m + 1)
-    step = zech + [0] * (m + 1) + list(range(-2 * m, -m)) + zech
-    return red, step
-
-
 def _free_columns(n: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
     """The columns 0..n-1 that are not pivot columns, ascending."""
     return tuple(sorted(set(range(n)).difference(pivots)))
@@ -318,11 +291,12 @@ def _scalar_plan(spec: FieldSpec, reduced: tuple[tuple[int, ...], ...],
                  pivots: tuple[int, ...]) -> tuple:
     """Build and keep (64 at most) what the scalar pass over ``spec`` reads of
     the full-rank RREF (``reduced``, ``pivots``), for later passes, as on
-    each lift of one base into one field, to find with one lookup: ``red``,
-    ``step``, the log list, the free columns, ``flip`` (A has more rows),
-    level 1 of M = A, or A^T if flipped, as (log, row, column) cells (log
-    2(q - 1) for zero) and as its row and column 1-sets, and for each later
-    level its two ``_level_sum``s and ``_level_plan``."""
+    each lift of one base into one field, to find with one lookup: the
+    spec's log-sum lists ``red`` and ``step`` (built with its Zech list by
+    ``FieldSpec._scalar_log``), the log list, the free columns, ``flip`` (A
+    has more rows), level 1 of M = A, or A^T if flipped, as (log, row,
+    column) cells (log 2(q - 1) for zero) and as its row and column 1-sets,
+    and for each later level its two ``_level_sum``s and ``_level_plan``."""
     n, k = len(reduced[0]), len(pivots)
     free, log = _free_columns(n, pivots), spec._scalar_log()
     flip = k > n - k  # expand along the shorter side: A^T has the same minors
@@ -333,7 +307,7 @@ def _scalar_plan(spec: FieldSpec, reduced: tuple[tuple[int, ...], ...],
     ones = tuple((i,) for i in range(h)), tuple((c,) for c in range(w))
     levels = tuple((_level_sum(j, False), _level_sum(j, True), *_level_plan(h, w, j))
                    for j in range(2, h + 1))
-    plan = *_log_sum_tables(spec), log, free, flip, cells, ones, levels, spec, reduced
+    plan = spec._red, spec._step, log, free, flip, cells, ones, levels, spec, reduced
     if len(_PLANS) >= 64:
         _PLANS.clear()
     _PLANS[id(spec), id(reduced)] = plan

@@ -338,6 +338,8 @@ class FieldSpec:
         self._exp: list[int] | None = None  # exponent -> code, two periods
         self._log: list[int] | None = None  # code -> exponent, 2(order-1) for 0
         self._zech: list[int] | None = None  # e -> log(1 + w^e), up to _AUTO_TABLE_LIMIT
+        self._red: list[int] | None = None  # the log-sum lists, built with _zech
+        self._step: list[int] | None = None
         self._neg_log = (self.order - 1) // 2 if p % 2 else 0  # -1 = w^_neg_log
         self._arrays = None  # numpy (log, exp, coords, powers), built on first use
 
@@ -411,10 +413,11 @@ class FieldSpec:
             return (a + b) % self.p
         if a == 0 or b == 0:
             return a or b
-        zech = self._scalar_zech()
-        if zech is None:
+        if self._scalar_zech() is None:
             return self._digit_sum(a, b, 1)
-        return self._zech_sum(self._log[a], self._log[b], zech)
+        log = self._log
+        s = self._red[log[a] + self._step[log[b] - log[a]]]
+        return 0 if s == log[0] else self._exp[s]
 
     def sub_code(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -423,11 +426,14 @@ class FieldSpec:
             return (a - b) % self.p
         if b == 0:
             return a
-        zech = self._scalar_zech()
-        if zech is None:
+        if self._scalar_zech() is None:
             return self._digit_sum(a, b, -1)
-        neg_b = (self._log[b] + self._neg_log) % len(zech)
-        return self._exp[neg_b] if a == 0 else self._zech_sum(self._log[a], neg_b, zech)
+        log, red = self._log, self._red
+        neg_b = red[log[b] + self._neg_log]
+        if a == 0:
+            return self._exp[neg_b]
+        s = red[log[a] + self._step[neg_b - log[a]]]
+        return 0 if s == log[0] else self._exp[s]
 
     def neg_code(self, a: int) -> int:
         return self.sub_code(0, a)
@@ -440,12 +446,6 @@ class FieldSpec:
             b, db = divmod(b, p)
             code += ((da + sign * db) % p) * pw
         return code
-
-    def _zech_sum(self, la: int, lb: int, zech: list[int]) -> int:
-        """Code of w^la + w^lb = w^la * (1 + w^(lb - la)), for logs below
-        q - 1; a negative index into zech wraps mod q - 1."""
-        z = zech[lb - la]
-        return 0 if z == self._log[0] else self._exp[la + z]
 
     def mul_code(self, a: int, b: int) -> int:
         if self.t == 1:
@@ -556,16 +556,28 @@ class FieldSpec:
 
     def _scalar_log(self, limit: int = _AUTO_TABLE_LIMIT) -> list[int] | None:
         """The log list, built with the exp list on the first call at an
-        order of at most ``limit``; None above it while unbuilt. Up to
-        ``_AUTO_TABLE_LIMIT`` the Zech list is built with them."""
+        order of at most ``limit``; None above it while unbuilt.
+
+        Up to ``_AUTO_TABLE_LIMIT`` the Zech list is built with them, and
+        the two lists every sum of logs reads, with zero held as its log
+        z = 2m, m = q - 1: red[x] is x mod m for x < 2m and z for x >= 2m,
+        so red[a + b] is the log of a product of two such logs, and
+        step[b - a] is what a + b needs added to a, before ``red``:
+        zech[(b - a) mod m] when both are nonzero, 0 when b is zero, and
+        b - a when a is zero (b - z lies in [-2m, -m), read from the end of
+        the list, 4m + 1 long). ``add_code``, ``sub_code`` and the scalar
+        minor pass in ``codes`` read them. Every list is built before the
+        first store, and the Zech list is stored last, so a reader that
+        finds it through ``_scalar_zech`` finds the others too.
+        """
         if self._log is not None or self.order > limit:
             return self._log
         with self._lock:
             if self._log is None:
                 p, t, w, m, top = self.p, self.t, self._w_code, self.order - 1, self._powers[-1]
-                # red[h]: code of h * x^t = -h * (f - x^t) mod f, for the top digit h
-                red = [sum((-h * c) % p * pw for c, pw in zip(self.modulus, self._powers))
-                       for h in range(p)] if t > 1 else None
+                # carry[h]: code of h * x^t = -h * (f - x^t) mod f, for the top digit h
+                carry = [sum((-h * c) % p * pw for c, pw in zip(self.modulus, self._powers))
+                         for h in range(p)] if t > 1 else None
                 exp, log, c = [0] * (2 * m), [2 * m] * (m + 1), 1
                 for e in range(m):
                     exp[e] = exp[e + m] = c
@@ -574,18 +586,23 @@ class FieldSpec:
                         c = c * w % p
                     else:
                         h, c = divmod(c, top)
-                        c = self._digit_sum(c * p, red[h], 1) if h else c * p
+                        c = self._digit_sum(c * p, carry[h], 1) if h else c * p
+                zech = red = step = None
                 if self.order <= _AUTO_TABLE_LIMIT:
                     # 1 + c changes digit 0 only; log[0] = 2m marks 1 + w^e = 0
-                    self._zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp[:m]]
-                self._exp = exp
-                self._log = log  # set last: marks the tables built
+                    zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp[:m]]
+                    red = list(range(m)) * 2 + [2 * m] * (2 * m + 1)
+                    step = zech + [0] * (m + 1) + list(range(-2 * m, -m)) + zech
+                self._exp, self._red, self._step = exp, red, step
+                self._log = log  # marks the exp/log tables built
+                self._zech = zech  # set last: marks the log-sum lists built
         return self._log
 
     def _scalar_zech(self) -> list[int] | None:
         """The Zech list, zech[e] = log(1 + w^e) for e < q - 1, with
         2(q - 1) (the log of zero) where 1 + w^e = 0; None above
-        ``_AUTO_TABLE_LIMIT``, where a + b runs digit by digit."""
+        ``_AUTO_TABLE_LIMIT``, where a + b runs digit by digit. Once it is
+        built, so are ``_red`` and ``_step`` (``_scalar_log``)."""
         if self._zech is None and self.order <= _AUTO_TABLE_LIMIT:
             self._scalar_log()
         return self._zech

@@ -202,6 +202,8 @@ def diversity_count(p: int, t: int, n: int) -> int:
         raise NotPrime(f"p={p}")
     if t < 1:
         raise DegreeTooSmall(f"t={t}")
+    if n < 0:
+        raise DimensionMismatch(f"n={n} is negative")
     q = p ** t
     if q <= n:
         raise FieldTooSmall(f"need p^t > n, got {q} <= {n}")

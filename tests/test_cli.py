@@ -76,10 +76,10 @@ def test_field_honors_order_cap(capsys):
 
 
 def test_example1_emits_reference_code(capsys, ex1_file):
-    code = parse_code(open(ex1_file).read())
+    code = parse_code(Path(ex1_file).read_text())
     assert (code.n, code.k) == (8, 3)
     assert code.generator.to_lists()[0] == [1, 0, 0, 6, 4, 2, 5, 3]
-    first = open(ex1_file).read().splitlines()[0]
+    first = Path(ex1_file).read_text().splitlines()[0]
     assert first.startswith("# generated-by mdslift")
 
 
@@ -115,6 +115,8 @@ def test_mindist_honors_enum_cap(capsys, tmp_path):
     main(["grs", "-p", "7", "-t", "3", "-n", "8", "-k", "3", "-o", str(path)])
     code, _, err = run(capsys, "mindist", str(path), "--max-enum", "100")
     assert code == 2 and "TooManyCodewords" in err
+    code, out, err = run(capsys, "mindist", str(path), "--max-enum", "0")
+    assert (code, out) == (2, "") and "limit must be positive" in err
 
 
 def test_ismds_true_and_false(capsys, ex1_file, tmp_path):
@@ -142,9 +144,9 @@ def test_ismds_honors_minor_cap(capsys, tmp_path):
 
 
 def test_dh_writes_distinct_entries(dh_file):
-    diag = parse_dh(open(dh_file).read())
+    diag = parse_dh(Path(dh_file).read_text())
     assert diag.n == 8 and diag.l_value == 1
-    assert "# dh l=1" in open(dh_file).read()
+    assert "# dh l=1" in Path(dh_file).read_text()
 
 
 def test_dh_same_seed_is_byte_identical(tmp_path):
@@ -171,14 +173,14 @@ def test_dh_seed_must_be_64_bit(capsys):
 def test_lift_pipeline_produces_mds_code(capsys, lift_file):
     code, out, _ = run(capsys, "ismds", lift_file)
     assert code == 0 and out.strip() == "MDS"
-    lifted = parse_code(open(lift_file).read())
+    lifted = parse_code(Path(lift_file).read_text())
     assert lifted.spec.order == 343 and (lifted.n, lifted.k) == (8, 3)
 
 
 def test_lift_systematic_flag(tmp_path, ex1_file, dh_file):
     path = tmp_path / "sys.txt"
     assert main(["lift", ex1_file, dh_file, "--systematic", "-o", str(path)]) == 0
-    lifted = parse_code(open(path).read())
+    lifted = parse_code(path.read_text())
     assert lifted.generator.codes[:, :3].tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -276,6 +278,11 @@ def test_diversity_field_too_small(capsys):
     assert code == 2 and "FieldTooSmall" in err
 
 
+def test_diversity_negative_length_is_usage_error(capsys):
+    code, out, err = run(capsys, "diversity", "-p", "7", "-t", "2", "-n", "-1")
+    assert (code, out, err) == (2, "", "error: DimensionMismatch: n=-1 is negative\n")
+
+
 # encode / decode ----------------------------------------------------------------
 
 
@@ -366,7 +373,7 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_emitted_files_reparse_despite_comment(ex1_file):
-    text = open(ex1_file).read()
+    text = Path(ex1_file).read_text()
     assert text.startswith("# generated-by")
     assert parse_code(text).n == 8
 

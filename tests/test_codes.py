@@ -101,9 +101,6 @@ def test_reference_code_distance_and_mds(example1):
 def test_distance_cache_is_set_once(example1):
     min_distance(example1)
     assert min_distance(example1) == 6  # cached path
-    example1.set_distance(6)  # idempotent
-    with pytest.raises(ValueError):
-        example1.set_distance(5)
 
 
 # construction validation --------------------------------------------------------
@@ -116,13 +113,12 @@ def test_linear_code_validates_rank(f7):
         LinearCode(FieldMatrix.zeros(f7, 3, 2))  # more rows than columns
 
 
-def test_linear_code_validates_singleton(f7):
-    g = FieldMatrix.from_rows(f7, [[1, 0, 1], [0, 1, 1]])
-    with pytest.raises(ValueError):
-        LinearCode(g, d=3)  # > n - k + 1
-    with pytest.raises(ValueError):
-        LinearCode(g, d=0)
-    assert LinearCode(g, d=2).d == 2
+def test_linear_code_takes_no_stated_distance(example1):
+    # only min_distance writes d; a stated one is range-checked and recomputed
+    # by parse_code
+    with pytest.raises(TypeError):
+        LinearCode(example1.generator, d=5)
+    assert not hasattr(example1, "set_distance")
 
 
 # GRS construction ---------------------------------------------------------------

@@ -66,6 +66,8 @@ def test_extension_needs_degree_two():
         make_extension_field(7, 1)
     with pytest.raises(DegreeTooSmall):
         make_extension_field(7, 0)
+    with pytest.raises(DegreeTooSmall):
+        field_from_modulus(7, 1, [3, 1])
 
 
 @pytest.mark.parametrize("p,expected", [(2, 1), (3, 2), (5, 2), (7, 3), (11, 2), (13, 2)])
@@ -215,6 +217,8 @@ def test_field_from_modulus_rejects_bad_polynomials():
         field_from_modulus(7, 2, [3, 1, 2])  # not monic
     with pytest.raises(FormatError):
         field_from_modulus(7, 2, [3, 1])  # wrong length
+    with pytest.raises(FormatError):
+        field_from_modulus(7, 2, [3, 7, 1])  # a coefficient >= p
 
 
 def test_field_from_modulus_tests_each_accepted_modulus_once(monkeypatch):
@@ -320,15 +324,19 @@ def test_mul_code_matches_oracle(p, t):
         oracle_field_mul(spec, a, b) for a, b in pairs]
 
 
-# every pair for F_4, F_8, F_9, F_49 and F_343; seeded pairs up to F_2^16
-@pytest.mark.parametrize("p,t", [(2, 2), (2, 3), (3, 2), (7, 2), (7, 3), (7, 4), (3, 5), (2, 16)])
+# every pair for F_4, F_8, F_9, F_49 and F_343; seeded pairs up to F_2^16, and
+# for F_3^11, above the automatic table limit with odd p: no Zech list, so its
+# sums and differences run digit by digit
+@pytest.mark.parametrize("p,t", [(2, 2), (2, 3), (3, 2), (7, 2), (7, 3), (7, 4), (3, 5), (2, 16),
+                                 (3, 11)])
 def test_zech_add_and_sub_match_digitwise_oracle(p, t):
     spec = _make(p, t)
     if spec.order <= 343:
         pairs = list(product(range(spec.order), repeat=2))
     else:
         pairs = list(zip(_sample(spec, 7), _sample(spec, 8))) + [(0, 5), (5, 0), (0, 0)]
-    assert spec._scalar_zech() is not None  # the sums below read it for odd p
+    # the sums below read it for odd p up to the limit
+    assert (spec._scalar_zech() is None) == (spec.order > 1 << 16)
     for sign, op in ((1, spec.add_code), (-1, spec.sub_code)):
         assert [op(a, b) for a, b in pairs] == [oracle_field_add(spec, a, b, sign)
                                                 for a, b in pairs]
@@ -431,6 +439,12 @@ def test_zero_to_the_zero_is_one(f7, f343):
     assert f343.zero() ** 0 == f343.one()
 
 
+def test_negative_exponent_rejected(f7, f343):
+    for spec in (f7, f343):
+        with pytest.raises(ValueError):
+            spec.pow_code(3, -1)
+
+
 def test_division_by_zero(f343):
     with pytest.raises(DivisionByZero):
         f343.one() / f343.zero()
@@ -470,11 +484,13 @@ def test_code_coords_roundtrip(p, t, data):
     assert e.code == sum(c * p ** i for i, c in enumerate(e.coords))
 
 
-def test_element_code_range_validated(f7):
+def test_element_code_range_validated(f7, f343):
     with pytest.raises(ValueError):
         FieldElement(f7, 7)
     with pytest.raises(ValueError):
         FieldElement(f7, -1)
+    with pytest.raises(ValueError):
+        f343.from_coords([1, 2, 3, 4])  # t + 1 coordinates
 
 
 def test_element_code_must_be_an_integer(f343):

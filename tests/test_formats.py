@@ -107,6 +107,10 @@ def test_matrix_malformed_inputs(f7, example1):
         good.replace("field p=7 t=1", "field p=7"),
         good.replace("field p=7 t=1", "field p=7 t=1 modulus=1,1"),
         good + "stray line\n",
+        good.replace("rows=3 cols=8", "rows=3 cols"),  # a token without =
+        good.replace("field p=7 t=1", "fold p=7 t=1"),
+        "\n".join(good.splitlines()[:2]),  # truncated header
+        good.replace("rows=3 cols=8", "rows=0 cols=8"),
     ]
     for bad in bad_cases:
         with pytest.raises(FormatError):
@@ -155,10 +159,9 @@ def test_code_roundtrip_with_known_distance(example1):
 
 def test_code_stated_distance_too_costly_to_check_is_refused(f343):
     # a stated d is checked by min_distance, which refuses 343^4 - 1 codewords
-    big = grs_generator(f343, 10, 4)
-    big.set_distance(7)
+    text = format_code(grs_generator(f343, 10, 4))
     with pytest.raises(TooManyCodewords):
-        parse_code(format_code(big))
+        parse_code(text.replace("d=?", "d=7"))
 
 
 def test_code_emit_parse_emit_is_stable(f7, f343, example1):
@@ -175,6 +178,10 @@ def test_code_params_must_match_matrix(example1):
         parse_code(text.replace("k=3", "k=2"))
     with pytest.raises(ValueError):
         parse_code(text.replace("d=?", "d=7"))  # Singleton violation
+    with pytest.raises(FormatError):
+        parse_code(text.replace(" d=?", ""))
+    with pytest.raises(FormatError):
+        parse_code(text + "params n=8 k=3 d=?\n")  # content after the params line
 
 
 def test_code_without_params_line_parses(example1):
@@ -207,6 +214,8 @@ def test_dh_file_validation(f343, example1):
     zero_text = "mdslift-matrix v1\nfield p=7 t=3 modulus=2,1,1,1\nrows=1 cols=2\nw^3 0\n"
     with pytest.raises(ZeroDiagonalEntry):
         parse_dh(zero_text)
+    with pytest.raises(FormatError):
+        parse_dh(zero_text + "w^3 1\n")  # content after the row
 
 
 # erasure words ------------------------------------------------------------------
