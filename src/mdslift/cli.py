@@ -14,6 +14,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -31,8 +32,8 @@ from .erasure import ErasureWord, erasure_decode, erasure_encode
 from .errors import DataError, MdsLiftError
 from .field import (
     DEFAULT_ORDER_LIMIT,
-    DLOG_TABLE_LIMIT,
     FieldSpec,
+    is_prime,
     make_extension_field,
     make_prime_field,
 )
@@ -102,12 +103,12 @@ def cmd_field(args: argparse.Namespace) -> int:
 def cmd_grs(args: argparse.Namespace) -> int:
     spec = _make_field(args)
     code = grs_generator(spec, args.n, args.k)
-    _emit(args, format_code(code, dlog_limit=args.max_dlog))
+    _emit(args, format_code(code))
     return 0
 
 
 def cmd_example1(args: argparse.Namespace) -> int:
-    _emit(args, format_code(example1_code(), dlog_limit=args.max_dlog))
+    _emit(args, format_code(example1_code()))
     return 0
 
 
@@ -127,7 +128,7 @@ def cmd_ismds(args: argparse.Namespace) -> int:
 
 def cmd_dh(args: argparse.Namespace) -> int:
     spec = _make_field(args)
-    _emit(args, format_dh(sample_dh(spec, args.n, args.seed), dlog_limit=args.max_dlog))
+    _emit(args, format_dh(sample_dh(spec, args.n, args.seed)))
     return 0
 
 
@@ -135,7 +136,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     diag = parse_dh(_read(args.dh))
     lifted = lift(code, diag, strict_dh=args.strict, systematize=args.systematic)
-    _emit(args, format_code(lifted, dlog_limit=args.max_dlog))
+    _emit(args, format_code(lifted))
     return 0
 
 
@@ -145,8 +146,26 @@ def cmd_verifylift(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _count_too_long(p: int, t: int, n: int, limit: int) -> bool:
+    """Whether C(N, n), N = p^t - 1, for a prime p, t >= 1 and n >= 0, has
+    more than ``limit`` digits. For k = min(n, N - n) >= 1, C(N, k) >= (N/k)^k
+    >= max(N, 2^k), which settles a large N or k by bit lengths and logs;
+    any other count, of at most 2.8 ``limit`` digits, is computed."""
+    if t * (p.bit_length() - 1) > 4 * limit + n.bit_length():
+        return n > 0  # N >= 16^limit * n, so C(N, n) >= N unless n = 0
+    big = p ** t - 1
+    k = min(n, big - n)  # below 1 for a count of 1, or where diversity_count refuses
+    return k > 0 and (k > 4 * limit or k * (math.log10(big) - math.log10(k)) > limit + 1
+                      or math.comb(big, k) >= 10 ** limit)
+
+
 def cmd_diversity(args: argparse.Namespace) -> int:
-    print(diversity_count(args.p, args.t, args.n))
+    p, t, n = args.p, args.t, args.n
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and is_prime(p) and t >= 1 and n >= 0 and _count_too_long(p, t, n, limit):
+        raise MdsLiftError(f"C({p}^{t} - 1, {n}) has more than {limit} decimal digits; "
+                           "PYTHONINTMAXSTRDIGITS raises that limit")
+    print(diversity_count(p, t, n))
     return 0
 
 
@@ -154,7 +173,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     message = [parse_element(code.spec, tok) for tok in args.symbol]
     word = ErasureWord(code, erasure_encode(code, message))
-    _emit(args, format_erasure(word, dlog_limit=args.max_dlog))
+    _emit(args, format_erasure(word))
     return 0
 
 
@@ -169,7 +188,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     else:
         raise MdsLiftError("decode needs word tokens or --word-file")
     message = erasure_decode(parse_erasure(code, text))
-    print(" ".join(format_element(e, dlog_limit=args.max_dlog) for e in message))
+    print(" ".join(format_element(e) for e in message))
     return 0
 
 
@@ -188,13 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-order", type=_positive, default=DEFAULT_ORDER_LIMIT,
                             help="refuse fields of larger order p^t")
 
-    def add_dlog(sp):
-        sp.add_argument("--max-dlog", type=_positive, default=DLOG_TABLE_LIMIT,
-                        help="largest field order for w^k output")
-
-    def add_out(sp):  # an output file, and its element tokens
+    def add_out(sp):
         sp.add_argument("-o", "--out", help="output file (default stdout)")
-        add_dlog(sp)
 
     sp = sub.add_parser("field", help="describe a field's deterministic construction")
     add_field_args(sp)
@@ -260,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("code")
     sp.add_argument("symbol", nargs="*", help="n word tokens, ? for erased")
     sp.add_argument("--word-file", help="read the word from a file instead")
-    add_dlog(sp)
     sp.set_defaults(func=cmd_decode)
 
     return parser

@@ -337,9 +337,8 @@ class FieldSpec:
         self._lock = threading.Lock()
         self._exp: list[int] | None = None  # exponent -> code, two periods
         self._log: list[int] | None = None  # code -> exponent, 2(order-1) for 0
-        self._zech: list[int] | None = None  # e -> log(1 + w^e), up to _AUTO_TABLE_LIMIT
-        self._red: list[int] | None = None  # the log-sum lists, built with _zech
-        self._step: list[int] | None = None
+        self._red: list[int] | None = None  # the log-sum lists, up to _AUTO_TABLE_LIMIT
+        self._step: list[int] | None = None  # its head is the Zech list
         self._neg_log = (self.order - 1) // 2 if p % 2 else 0  # -1 = w^_neg_log
         self._arrays = None  # numpy (log, exp, coords, powers), built on first use
 
@@ -362,14 +361,11 @@ class FieldSpec:
         of this field gives its code, of another raises FieldMismatch; else
         an integer (``operator.index``: a float raises TypeError) in
         [0, order), else ValueError. Builds no ``FieldElement``."""
-        if type(value) is int:  # the common case first: DhDiagonal reads each entry here
-            code = value
-        elif isinstance(value, FieldElement):
+        if isinstance(value, FieldElement):
             if value.spec.field_id != self.field_id:
                 raise FieldMismatch(f"{value.spec} element used in {self}")
             return value.code
-        else:
-            code = operator.index(value)
+        code = operator.index(value)
         if not 0 <= code < self.order:
             raise ValueError(f"code {code} out of range for {self}")
         return code
@@ -567,8 +563,8 @@ class FieldSpec:
         b - a when a is zero (b - z lies in [-2m, -m), read from the end of
         the list, 4m + 1 long). ``add_code``, ``sub_code`` and the scalar
         minor pass in ``codes`` read them. Every list is built before the
-        first store, and the Zech list is stored last, so a reader that
-        finds it through ``_scalar_zech`` finds the others too.
+        first store, and ``step``, the Zech list at its head, is stored
+        last, so a reader that finds it through ``_scalar_zech`` finds all.
         """
         if self._log is not None or self.order > limit:
             return self._log
@@ -587,25 +583,24 @@ class FieldSpec:
                     else:
                         h, c = divmod(c, top)
                         c = self._digit_sum(c * p, carry[h], 1) if h else c * p
-                zech = red = step = None
+                red = step = None
                 if self.order <= _AUTO_TABLE_LIMIT:
                     # 1 + c changes digit 0 only; log[0] = 2m marks 1 + w^e = 0
                     zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp[:m]]
                     red = list(range(m)) * 2 + [2 * m] * (2 * m + 1)
                     step = zech + [0] * (m + 1) + list(range(-2 * m, -m)) + zech
-                self._exp, self._red, self._step = exp, red, step
+                self._exp, self._red = exp, red
                 self._log = log  # marks the exp/log tables built
-                self._zech = zech  # set last: marks the log-sum lists built
+                self._step = step  # set last: marks the log-sum lists built
         return self._log
 
     def _scalar_zech(self) -> list[int] | None:
-        """The Zech list, zech[e] = log(1 + w^e) for e < q - 1, with
-        2(q - 1) (the log of zero) where 1 + w^e = 0; None above
-        ``_AUTO_TABLE_LIMIT``, where a + b runs digit by digit. Once it is
-        built, so are ``_red`` and ``_step`` (``_scalar_log``)."""
-        if self._zech is None and self.order <= _AUTO_TABLE_LIMIT:
+        """``step``, its first q - 1 entries the Zech list (``_scalar_log``),
+        with every table built; None above ``_AUTO_TABLE_LIMIT``, where
+        a + b runs digit by digit."""
+        if self._step is None and self.order <= _AUTO_TABLE_LIMIT:
             self._scalar_log()
-        return self._zech
+        return self._step
 
     # ---------------------------------------------------------------------------
 

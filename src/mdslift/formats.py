@@ -12,11 +12,11 @@ are one-row matrices followed by the comment "# dh l=<l>"; erasure
 words are a single line of n tokens with "?" marking a missing symbol.
 
 Element tokens: plain decimal for prime fields; "0", "1" (= w^0) and
-"w^<k>" for extension fields; the coefficient form "[c0,...,c(t-1)]"
-(ascending degree, no internal whitespace) is accepted on input for
-any field and emitted only when the field is too large for discrete
-logs. Lines that are blank or start with '#' are ignored wherever they
-appear, so emitted comments never affect a roundtrip.
+"w^<k>" for extension fields up to ``DLOG_TABLE_LIMIT``, and above it
+the coefficient form "[c0,...,c(t-1)]" (ascending degree, no internal
+whitespace), accepted on input for any field: the field alone decides
+each token written. Lines that are blank or start with '#' are ignored
+wherever they appear, so emitted comments never affect a roundtrip.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ from .matrix import FieldMatrix
 MAGIC = "mdslift-matrix v1"
 
 
-def format_element(e: FieldElement, dlog_limit: int | None = None) -> str:
+def format_element(e: FieldElement) -> str:
     """Canonical token: decimal (t = 1) or power-of-w (t > 1).
 
-    Extension fields larger than ``dlog_limit`` (default the module
-    table limit) fall back to the coefficient form, which needs no
-    discrete logarithm.
+    Extension fields larger than ``DLOG_TABLE_LIMIT`` get the coefficient
+    form, which needs no discrete logarithm.
     """
     spec = e.spec
     if spec.t == 1:
@@ -51,9 +50,9 @@ def format_element(e: FieldElement, dlog_limit: int | None = None) -> str:
         return "0"
     if e.code == 1:
         return "1"
-    if spec.order > (DLOG_TABLE_LIMIT if dlog_limit is None else dlog_limit):
+    if spec.order > DLOG_TABLE_LIMIT:
         return "[" + ",".join(str(c) for c in e.coords) + "]"
-    return f"w^{spec.dlog(e, table_limit=dlog_limit)}"
+    return f"w^{spec.dlog(e)}"
 
 
 def parse_element(spec: FieldSpec, token: str) -> FieldElement:
@@ -135,15 +134,15 @@ def _field_line(spec: FieldSpec) -> str:
     return f"field p={spec.p} t={spec.t} modulus={mod}"
 
 
-def _matrix_lines(m: FieldMatrix, dlog_limit: int | None = None) -> list[str]:
+def _matrix_lines(m: FieldMatrix) -> list[str]:
     lines = [MAGIC, _field_line(m.spec), f"rows={m.rows} cols={m.cols}"]
     for i in range(m.rows):
-        lines.append(" ".join(format_element(e, dlog_limit) for e in m.row(i)))
+        lines.append(" ".join(format_element(e) for e in m.row(i)))
     return lines
 
 
-def format_matrix(m: FieldMatrix, dlog_limit: int | None = None) -> str:
-    return "\n".join(_matrix_lines(m, dlog_limit)) + "\n"
+def format_matrix(m: FieldMatrix) -> str:
+    return "\n".join(_matrix_lines(m)) + "\n"
 
 
 def _parse_matrix_lines(lines: list[str]) -> tuple[FieldMatrix, list[str]]:
@@ -179,8 +178,8 @@ def parse_matrix(text: str) -> FieldMatrix:
     return m
 
 
-def format_code(code: LinearCode, dlog_limit: int | None = None) -> str:
-    lines = _matrix_lines(code.generator, dlog_limit)
+def format_code(code: LinearCode) -> str:
+    lines = _matrix_lines(code.generator)
     d = "?" if code.d is None else str(code.d)
     lines.append(f"params n={code.n} k={code.k} d={d}")
     return "\n".join(lines) + "\n"
@@ -208,9 +207,9 @@ def parse_code(text: str) -> LinearCode:
     return code
 
 
-def format_dh(m: DhDiagonal, dlog_limit: int | None = None) -> str:
+def format_dh(m: DhDiagonal) -> str:
     row = FieldMatrix.from_rows(m.spec, [m.codes])
-    return "\n".join(_matrix_lines(row, dlog_limit) + [f"# dh l={m.l_value}"]) + "\n"
+    return "\n".join(_matrix_lines(row) + [f"# dh l={m.l_value}"]) + "\n"
 
 
 def parse_dh(text: str) -> DhDiagonal:
@@ -222,8 +221,8 @@ def parse_dh(text: str) -> DhDiagonal:
     return DhDiagonal(m.spec, m.to_lists()[0])
 
 
-def format_erasure(word: ErasureWord, dlog_limit: int | None = None) -> str:
-    tokens = ["?" if s is None else format_element(s, dlog_limit) for s in word.symbols]
+def format_erasure(word: ErasureWord) -> str:
+    tokens = ["?" if s is None else format_element(s) for s in word.symbols]
     return " ".join(tokens) + "\n"
 
 

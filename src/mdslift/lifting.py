@@ -30,6 +30,7 @@ from .errors import (
     FieldTooSmall,
     NotDh,
     NotPrime,
+    TooManyCodewords,
     ZeroDiagonalEntry,
 )
 from .field import FieldElement, FieldSpec, is_prime
@@ -173,20 +174,17 @@ def verify_lift(
     """Empirical check that lifting preserved [n, k, d].
 
     Passes when n and k match, both codes get the same ``is_mds``
-    verdict, and the distances agree; they are enumerated only when
-    q^k - 1 fits ``enum_limit`` for both codes, else that clause is skipped.
+    verdict, and the distances agree, unless ``min_distance`` refuses
+    either code (TooManyCodewords): then both distances are None.
     """
     n_match = lifted.n == base.n
     k_match = lifted.k == base.k
     mds = is_mds(lifted)
-    d_base = d_lifted = None
-    feasible = (base.spec.order ** base.k - 1 <= enum_limit
-                and lifted.spec.order ** lifted.k - 1 <= enum_limit)
-    if feasible:
-        d_base = min_distance(base, enum_limit)
-        d_lifted = min_distance(lifted, enum_limit)
-    passed = (n_match and k_match and mds == is_mds(base)
-              and (not feasible or d_base == d_lifted))
+    try:  # the lifted code first: its field is the larger, so it is refused first
+        d_lifted, d_base = min_distance(lifted, enum_limit), min_distance(base, enum_limit)
+    except TooManyCodewords:
+        d_base = d_lifted = None
+    passed = n_match and k_match and mds == is_mds(base) and d_base == d_lifted
     return LiftReport(n_match, k_match, mds, d_base, d_lifted, passed)
 
 

@@ -195,14 +195,8 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 
 
 def _scale_columns(spec: FieldSpec, rows, scale: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The rows with entry j of each multiplied by scale_j: with exp/log
-    tables and no zero in ``scale``, a_ij * scale_j is
-    exp[log a_ij + log scale_j], as in ``mul_code``."""
-    log = spec._scalar_log() if spec.t > 1 and 0 not in scale else None
-    if log is None:
-        return tuple(tuple(map(spec.mul_code, r, scale)) for r in rows)
-    exp, logs = spec._exp, [log[d] for d in scale]
-    return tuple(tuple([exp[log[x] + e] if x else 0 for x, e in zip(r, logs)]) for r in rows)
+    """The rows with entry j of each multiplied by scale_j."""
+    return tuple(tuple(map(spec.mul_code, r, scale)) for r in rows)
 
 
 def _scale(spec: FieldSpec, left: Sequence[int], rows, right: Sequence[int]

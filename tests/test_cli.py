@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +100,18 @@ def test_grs_too_long_is_usage_error(capsys):
 def test_grs_direct_extension_field(capsys, tmp_path):
     path = tmp_path / "grs343.txt"
     assert main(["grs", "-p", "7", "-t", "3", "-n", "8", "-k", "3", "-o", str(path)]) == 0
+    code, out, _ = run(capsys, "ismds", str(path))
+    assert code == 0 and out.strip() == "MDS"
+
+
+def test_grs_above_dlog_limit_writes_coefficient_tokens(capsys, tmp_path):
+    # F_2^21 is above DLOG_TABLE_LIMIT: every element but 0 and 1 is written as
+    # its coefficient list, and ismds reads the file back
+    path = tmp_path / "grs2_21.txt"
+    assert main(["grs", "-p", "2", "-t", "21", "-n", "6", "-k", "3", "-o", str(path)]) == 0
+    rows = path.read_text().splitlines()[4:7]
+    assert rows[1].split()[:3] == ["0", "1", "[0,1" + ",0" * 19 + "]"]
+    assert "w^" not in " ".join(rows)
     code, out, _ = run(capsys, "ismds", str(path))
     assert code == 0 and out.strip() == "MDS"
 
@@ -281,6 +295,38 @@ def test_diversity_field_too_small(capsys):
 def test_diversity_negative_length_is_usage_error(capsys):
     code, out, err = run(capsys, "diversity", "-p", "7", "-t", "2", "-n", "-1")
     assert (code, out, err) == (2, "", "error: DimensionMismatch: n=-1 is negative\n")
+
+
+@pytest.fixture()
+def digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("argv", [("-p", "7", "-t", "6000", "-n", "2"),
+                                  ("-p", "2", "-t", "20", "-n", "524288")])
+def test_diversity_count_past_the_digit_limit_is_refused(capsys, digit_limit, argv):
+    # counts of 10,141 and about 315,000 digits: decided from p, t and n by logs
+    start = time.perf_counter()
+    code, out, err = run(capsys, "diversity", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: MdsLiftError: ") and err.count("\n") == 1
+    assert "more than 4300 decimal digits" in err
+
+
+def test_diversity_count_at_the_digit_limit_prints(capsys, digit_limit):
+    # C(2^16 - 1, 2282) has 4,300 digits and C(2^16 - 1, 2283) 4,301: both
+    # are decided by computing the count
+    code, out, _ = run(capsys, "diversity", "-p", "2", "-t", "16", "-n", "2282")
+    assert (code, out) == (0, f"{math.comb(2 ** 16 - 1, 2282)}\n") and len(out) == 4301
+    code, out, err = run(capsys, "diversity", "-p", "2", "-t", "16", "-n", "2283")
+    assert (code, out) == (2, "") and "more than 4300 decimal digits" in err
+    sys.set_int_max_str_digits(0)  # no limit: every count prints
+    code, out, _ = run(capsys, "diversity", "-p", "7", "-t", "6000", "-n", "2")
+    assert (code, out) == (0, f"{math.comb(7 ** 6000 - 1, 2)}\n")
 
 
 # encode / decode ----------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mdslift.codes import LinearCode, example1_code, grs_generator, min_distance
 from mdslift.erasure import ErasureWord, erase, erasure_encode
 from mdslift.errors import FormatError, NotPrime, TooManyCodewords, ZeroDiagonalEntry
-from mdslift.field import make_extension_field, make_prime_field
+from mdslift.field import FieldSpec, make_extension_field, make_prime_field
 from mdslift.formats import (
     format_code,
     format_dh,
@@ -59,10 +59,19 @@ def test_exponent_wraps_around_group_order(f343):
 def test_large_field_tokens_fall_back_to_coefficients():
     big = make_prime_field(1048583)
     assert format_element(big.element(12)) == "12"  # prime fields never need dlog
-    small = make_extension_field(7, 3)
-    e = small.generator_w ** 9
-    assert format_element(e, dlog_limit=100).startswith("[")
-    assert parse_element(small, format_element(e, dlog_limit=100)) == e
+    f2_21 = make_extension_field(2, 21)  # above DLOG_TABLE_LIMIT: no discrete logs
+    e = f2_21.generator_w ** 9
+    assert format_element(e) == "[0,0,0,0,0,0,0,0,0,1" + ",0" * 11 + "]"
+    assert parse_element(f2_21, format_element(e)) == e
+
+
+def test_tokens_between_auto_and_dlog_limits_are_powers(f2_17):
+    # a spec of its own, so the shared f2_17 keeps its polynomial path; the
+    # order 2^17 is above the automatic table limit, and dlog builds the tables
+    spec = FieldSpec(f2_17.p, f2_17.t, f2_17.modulus, f2_17.p)
+    e = spec.generator_w ** 12345
+    assert format_element(e) == "w^12345"
+    assert parse_element(spec, "w^12345") == e
 
 
 def test_bad_tokens_rejected(f7, f343):
