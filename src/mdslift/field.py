@@ -40,10 +40,12 @@ multiplying by w on codes. In F_{p^t}, w = x: a step shifts the base-p
 digits up one place and adds the code of h * x^t mod f for the digit h
 shifted out. exp holds two periods and log[0] = 2(q-1), so a product of
 nonzero codes is exp[log[a] + log[b]], with no reduction mod q - 1, and
-w^k is exp[k mod (q - 1)]. Sums read a Zech list built with them,
-zech[e] = log(1 + w^e), which holds log[0] where 1 + w^e = 0: for nonzero
-a and b, a + b = w^log(a) * (1 + w^(log(b) - log(a))), and -1 is
-w^((q - 1)/2) for odd p. Adding 1 changes only base-p digit 0, so the
+every power, a^-1 = a^(q - 2) and w^k among them, is
+exp[log[a] * e mod (q - 1)] (``pow_code``). Sums read a Zech list built
+with them, zech[e] = log(1 + w^e), which holds log[0] where 1 + w^e = 0:
+for nonzero a and b, a + b = w^log(a) * (1 + w^(log(b) - log(a))). A
+difference is a sum with a negation, and -a is w^(log(a) + (q - 1)/2)
+for odd p (``neg_code``). Adding 1 changes only base-p digit 0, so the
 list costs one pass over exp. In characteristic 2 a sum is the xor of
 the codes, with no table at any order. The numpy kernels copy exp and
 log, with a zero tail of 2(q-1)+1 entries on exp that every sum with
@@ -403,12 +405,13 @@ class FieldSpec:
     # code-level arithmetic ----------------------------------------------------
 
     def add_code(self, a: int, b: int) -> int:
-        if self.p == 2:  # digits mod 2: a sum is a bitwise xor, and -b = b
+        """a + b: xor for p = 2, mod p for t = 1, else one sum of logs on
+        ``red`` and ``step`` (zero is log 2(q - 1) there, no special case),
+        or digit by digit where they are not built."""
+        if self.p == 2:  # digits mod 2: a sum is a bitwise xor
             return a ^ b
         if self.t == 1:
             return (a + b) % self.p
-        if a == 0 or b == 0:
-            return a or b
         if self._scalar_zech() is None:
             return self._digit_sum(a, b, 1)
         log = self._log
@@ -416,23 +419,20 @@ class FieldSpec:
         return 0 if s == log[0] else self._exp[s]
 
     def sub_code(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.t == 1:
-            return (a - b) % self.p
-        if b == 0:
-            return a
-        if self._scalar_zech() is None:
-            return self._digit_sum(a, b, -1)
-        log, red = self._log, self._red
-        neg_b = red[log[b] + self._neg_log]
-        if a == 0:
-            return self._exp[neg_b]
-        s = red[log[a] + self._step[neg_b - log[a]]]
-        return 0 if s == log[0] else self._exp[s]
+        """a - b = a + (-b), by ``add_code`` and ``neg_code``."""
+        return self.add_code(a, self.neg_code(b))
 
     def neg_code(self, a: int) -> int:
-        return self.sub_code(0, a)
+        """-a: a for p = 2 or a = 0, p - a for t = 1, exp[log a + (q - 1)/2]
+        with tables, else digit by digit. The only negation rule."""
+        if self.p == 2 or a == 0:
+            return a
+        if self.t == 1:
+            return self.p - a
+        log = self._scalar_log()
+        if log is None:
+            return self._digit_sum(0, a, -1)
+        return self._exp[log[a] + self._neg_log]
 
     def _digit_sum(self, a: int, b: int, sign: int) -> int:
         """a + sign * b, one base-p digit at a time."""
@@ -455,27 +455,29 @@ class FieldSpec:
         return sum(map(operator.mul, prod, self._powers))
 
     def inv_code(self, a: int) -> int:
+        """a^-1 = a^(q - 2), by ``pow_code``; zero raises DivisionByZero."""
         if a == 0:
             raise DivisionByZero(f"inverse of zero in {self}")
-        if self.t == 1:
-            return pow(a, self.p - 2, self.p)
-        log = self._scalar_log()
-        if log is not None:
-            return self._exp[self.order - 1 - log[a]]
         return self.pow_code(a, self.order - 2)
 
     def pow_code(self, a: int, e: int) -> int:
-        """a^e with 0^0 = 1; e must be nonnegative."""
+        """a^e with 0^0 = 1; e must be nonnegative. The only power rule:
+        builtin ``pow`` for t = 1, exp[log a * e mod (q - 1)] with tables,
+        else square-and-multiply."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         if self.t == 1:
             return pow(a, e, self.p)  # pow(0, 0, p) == 1, as required
+        if a == 0:
+            return int(e == 0)
+        log = self._scalar_log()
+        if log is not None:
+            return self._exp[log[a] * e % (self.order - 1)]
         result = 1
-        base = a
         while e:
             if e & 1:
-                result = self.mul_code(result, base)
-            base = self.mul_code(base, base)
+                result = self.mul_code(result, a)
+            a = self.mul_code(a, a)
             e >>= 1
         return result
 
@@ -521,12 +523,8 @@ class FieldSpec:
     # powers of w, discrete logs, embedding -------------------------------------
 
     def from_power(self, k: int) -> FieldElement:
-        """w^(k mod (order - 1)): a table lookup in an extension field
-        with tables, else by square-and-multiply."""
-        k %= self.order - 1
-        if self.t > 1 and self._scalar_log() is not None:
-            return FieldElement(self, self._exp[k])
-        return FieldElement(self, self.pow_code(self._w_code, k))
+        """w^(k mod (order - 1)), by ``pow_code``; k may be negative."""
+        return FieldElement(self, self.pow_code(self._w_code, k % (self.order - 1)))
 
     def dlog(self, a: "int | FieldElement", *, table_limit: int | None = None) -> int:
         """Exponent k in [0, order-1) with w^k = a; a must be nonzero, and
@@ -561,10 +559,10 @@ class FieldSpec:
         step[b - a] is what a + b needs added to a, before ``red``:
         zech[(b - a) mod m] when both are nonzero, 0 when b is zero, and
         b - a when a is zero (b - z lies in [-2m, -m), read from the end of
-        the list, 4m + 1 long). ``add_code``, ``sub_code`` and the scalar
-        minor pass in ``codes`` read them. Every list is built before the
-        first store, and ``step``, the Zech list at its head, is stored
-        last, so a reader that finds it through ``_scalar_zech`` finds all.
+        the list, 4m + 1 long). ``add_code`` and the scalar minor pass in
+        ``codes`` read them. Every list is built before the first store,
+        and ``step``, the Zech list at its head, is stored last, so a
+        reader that finds it through ``_scalar_zech`` finds all.
         """
         if self._log is not None or self.order > limit:
             return self._log

@@ -202,7 +202,7 @@ def diversity_count(p: int, t: int, n: int) -> int:
         raise DegreeTooSmall(f"t={t}")
     if n < 0:
         raise DimensionMismatch(f"n={n} is negative")
-    q = p ** t
-    if q <= n:
-        raise FieldTooSmall(f"need p^t > n, got {q} <= {n}")
-    return math.comb(q - 1, n)
+    # no p^t for n = 0, nor to compare it with n when p^t >= 2^t > n
+    if n and t <= n.bit_length() and p ** t <= n:
+        raise FieldTooSmall(f"need p^t > n, got {p ** t} <= {n}")
+    return math.comb(p ** t - 1, n) if n else 1

@@ -146,7 +146,7 @@ class FieldMatrix:
         rows, pivots, scale = self.echelon()
         if scale is not None:
             inverses = [self.spec.inv_code(scale[p]) for p in pivots]
-            rows = _scale(self.spec, inverses, rows, scale) + rows[len(pivots):]
+            rows = _scale_columns(self.spec, rows, scale, inverses) + rows[len(pivots):]
             self._rref = rows, pivots, None
         return rows, pivots
 
@@ -194,18 +194,14 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return FieldMatrix._of(spec, rows, (a.rows, b.cols))
 
 
-def _scale_columns(spec: FieldSpec, rows, scale: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The rows with entry j of each multiplied by scale_j."""
-    return tuple(tuple(map(spec.mul_code, r, scale)) for r in rows)
-
-
-def _scale(spec: FieldSpec, left: Sequence[int], rows, right: Sequence[int]
-           ) -> tuple[tuple[int, ...], ...]:
-    """diag(left) . rows . diag(right), for the first len(left) rows: the
-    rows scaled by ``_scale_columns``, then row i by left_i."""
+def _scale_columns(spec: FieldSpec, rows, scale: Sequence[int],
+                   left: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
+    """The rows with entry j of each multiplied by scale_j; with ``left``,
+    diag(left) . rows . diag(scale) on the first len(left) rows."""
     mul = spec.mul_code
-    return tuple(tuple(mul(c, x) for x in r)
-                 for c, r in zip(left, _scale_columns(spec, rows, right)))
+    if left is not None:
+        rows = [[mul(c, x) for x in r] for c, r in zip(left, rows)]
+    return tuple(tuple(map(mul, r, scale)) for r in rows)
 
 
 def diag_product(left: Sequence[int] | None, a: FieldMatrix, right: Sequence[int]) -> FieldMatrix:
@@ -225,7 +221,7 @@ def diag_product(left: Sequence[int] | None, a: FieldMatrix, right: Sequence[int
     rows, scale = a._data
     scale = tuple(right) if scale is None else tuple(map(mul, scale, right))
     if left is not None:
-        rows, scale = _scale(spec, left, rows, scale), None
+        rows, scale = _scale_columns(spec, rows, scale, left), None
     rref = a._rref
     if rref is not None and 0 not in right and (left is None or 0 not in left):
         reduced, pivots, pending = rref
@@ -242,7 +238,7 @@ def row_reduce(rows: list[list[int]], spec: FieldSpec) -> list[int]:
     Pivot choice: first nonzero entry at or below the next pivot row,
     columns left to right, swapped into place.
     """
-    mul, sub = spec.mul_code, spec.sub_code
+    mul, add, neg = spec.mul_code, spec.add_code, spec.neg_code
     nr = len(rows)
     pivots: list[int] = []
     for col in range(len(rows[0]) if rows else 0):
@@ -261,8 +257,9 @@ def row_reduce(rows: list[list[int]], spec: FieldSpec) -> list[int]:
         for r in range(nr):
             row = rows[r]
             f = row[col]
-            if f and r != top:
-                row[col:] = [sub(x, mul(f, y)) if y else x for x, y in zip(row[col:], tail)]
+            if f and r != top:  # x - f * y, as x + (-f) * y: one negation per row
+                f = neg(f)
+                row[col:] = [add(x, mul(f, y)) if y else x for x, y in zip(row[col:], tail)]
         if top == nr - 1:
             break
     return pivots

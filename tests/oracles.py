@@ -16,6 +16,10 @@ library uses, so agreement is evidence rather than tautology:
 - field products by a schoolbook polynomial product and long division
   by the modulus (the library reads exp/log tables built by repeated
   multiplication by x, or falls back to its own polynomial helpers);
+- field powers, inverses and w^k by repeated oracle products over the
+  bits of the exponent, high bit first (the library reads
+  exp[log(a) * e mod (q - 1)], calls the builtin pow in a prime field,
+  or squares and multiplies from the low bit);
 - field sums and differences coefficient by coefficient mod p (the
   library reads a Zech table, log(1 + w^e), up to order 2^16);
 - determinants by the Leibniz expansion in FieldElement arithmetic, and
@@ -109,6 +113,17 @@ def oracle_field_mul(spec, a: int, b: int) -> int:
             prod[i + j] += x * y
     rem = _poly_mod([c % p for c in prod], list(spec.modulus), p)
     return sum(c * p ** i for i, c in enumerate(rem))
+
+
+def oracle_field_pow(spec, a: int, e: int) -> int:
+    """Code of a^e, 0^0 = 1: ``oracle_field_mul`` repeated over the bits of
+    e from the top (square, then multiply by a on a set bit)."""
+    out = 1
+    for bit in bin(e)[2:]:
+        out = oracle_field_mul(spec, out, out)
+        if bit == "1":
+            out = oracle_field_mul(spec, out, a)
+    return out
 
 
 def oracle_field_add(spec, a: int, b: int, sign: int = 1) -> int:

@@ -33,6 +33,7 @@ from mdslift.rng import SplitMix64
 from oracles import (
     oracle_field_add,
     oracle_field_mul,
+    oracle_field_pow,
     oracle_is_irreducible,
     oracle_is_primitive,
     oracle_multiplicative_order,
@@ -381,6 +382,33 @@ def test_from_power_matches_pow_code(p, t):
     for k in range(2 * m + 1):
         assert spec.from_power(k).code == spec.pow_code(w, k % m)
         assert spec.from_power(-k).code == spec.pow_code(w, -k % m)
+
+
+# each on a spec of its own, so the tier it tests is the one it runs: the
+# builtin pow in F_65537, which builds no table; the exp/log tables of F_343
+# with its Zech list, and of F_3^11 once dlog built them, with none; and
+# square-and-multiply in F_7^6, which has no table
+@pytest.mark.parametrize("p,t,tier", [(65537, 1, "pow"), (7, 3, "zech"), (3, 11, "dlog"),
+                                      (7, 6, "poly")])
+def test_pow_inv_and_from_power_match_repeated_oracle_products(p, t, tier):
+    shared = _make(p, t)
+    spec = FieldSpec(p, t, shared.modulus, shared.generator_w.code)
+    if tier == "dlog":
+        spec.dlog(1)
+    q, w = spec.order, spec.generator_w.code
+    exponents = [0, 1, q - 2, q - 1, 3 * q + 5]
+    for a in [0, 1, w] + _sample(spec, 11, 6):
+        assert [spec.pow_code(a, e) for e in exponents] == [
+            oracle_field_pow(spec, a, e) for e in exponents]
+        if a:
+            assert spec.inv_code(a) == oracle_field_pow(spec, a, q - 2)
+            assert oracle_field_mul(spec, a, spec.inv_code(a)) == 1
+    for k in exponents + [-e for e in exponents]:
+        assert spec.from_power(k).code == oracle_field_pow(spec, w, k % (q - 1))
+    if tier in ("pow", "poly"):
+        assert spec._log is None
+    else:
+        assert spec._log is not None and (spec._scalar_zech() is None) == (tier == "dlog")
 
 
 @pytest.mark.parametrize("p,t", [(2, 1), (7, 1)] + ALL_PAIRS + SAMPLED)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -408,6 +409,7 @@ def test_verify_lift_skips_infeasible_enumeration(f343):
 def test_diversity_small_cases():
     assert diversity_count(2, 2, 3) == 1
     assert diversity_count(7, 1, 6) == 1
+    assert diversity_count(2, 3, 7) == 1  # n = p^t - 1, the largest n
     assert diversity_count(7, 3, 8) == oracle_binomial(342, 8)
 
 
@@ -421,9 +423,18 @@ def test_diversity_matches_oracle_exhaustively():
                 assert diversity_count(p, t, n) == oracle_binomial(q - 1, n)
 
 
+def test_diversity_of_n_zero_computes_no_power_of_p():
+    # 7^(10^7) has over 8 million digits; C(p^t - 1, 0) = 1 needs none of them
+    start = time.perf_counter()
+    assert diversity_count(7, 10 ** 7, 0) == 1
+    assert time.perf_counter() - start < 1
+
+
 def test_diversity_parameter_errors():
     with pytest.raises(FieldTooSmall):
         diversity_count(2, 1, 5)
+    with pytest.raises(FieldTooSmall, match=r"^need p\^t > n, got 8 <= 8$"):
+        diversity_count(2, 3, 8)
     with pytest.raises(FieldTooSmall):
         diversity_count(2, 2, 4)
     with pytest.raises(NotPrime):
