@@ -293,21 +293,23 @@ def _scalar_plan(spec: FieldSpec, reduced: tuple[tuple[int, ...], ...],
     the full-rank RREF (``reduced``, ``pivots``), for later passes, as on
     each lift of one base into one field, to find with one lookup: the
     spec's log-sum lists ``red`` and ``step`` (built with its Zech list by
-    ``FieldSpec._scalar_log``), the log list, the free columns, ``flip`` (A
-    has more rows), level 1 of M = A, or A^T if flipped, as (log, row,
-    column) cells (log 2(q - 1) for zero) and as its row and column 1-sets,
-    and for each later level its two ``_level_sum``s and ``_level_plan``."""
+    ``FieldSpec._scalar_log``), the free columns, ``flip`` (A has more
+    rows), level 1 of M = A, or A^T if flipped, as its logs row by row
+    (2(q - 1) for zero) and as these followed by their negations, its row
+    and column 1-sets, and for each later level its two ``_level_sum``s
+    and ``_level_plan``."""
     n, k = len(reduced[0]), len(pivots)
     free, log = _free_columns(n, pivots), spec._scalar_log()
     flip = k > n - k  # expand along the shorter side: A^T has the same minors
     block = [[r[j] for j in free] for r in reduced]
     h, w = min(k, n - k), max(k, n - k)
-    cells = tuple((log[x], r, c) for r, row in enumerate(zip(*block) if flip else block)
-                  for c, x in enumerate(row))
+    below = [log[x] for row in (zip(*block) if flip else block) for x in row]
+    red, neg = spec._red, spec._neg_log
+    signed = below + [red[x + neg] for x in below]
     ones = tuple((i,) for i in range(h)), tuple((c,) for c in range(w))
     levels = tuple((_level_sum(j, False), _level_sum(j, True), *_level_plan(h, w, j))
                    for j in range(2, h + 1))
-    plan = spec._red, spec._step, log, free, flip, cells, ones, levels, spec, reduced
+    plan = red, spec._step, free, flip, below, signed, ones, levels, spec, reduced
     if len(_PLANS) >= 64:
         _PLANS.clear()
     _PLANS[id(spec), id(reduced)] = plan
@@ -325,31 +327,22 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     Thm 8). Every square minor of M = A (A^T if it has more rows) is
     tested, level j from level j - 1 by expansion along the last row, each
     held as its log (2(q - 1) for zero): a product is a sum of logs and a
-    sum one Zech lookup. Level 1 is one comprehension over the cells of
-    the plan (``_scalar_plan``) with the logs of a pending scale added.
-    Each later level is two (``_level_sum``): the minors off M's last row
-    are computed, as the next level reads them, and those on it, which no
-    level reads, are only tested for zero, with one Zech addition fewer
-    (for [8,3]: 10 values and 20 tests at level 2, 10 tests at level 3).
-    Each zero is mapped back to its k-set.
+    sum one Zech lookup. A pending scale d of ``echelon`` is not read: it
+    maps A to diag(d_P)^-1 A diag(d_Q), a nonzero factor on each square
+    minor (Huffman and Pless, Sec. 1.7). Level 1 is the plan's
+    (``_scalar_plan``). Each later level is two (``_level_sum``): the
+    minors off M's last row are computed, as the next level reads them,
+    and those on it, which no level reads, are only tested for zero, with
+    one Zech addition fewer (for [8,3]: 10 values and 20 tests at level 2,
+    10 tests at level 3). Each zero is mapped back to its k-set.
     """
-    spec = a.spec
-    k, n = a.shape
-    reduced, pivots, scale = a.echelon()
+    spec, k = a.spec, a.rows
+    reduced, pivots, _ = a.echelon()
     if len(pivots) < k:
         return tuple(range(k))
-    red, step, log, free, flip, cells, ones, levels, _, _ = (
+    red, step, free, flip, below, signed, ones, levels, _, _ = (
         _PLANS.get((id(spec), id(reduced))) or _scalar_plan(spec, reduced, pivots))
-    m = spec.order - 1
-    zero = 2 * m
-    # log A_ic = log R_i,free[c] + log d_free[c] - log d_(P_i), d the pending scale
-    # (all ones if none), each offset reduced mod q - 1 so that red keeps zero as zero
-    scale = scale or (1,) * n
-    on_free, on_rows = [log[scale[j]] for j in free], [m - log[scale[p]] for p in pivots]
-    on_row, on_col = (on_free, on_rows) if flip else (on_rows, on_free)
-    below = [red[red[x + on_row[r]] + on_col[c]] for x, r, c in cells]
-    neg = spec._neg_log
-    signed = below + [red[x + neg] for x in below]
+    zero = 2 * (spec.order - 1)
     hits = [(*ones, at) for at, x in enumerate(below) if x == zero] if zero in below else []
     for inner_sum, leaf_test, inner, leaves, col_sets, inner_terms, leaf_terms in levels:
         found = leaf_test(leaf_terms, signed, below, red, step)
@@ -379,10 +372,11 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
     more than ``minor_limit`` minors C(n, k) raise TooManyMinors.
 
     Both passes find the zero square minors of the cached RREF's non-pivot
-    block (see ``_scalar_first_singular``), for any k and with no dual: in
-    Python on the Zech tables (order up to 2^16) when C(n, k) - k(n - k) is
-    at most ``SCALAR_PASS_MINORS``, where the minors that no level reads
-    are only tested for zero, else on numpy arrays (``kernels.first_singular``).
+    block, its pending scale unread (``_scalar_first_singular``), for any
+    k and with no dual: in Python on the Zech tables (order up to 2^16)
+    when C(n, k) - k(n - k) is at most ``SCALAR_PASS_MINORS``, where the
+    minors that no level reads are only tested for zero, else on numpy
+    arrays (``kernels.first_singular``).
     In-process on 2 vCPUs, ``is_mds`` of a lift of the [8,3] code into
     F_49, F_343 or F_2401 takes about 17 us (``BENCH_20.json``).
     """

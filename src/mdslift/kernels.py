@@ -136,13 +136,14 @@ def first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     is zero, k >= 1, or None; every set when ``a`` has rank below k.
 
     The minors are those of ``codes._scalar_first_singular``, of M = A or
-    A^T, whichever has fewer rows, for the non-pivot block A of the RREF.
+    A^T, whichever has fewer rows, for the non-pivot block A of the RREF,
+    its pending scale unread (a nonzero factor on each square minor).
     Level j is built from level j - 1 for all row sets at once and blocks
     of column sets, at most ``_MINOR_BLOCK`` products a block; only two
     levels are held, and the last is checked block by block, not kept.
     """
     k, n = a.shape
-    reduced, pivots = a.rref()
+    reduced, pivots, _ = a.echelon()
     if len(pivots) < k:
         return tuple(range(k))
     free = _free_columns(n, pivots)

@@ -14,18 +14,17 @@ keeps; rank, nonsingularity and the systematic form read that cache.
 Scaling the columns by nonzero d_j keeps the pivot columns P and maps
 the RREF R to diag(d_P)^-1 R diag(d), and scaling the rows keeps it
 (Huffman and Pless, Sec. 1.7), so ``diag_product`` and ``embed_matrix``
-hand a cached RREF on to their result, the scaling left pending until
-its rows are read (``FieldMatrix.echelon``): a lift eliminates nothing
-and scales no entry, and its rank check and minor pass read no row.
-(The MDS minor check eliminates nothing either: ``codes.singular_minor``
-expands minors in one Laplace pass, of the RREF's non-pivot block on a
-small code.) Pivoting is first-nonzero with no column permutation:
+hand a cached RREF on to their result, the scaling left pending
+(``FieldMatrix.echelon``); only ``rref()`` reads that scale. A lift
+eliminates nothing and scales no entry, and its rank check and minor
+pass (``codes.singular_minor``, on the unscaled RREF's non-pivot block,
+whose square minors the scale multiplies by nonzero factors only) read
+no row. Pivoting is first-nonzero with no column permutation:
 coordinate positions carry meaning for codes and erasure patterns.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 from .errors import (
@@ -179,8 +178,13 @@ class FieldMatrix:
         return f"FieldMatrix({self.spec}, {self.rows}x{self.cols})"
 
 
-def _dot(spec: FieldSpec, xs: Sequence[int], ys: Sequence[int]) -> int:
-    return functools.reduce(spec.add_code, map(spec.mul_code, xs, ys), 0)
+def _row_times(spec: FieldSpec, xs: Sequence[int], rows, cols: int) -> list[int]:
+    """sum_i x_i * row_i over code rows of length ``cols``: zeros if none."""
+    mul, add, out = spec.mul_code, spec.add_code, [0] * cols
+    for x, row in zip(xs, rows):
+        if x:
+            out = [add(o, mul(x, y)) for o, y in zip(out, row)]
+    return out
 
 
 def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
@@ -189,8 +193,8 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
         raise FieldMismatch(f"{a.spec} vs {b.spec}")
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.shape} x {b.shape}")
-    spec, b_cols = a.spec, b.transpose()._rows
-    rows = tuple(tuple(_dot(spec, r, c) for c in b_cols) for r in a._rows)
+    spec, b_rows = a.spec, b._rows
+    rows = tuple(tuple(_row_times(spec, r, b_rows, b.cols)) for r in a._rows)
     return FieldMatrix._of(spec, rows, (a.rows, b.cols))
 
 
@@ -309,7 +313,7 @@ def vec_mat_mul(v: Sequence[int | FieldElement], a: FieldMatrix) -> list[FieldEl
         raise DimensionMismatch(f"vector length {len(v)} for {a.shape}")
     spec = a.spec
     codes = list(map(spec.code, v))
-    return [FieldElement(spec, _dot(spec, codes, c)) for c in a.transpose()._rows]
+    return [FieldElement(spec, c) for c in _row_times(spec, codes, a._rows, a.cols)]
 
 
 def embed_matrix(a: FieldMatrix, target: FieldSpec) -> FieldMatrix:

@@ -241,6 +241,13 @@ def test_dh_and_lift_files_are_pinned(tmp_path, t):
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
 
 
+def test_long_dh_file_is_pinned(tmp_path):
+    # 100 draws, past the 32-word batches of an earlier sampler
+    path = tmp_path / "dh-t4-n100.txt"
+    assert main(["dh", "-p", "7", "-t", "4", "-n", "100", "--seed", "7", "-o", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
+
+
 # lift check ---------------------------------------------------------------------
 
 

@@ -45,7 +45,15 @@ from mdslift.errors import (
 from mdslift.field import FieldElement, make_extension_field, make_prime_field
 from mdslift.kernels import _MINOR_BLOCK, _plan_block
 from mdslift.lifting import lift, sample_dh
-from mdslift.matrix import FieldMatrix, diag_product, rank, solve, submatrix, to_systematic
+from mdslift.matrix import (
+    FieldMatrix,
+    diag_product,
+    embed_matrix,
+    rank,
+    solve,
+    submatrix,
+    to_systematic,
+)
 from mdslift.rng import SplitMix64
 from oracles import (
     oracle_det,
@@ -621,6 +629,61 @@ def test_scalar_pass_matches_array_pass_and_oracle():
                 assert _scalar_first_singular(m) == kernels.first_singular(m) == want
                 seen.add(bool(singular))
     assert seen == {True, False}
+
+
+@st.composite
+def _scaled_lift_case(draw):
+    """(p, t, base rows over F_p, lift diagonal, scalings): the base is a
+    GRS code (MDS) when n <= p allows and a draw asks for it, else random
+    entries, maybe with a repeated column; the diagonal's nonzero entries
+    into F_(p^t) may repeat, and each scaling is ("col", j, c) or
+    ("sandwich", left, right), all nonzero, to chain on the lift."""
+    p, t = draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, 9))
+    if n <= p and draw(st.booleans()):
+        alphas = draw(st.permutations(range(p)))[:n]
+        vs = draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+        rows = [[v * pow(a, i, p) % p for a, v in zip(alphas, vs)] for i in range(k)]
+    else:
+        rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                             min_size=k, max_size=k))
+        repeat = draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        if repeat is not None:
+            for r in rows:
+                r[repeat[1]] = r[repeat[0]]
+    nonzero = st.integers(1, p ** t - 1)
+    diag = draw(st.lists(nonzero, min_size=n, max_size=n))
+    scalings = draw(st.lists(st.tuples(st.just("col"), st.integers(0, n - 1), nonzero)
+                             | st.tuples(st.just("sandwich"),
+                                         st.lists(nonzero, min_size=k, max_size=k),
+                                         st.lists(nonzero, min_size=n, max_size=n)),
+                             max_size=3))
+    return p, t, rows, diag, scalings
+
+
+@given(_scaled_lift_case())
+@example((7, 3, EX1_ROWS, [5, 9, 5, 100, 342, 1, 77, 5],
+          [("col", 3, 6), ("sandwich", [2, 50, 300], [1, 2, 3, 4, 5, 6, 7, 8]), ("col", 0, 9)]))
+@example((7, 2, [r[:7] + [r[3]] for r in EX1_ROWS], [1] * 8, [("col", 7, 48)]))  # non-MDS
+@example((5, 2, [[1, 2, 3, 4, 0], [0, 1, 4, 2, 3], [2, 2, 1, 0, 1], [4, 3, 3, 1, 1]],
+          [7, 7, 7, 7, 7], []))  # k > n - k
+@example((7, 1, [[pow(a, i, 7) for a in (1, 2, 3, 4, 5, 5)] for i in range(4)],
+          [1, 2, 3, 4, 5, 6], [("sandwich", [1, 2, 3, 4], [6, 5, 4, 3, 2, 1])]))  # k > n - k
+@settings(max_examples=120, deadline=None)
+def test_scale_free_passes_match_oracle_on_scaled_lifts(case):
+    # both passes read the base's RREF and ignore the lift's pending scale;
+    # the oracle expands every minor of a fresh matrix with no RREF
+    p, t, rows, diag, scalings = case
+    base = FieldMatrix(make_prime_field(p), rows)
+    base.echelon()
+    m = diag_product(None, embed_matrix(base, _field(p, t)), diag)
+    for kind, x, y in scalings:
+        m = scale_col(m, x, y) if kind == "col" else monomial_sandwich(m, x, y)
+    assert m.echelon()[2] is not None
+    fresh = FieldMatrix(m.spec, m.to_lists())
+    assert _scalar_first_singular(m) == kernels.first_singular(m) == \
+        (oracle_singular_sets(fresh) or [None])[0]
 
 
 def _grs_rows(spec, k, n, rng):

@@ -211,7 +211,7 @@ def test_sweep_op_builds_no_field_elements(monkeypatch, example1, f343):
 
 def test_sweep_op_scales_no_rows(monkeypatch, example1, f49, f343):
     # the lift leaves its column scale pending, its rank check reads the
-    # base's RREF and the minor pass adds the scale's logs to the block's
+    # base's RREF and the minor pass reads that RREF without the scale
     calls = []
     real = matrix._scale_columns
     monkeypatch.setattr(matrix, "_scale_columns", lambda *a: calls.append(a) or real(*a))
@@ -222,6 +222,17 @@ def test_sweep_op_scales_no_rows(monkeypatch, example1, f49, f343):
     assert calls == []
     assert lifted.generator.to_lists() == lifted.generator.to_lists()
     assert len(calls) == 1  # the rows are scaled on their first read, once
+
+
+def test_array_minor_pass_scales_no_rref(monkeypatch, example1):
+    # F_7^6 has no log tables, so is_mds runs the numpy pass, which reads the
+    # base's RREF as the lift carries it and leaves the scale pending
+    calls = []
+    real = matrix._scale_columns
+    monkeypatch.setattr(matrix, "_scale_columns", lambda *a: calls.append(a) or real(*a))
+    lifted = lift(example1, sample_dh(make_extension_field(7, 6), 8, 15))
+    assert is_mds(lifted)
+    assert calls == []
 
 
 def test_each_lift_runs_its_own_minor_pass(monkeypatch, example1, f343):

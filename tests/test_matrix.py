@@ -250,6 +250,20 @@ def test_vec_mat_mul_unit_vectors(f7, ex1_matrix):
         vec_mat_mul([f7.one()], ex1_matrix)
 
 
+def test_products_transpose_no_matrix(monkeypatch, f343):
+    # a product is a sum of rows of its right factor, read as they are
+    calls = []
+    real = FieldMatrix.transpose
+    monkeypatch.setattr(FieldMatrix, "transpose", lambda m: calls.append(m) or real(m))
+    rng = SplitMix64(5)
+    a, b = _random_matrix(f343, 3, 8, rng), _random_matrix(f343, 8, 4, rng)
+    v = [f343.from_code(rng.below(f343.order)) for _ in range(3)]
+    assert [e.code for e in vec_mat_mul(v, a)] == oracle_mat_mul(
+        FieldMatrix.from_rows(f343, [v]), a)[0]
+    assert mat_mul(a, b).to_lists() == oracle_mat_mul(a, b)
+    assert calls == []
+
+
 # rank -------------------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ import pytest
 import mdslift
 from mdslift.field import make_extension_field
 from mdslift.lifting import sample_dh
-from mdslift.rng import _LANES, SplitMix64, _lanes
+from mdslift.rng import SplitMix64
 
 
 def test_reference_stream_seed_zero():
@@ -106,9 +106,37 @@ def test_sample_is_pinned_on_lists_and_ranges():
     assert SplitMix64(7).sample(range(3, 1000, 7), 6) == [171, 822, 647, 45, 542, 521]
 
 
+def test_sample_is_pinned_on_long_draws_and_rejections():
+    # recorded from the packed-lane sampler, which drew in batches of 32:
+    # 70 draws cross two batch ends, and over 2^62 + 5 items about a
+    # quarter of the words are rejected and drawn again
+    assert SplitMix64(2024).sample(range(1, 2401), 70) == [
+        662, 630, 794, 1154, 431, 995, 2160, 2069, 1465, 1214, 96, 1963, 76, 2397,
+        254, 1242, 918, 186, 1506, 2265, 1989, 1544, 319, 1537, 928, 1429, 1750,
+        1006, 283, 474, 1653, 512, 1494, 342, 500, 2398, 559, 1149, 1456, 649, 1409,
+        1806, 1489, 1708, 2154, 2193, 1800, 1919, 948, 58, 1230, 781, 1650, 276,
+        1753, 504, 2280, 1860, 1706, 774, 733, 69, 527, 457, 1734, 992, 1870, 1058,
+        1359, 775]
+    assert SplitMix64(9).sample(range(2 ** 62 + 5), 40) == [
+        3363998700739256410, 282649140317751731, 231569759627937696,
+        2114146066760625153, 2689696427095668942, 4308209918431195458,
+        4040493311852077423, 722392545232000384, 1655369064523635118,
+        3961813278987999906, 4348845837780481654, 4433118356046984583,
+        185131100172609458, 2505217064466936990, 1204314504079110245,
+        3634840744406688003, 1975391098618470349, 3253685546360112627,
+        306443730304449973, 1492608901074386104, 4034600366679935232,
+        2285161475033993039, 4091709383548922816, 3094396588800958232,
+        3887162273906736262, 174727923606689795, 2499544957893885088,
+        3734528596720184474, 1056679635842537196, 16978039243485881,
+        1067511011353590064, 1906256031853358171, 1967435597269943639,
+        3122748896074114025, 460711324484693468, 486424756987987875,
+        1081354454160566629, 2210810649084672186, 4434019148037355565,
+        3209491155761146919]
+
+
 def test_sample_draws_as_below_does():
-    # sample inlines its draws; the reference is the partial Fisher-Yates on
-    # below(), the same procedure written out
+    # the reference copies the population and swaps in place, where sample
+    # keeps a dict of the slots it has moved
     def reference(r, population, count):
         pool, out = list(population), []
         for i in range(count):
@@ -151,11 +179,16 @@ def test_sample_rejects_draws_as_below_does():
         assert a.sample(range(size), 5) == reference(b, 5)
         assert a.next_u64() == b.next_u64()  # the state advances alike
     assert len(words) - 40 * 6 > 40  # about 67 rejected draws are expected
+    for seed in range(60):
+        count = 1 + seed % 12
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        assert a.sample(range(size), count) == _below_sample(b, range(size), count)
+        assert a.next_u64() == b.next_u64()
 
 
 def _below_sample(r, population, count):
     """Partial Fisher-Yates on below(), swapping through a dict: the
-    reference for the packed draws of ``sample``."""
+    reference for the draws of ``sample``."""
     moved, out = {}, []
     for i in range(count):
         j = i + r.below(len(population) - i)
@@ -164,50 +197,15 @@ def _below_sample(r, population, count):
     return out
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 3])
+@pytest.mark.parametrize("count", [0, 1, 2, 31, 32, 33, 67])
 def test_packed_draws_match_below_at_every_width(count):
-    # one batch below the lane cap, several above it; list and range
-    # populations; seeds near 2^64, where the lane states wrap
+    # counts on both sides of 32, the batch width of an earlier packed
+    # sampler; list and range populations; seeds near 2^64, where the
+    # state wraps
     populations = [range(1, 343), list(range(500, 0, -3)), range(10, 10 ** 6, 7)]
-    seeds = [0, 1, 12345, (1 << 64) - 1, (1 << 64) - 2, (1 << 64) - 2 * _LANES]
+    seeds = [0, 1, 12345, (1 << 64) - 1, (1 << 64) - 2, (1 << 64) - 64]
     for population in populations:
         for seed in seeds:
             a, b = SplitMix64(seed), SplitMix64(seed)
             assert a.sample(population, count) == _below_sample(b, population, count)
             assert a.next_u64() == b.next_u64()  # the state advances alike
-
-
-def test_packed_draws_reject_on_any_lane():
-    # over 2^62 + 5 items about a quarter of the words are rejected; each
-    # rejection ends its batch, and the rest is drawn from the state after
-    # it. The lanes of the rejected words are read off the reference
-    # stream, and rejections must fall on the first, a middle and the last
-    # lane of a batch
-    size = 2 ** 62 + 5
-    lanes = set()
-    for seed in range(60):
-        count = 1 + seed % 12
-        a, b = SplitMix64(seed), SplitMix64(seed)
-        assert a.sample(range(size), count) == _below_sample(b, range(size), count)
-        assert a.next_u64() == b.next_u64()
-        r, i, start = SplitMix64(seed), 0, 0  # batch start, in words
-        width = min(count, _LANES)
-        for at in range(10 ** 4):
-            if i == count:
-                break
-            bound, lane = size - i, at - start
-            if r.next_u64() < 2 ** 64 - 2 ** 64 % bound:
-                i += 1
-                if lane < width - 1:
-                    continue
-            else:
-                lanes.add("first" if lane == 0 else "last" if lane == width - 1 else "middle")
-            start, width = at + 1, min(count - i, _LANES)  # the next batch
-    assert lanes == {"first", "middle", "last"}
-
-
-def test_lane_constants_stay_bounded():
-    # one entry per batch width, and no batch is wider than _LANES
-    for count in range(0, 5 * _LANES, 3):
-        SplitMix64(count).sample(range(10 ** 6), count)
-    assert 0 < _lanes.cache_info().currsize <= _LANES
