@@ -179,11 +179,27 @@ def test_sample_rejects_draws_as_below_does():
         assert a.sample(range(size), 5) == reference(b, 5)
         assert a.next_u64() == b.next_u64()  # the state advances alike
     assert len(words) - 40 * 6 > 40  # about 67 rejected draws are expected
+
+
+def test_packed_draws_reject_on_any_lane():
+    # over 2^62 + 5 items about a quarter of the words are rejected and drawn
+    # again. The draws of the rejected words are read off the reference
+    # stream, and rejections must fall on the first, a middle and the last
+    # draw of a sample
+    size = 2 ** 62 + 5
+    places = set()
     for seed in range(60):
         count = 1 + seed % 12
         a, b = SplitMix64(seed), SplitMix64(seed)
         assert a.sample(range(size), count) == _below_sample(b, range(size), count)
         assert a.next_u64() == b.next_u64()
+        r, i = SplitMix64(seed), 0
+        while i < count:
+            if r.next_u64() < 2 ** 64 - 2 ** 64 % (size - i):
+                i += 1
+            elif count > 2:
+                places.add("first" if i == 0 else "last" if i == count - 1 else "middle")
+    assert places == {"first", "middle", "last"}
 
 
 def _below_sample(r, population, count):
