@@ -18,17 +18,17 @@ constructions of the same parameters always agree, so files written in
 ``w^k`` notation are reproducible across runs.
 
 Primality is checked by deterministic trial division. A candidate
-modulus is decided by polynomial arithmetic alone, with no per-candidate
-field tables: irreducibility by Ben-Or's test (gcd(x^(p^i) - x, f) = 1
-for i = 1..t/2; Ben-Or, "Probabilistic algorithms in finite fields",
-FOCS 1981), which rejects most reducible candidates at a small i, and
-primitivity of x by x^((p^t - 1)/r) != 1 for every prime r dividing
-p^t - 1. Before either test, the scan skips every constant term c0 for
-which (-1)^t c0 is not a primitive root mod p: if x is primitive modulo
-f, then (-1)^t f(0) is the norm of x, which generates F_p^* (Lidl and
-Niederreiter, "Finite Fields", Thm 3.18). That condition is necessary,
-so the lex-first modulus is unchanged; it only spares the candidates
-that could never be chosen (all multiples of x, for instance).
+modulus is decided by one test on polynomials, with no per-candidate
+field tables: x must have order m = p^t - 1 modulo f, that is x^m = 1
+and x^(m/r) != 1 for every prime r dividing m. Then F_p[x]/(f) has m
+units and is a field, so the test decides irreducibility and primitivity
+at once: a monic f of degree t is primitive iff f(0) != 0 and x has
+order p^t - 1 (Lidl and Niederreiter, "Finite Fields", Thm 3.16). Before
+it, the scan skips every constant term c0 for which (-1)^t c0 is not a
+primitive root mod p: if x is primitive modulo f, then (-1)^t f(0) is
+the norm of x, which generates F_p^* (ibid., Thm 3.18). That condition
+is necessary, so the lex-first modulus is unchanged; it only spares the
+candidates that could never be chosen (all multiples of x, for instance).
 
 These fields are desk scale, not cryptographic scale: every constructor
 refuses orders above ``order_limit`` (``DEFAULT_ORDER_LIMIT`` = 2^24)
@@ -159,27 +159,6 @@ def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p:
     return res
 
 
-def _poly_rem(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
-    """Remainder of dense polynomials over F_p, trailing zeros trimmed."""
-    num = list(num)
-    den = list(den)
-    while len(den) > 1 and den[-1] == 0:
-        den.pop()
-    if den == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p) if den[-1] != 1 else 1
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = (num[i] * inv_lead) % p
-        if c:
-            for j in range(dd + 1):
-                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
-    del num[max(dd, 1):]  # every coefficient of degree >= dd is now zero
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
-
-
 def _poly_pow_mod(base: Sequence[int], e: int, modulus: Sequence[int], p: int) -> list[int]:
     """base^e mod modulus by square-and-multiply; result length t."""
     result = [1] + [0] * (len(modulus) - 2)
@@ -192,37 +171,21 @@ def _poly_pow_mod(base: Sequence[int], e: int, modulus: Sequence[int], p: int) -
     return result
 
 
-def _poly_coprime(a: Sequence[int], b: Sequence[int], p: int) -> bool:
-    """True iff gcd(a, b) = 1 over F_p, by Euclid; a must be nonzero."""
-    while any(b):
-        a, b = b, _poly_rem(a, b, p)
-    return not any(a[1:])
-
-
-def _poly_is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Ben-Or's test for a monic modulus of degree t >= 2.
-
-    f is irreducible iff it has no factor of degree i <= t/2, i.e. iff
-    gcd(x^(p^i) - x, f) = 1 for i = 1..t/2; h runs through x^(p^i) mod f.
-    """
-    t = len(modulus) - 1
-    x = [0, 1] + [0] * (t - 2)
-    h = x
-    for _ in range(t // 2):
-        h = _poly_pow_mod(h, p, modulus, p)
-        if not _poly_coprime(modulus, [(hi - xi) % p for hi, xi in zip(h, x)], p):
-            return False
-    return True
-
-
 def _has_max_order(modulus: Sequence[int], p: int) -> bool:
-    """True iff x has multiplicative order p^t - 1 modulo the irreducible
-    modulus of degree t >= 2: x^((p^t - 1)/r) != 1 for each prime r."""
+    """True iff x has multiplicative order m = p^t - 1 modulo the monic
+    modulus f of degree t >= 2: x^m = 1 and x^(m/r) != 1 for each prime r
+    dividing m. Then F_p[x]/(f) has m units, so it is a field: this one
+    test decides that f is irreducible and x primitive (Lidl and
+    Niederreiter, Thm 3.16). x^m is y^r0 for y = x^(m/r0), r0 the
+    smallest r, so a reducible f costs one full power."""
     t = len(modulus) - 1
     m = p ** t - 1
     x = [0, 1] + [0] * (t - 2)
     one = [1] + [0] * (t - 1)
-    return all(_poly_pow_mod(x, m // r, modulus, p) != one for r in _prime_factors(m))
+    r0, *rest = _prime_factors(m)
+    y = _poly_pow_mod(x, m // r0, modulus, p)
+    return (y != one and _poly_pow_mod(y, r0, modulus, p) == one
+            and all(_poly_pow_mod(x, m // r, modulus, p) != one for r in rest))
 
 
 class FieldElement:
@@ -463,7 +426,8 @@ class FieldSpec:
     def pow_code(self, a: int, e: int) -> int:
         """a^e with 0^0 = 1; e must be nonnegative. The only power rule:
         builtin ``pow`` for t = 1, exp[log a * e mod (q - 1)] with tables,
-        else square-and-multiply."""
+        else ``_poly_pow_mod``, the square-and-multiply that also tests
+        each modulus."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         if self.t == 1:
@@ -473,13 +437,8 @@ class FieldSpec:
         log = self._scalar_log()
         if log is not None:
             return self._exp[log[a] * e % (self.order - 1)]
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul_code(result, a)
-            a = self.mul_code(a, a)
-            e >>= 1
-        return result
+        power = _poly_pow_mod(self.code_to_coords(a), e, self.modulus, self.p)
+        return sum(map(operator.mul, power, self._powers))
 
     # code arrays: elementwise forms of the code-level ops, for the numpy
     # kernels of the minor pass and the enumeration ---------------------------
@@ -632,8 +591,8 @@ def make_extension_field(p: int, t: int, order_limit: int = DEFAULT_ORDER_LIMIT)
     """F_{p^t} with the deterministic modulus convention.
 
     Scans monic degree-t polynomials in lexicographic order of their
-    coefficient lists (low degree first) and picks the first
-    irreducible one whose residue class of x is primitive; w = x.
+    coefficient lists (low degree first) and picks the first modulo
+    which x has order p^t - 1 (``_has_max_order``); w = x.
     Constant terms c0 with (-1)^t c0 not a primitive root mod p are
     skipped whole. Raises FieldTooLarge if p^t > order_limit.
     """
@@ -646,7 +605,7 @@ def make_extension_field(p: int, t: int, order_limit: int = DEFAULT_ORDER_LIMIT)
             continue
         for rest in itertools.product(range(p), repeat=t - 1):
             modulus = (c0,) + rest + (1,)
-            if _poly_is_irreducible(modulus, p) and _has_max_order(modulus, p):
+            if _has_max_order(modulus, p):
                 return _field(p, t, modulus, p)  # code p is the class of x
     raise AssertionError(f"no primitive-x irreducible modulus of degree {t} over F_{p}")
 
@@ -659,11 +618,12 @@ def _field(p: int, t: int, modulus: tuple[int, ...] | None, w_code: int) -> Fiel
 
 def field_from_modulus(p: int, t: int, modulus: Sequence[int],
                        order_limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
-    """F_{p^t} with an explicit monic irreducible modulus (t+1 ascending
-    coefficients); x must be primitive. Used when parsing files.
+    """F_{p^t} with an explicit monic primitive modulus (t+1 ascending
+    coefficients): x must have order p^t - 1. Used when parsing files.
     Raises FieldTooLarge if p^t > order_limit. The order cap and the
-    format checks run on every call; irreducibility and primitivity run
-    once per accepted (p, t, modulus)."""
+    format checks run on every call; the order test, which decides
+    irreducibility and primitivity together, once per accepted
+    (p, t, modulus)."""
     _check_field(p, t, order_limit)
     if t < 2:
         raise DegreeTooSmall(f"extension degree must be >= 2, got {t}")
@@ -681,8 +641,6 @@ def field_from_modulus(p: int, t: int, modulus: Sequence[int],
 def _checked_modulus_field(p: int, t: int, modulus: tuple[int, ...]) -> FieldSpec:
     # the cache keeps accepted moduli only: a rejection raises, and
     # lru_cache stores no exception, so a bad modulus is tested each time
-    if not _poly_is_irreducible(modulus, p):
-        raise FormatError(f"modulus {list(modulus)} is reducible over F_{p}")
     if not _has_max_order(modulus, p):
-        raise FormatError(f"x is not primitive for modulus {list(modulus)} over F_{p}")
+        raise FormatError(f"modulus {list(modulus)} is not a primitive polynomial over F_{p}")
     return _field(p, t, modulus, p)

@@ -10,9 +10,9 @@ library uses, so agreement is evidence rather than tautology:
 - binomials by the multiplicative formula with exact stepwise division
   (the library calls math.comb);
 - irreducibility by trial division against every monic polynomial of
-  degree 1..t-1 (the library stops at degree t/2);
-- primitivity and generator order by listing powers until repetition
-  (the library checks prime-factor cofactor powers);
+  degree 1..t-1, and primitivity and generator order by listing powers
+  until repetition (the library decides both at once, by x^(q-1) = 1
+  and x^((q-1)/r) != 1 for each prime r dividing q - 1);
 - field products by a schoolbook polynomial product and long division
   by the modulus (the library reads exp/log tables built by repeated
   multiplication by x, or falls back to its own polynomial helpers);

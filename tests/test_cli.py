@@ -421,6 +421,17 @@ def test_wrong_stated_d_is_a_format_error(capsys, tmp_path, argv):
     assert err == "error: FormatError: params d=4, but the code has minimum distance 6\n"
 
 
+def test_non_primitive_modulus_is_a_format_error(capsys, tmp_path):
+    # (x + 1)^4 over F_2: reducible, so no field; one line on stderr
+    path = tmp_path / "bad-modulus.txt"
+    path.write_text("mdslift-matrix v1\nfield p=2 t=4 modulus=1,0,0,0,1\n"
+                    "rows=1 cols=2\n1 1\nparams n=2 k=1 d=?\n")
+    code, out, err = run(capsys, "ismds", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: FormatError:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

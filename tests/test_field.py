@@ -3,6 +3,7 @@ from __future__ import annotations
 import threading
 import time
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from mdslift.field import (
     FieldElement,
     FieldSpec,
     _has_max_order,
-    _poly_is_irreducible,
     _primitive_roots,
     field_from_modulus,
     is_prime,
@@ -41,6 +41,7 @@ from oracles import (
 )
 
 FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 4), (7, 2), (7, 3)]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _make(p, t):
@@ -120,6 +121,18 @@ def test_pinned_modulus(p, t, modulus):
     assert make_extension_field(p, t).modulus == modulus
 
 
+def test_modulus_choice_matches_golden_list():
+    # moduli.txt holds "p t c0,...,ct" for every p < 1000, t >= 2 and
+    # p^t <= 2^20, written by the scan that ran Ben-Or's irreducibility test
+    # before the order of x, so the choice is pinned apart from the code
+    lines = (GOLDEN / "moduli.txt").read_text().splitlines()
+    assert len(lines) == 238
+    for line in lines:
+        p, t, modulus = line.split()
+        spec = make_extension_field(int(p), int(t))
+        assert spec.modulus == tuple(map(int, modulus.split(","))), line
+
+
 # every monic polynomial of these degrees, against the trial-division oracles
 _ORACLE_DEGREES = [(2, t) for t in range(2, 9)] + [(3, t) for t in range(2, 6)] + [
     (5, 2), (5, 3), (7, 2), (7, 3)]
@@ -127,15 +140,17 @@ _ORACLE_DEGREES = [(2, t) for t in range(2, 9)] + [(3, t) for t in range(2, 6)] 
 
 @pytest.mark.parametrize("p,t", _ORACLE_DEGREES)
 def test_modulus_predicates_match_oracles(p, t):
+    # the one modulus test against both oracles, on every monic f of
+    # degree t: reducible ones and those with f(0) = 0 included
     for tail in product(range(p), repeat=t):
         modulus = tail + (1,)
-        is_irreducible = oracle_is_irreducible(list(modulus), p)
-        assert _poly_is_irreducible(modulus, p) == is_irreducible, modulus
-        if is_irreducible:
+        expected = oracle_is_irreducible(list(modulus), p)
+        if expected:
             # a fresh spec with w = x; powers of x stay in <x>, where
             # tables built from x are exact even when x is not primitive
             spec = FieldSpec(p, t, modulus, p)
-            assert _has_max_order(modulus, p) == oracle_is_primitive(spec, spec.generator_w), modulus
+            expected = oracle_is_primitive(spec, spec.generator_w)
+        assert _has_max_order(modulus, p) == expected, modulus
 
 
 @pytest.mark.parametrize("p,t", _ORACLE_DEGREES)
@@ -225,32 +240,31 @@ def test_field_from_modulus_rejects_bad_polynomials():
 def test_field_from_modulus_tests_each_accepted_modulus_once(monkeypatch):
     from mdslift import field as field_module
     calls = []
-    for name in ("_poly_is_irreducible", "_has_max_order"):
-        def counted(modulus, p, _name=name, _real=getattr(field_module, name)):
-            calls.append(_name)
-            return _real(modulus, p)
-        monkeypatch.setattr(field_module, name, counted)
+    def counted(modulus, p, _real=field_module._has_max_order):
+        calls.append("_has_max_order")
+        return _real(modulus, p)
+    monkeypatch.setattr(field_module, "_has_max_order", counted)
     field_module._checked_modulus_field.cache_clear()
     spec = field_from_modulus(2, 4, [1, 1, 0, 0, 1])
-    assert calls == ["_poly_is_irreducible", "_has_max_order"]
+    assert calls == ["_has_max_order"]
     for _ in range(3):
         assert field_from_modulus(2, 4, (1, 1, 0, 0, 1)) is spec
-    assert len(calls) == 2
+    assert len(calls) == 1
     # the cap and the format checks still run on every call
     with pytest.raises(FieldTooLarge):
         field_from_modulus(2, 4, [1, 1, 0, 0, 1], order_limit=15)
     with pytest.raises(FormatError):
         field_from_modulus(2, 4, [1, 1, 0, 0, 2])
-    assert len(calls) == 2
+    assert len(calls) == 1
     # a rejected modulus is tested, and refused, on every call
     for rejected in range(1, 4):
         with pytest.raises(FormatError):
             field_from_modulus(2, 4, [1, 0, 0, 0, 1])  # (x^2+1)^2, reducible
-        assert calls[2:] == ["_poly_is_irreducible"] * rejected
+        assert calls[1:] == ["_has_max_order"] * rejected
     for rejected in range(1, 3):
         with pytest.raises(FormatError):
             field_from_modulus(2, 4, [1, 1, 1, 1, 1])  # irreducible, x of order 5
-        assert calls[5:] == ["_poly_is_irreducible", "_has_max_order"] * rejected
+        assert calls[4:] == ["_has_max_order"] * rejected
 
 
 # arithmetic axioms ------------------------------------------------------------
@@ -387,9 +401,9 @@ def test_from_power_matches_pow_code(p, t):
 # each on a spec of its own, so the tier it tests is the one it runs: the
 # builtin pow in F_65537, which builds no table; the exp/log tables of F_343
 # with its Zech list, and of F_3^11 once dlog built them, with none; and
-# square-and-multiply in F_7^6, which has no table
+# polynomial square-and-multiply in F_7^6 and F_2^17, which have no table
 @pytest.mark.parametrize("p,t,tier", [(65537, 1, "pow"), (7, 3, "zech"), (3, 11, "dlog"),
-                                      (7, 6, "poly")])
+                                      (7, 6, "poly"), (2, 17, "poly")])
 def test_pow_inv_and_from_power_match_repeated_oracle_products(p, t, tier):
     shared = _make(p, t)
     spec = FieldSpec(p, t, shared.modulus, shared.generator_w.code)
