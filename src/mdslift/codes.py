@@ -293,13 +293,13 @@ def _scalar_plan(spec: FieldSpec, reduced: tuple[tuple[int, ...], ...],
     the full-rank RREF (``reduced``, ``pivots``), for later passes, as on
     each lift of one base into one field, to find with one lookup: the
     spec's log-sum lists ``red`` and ``step`` (built with its Zech list by
-    ``FieldSpec._scalar_log``), the free columns, ``flip`` (A has more
-    rows), level 1 of M = A, or A^T if flipped, as its logs row by row
-    (2(q - 1) for zero) and as these followed by their negations, its row
-    and column 1-sets, and for each later level its two ``_level_sum``s
-    and ``_level_plan``."""
-    n, k = len(reduced[0]), len(pivots)
-    free, log = _free_columns(n, pivots), spec._scalar_log()
+    ``FieldSpec._scalar_zech``, called first), the free columns, ``flip``
+    (A has more rows), level 1 of M = A, or A^T if flipped, as its logs
+    row by row (2(q - 1) for zero) and as these followed by their
+    negations, its row and column 1-sets, and for each later level its
+    two ``_level_sum``s and ``_level_plan``."""
+    n, k, step = len(reduced[0]), len(pivots), spec._scalar_zech()
+    free, log = _free_columns(n, pivots), spec._log
     flip = k > n - k  # expand along the shorter side: A^T has the same minors
     block = [[r[j] for j in free] for r in reduced]
     h, w = min(k, n - k), max(k, n - k)
@@ -309,7 +309,7 @@ def _scalar_plan(spec: FieldSpec, reduced: tuple[tuple[int, ...], ...],
     ones = tuple((i,) for i in range(h)), tuple((c,) for c in range(w))
     levels = tuple((_level_sum(j, False), _level_sum(j, True), *_level_plan(h, w, j))
                    for j in range(2, h + 1))
-    plan = red, spec._step, free, flip, below, signed, ones, levels, spec, reduced
+    plan = red, step, free, flip, below, signed, ones, levels, spec, reduced
     if len(_PLANS) >= 64:
         _PLANS.clear()
     _PLANS[id(spec), id(reduced)] = plan

@@ -41,16 +41,18 @@ digits up one place and adds the code of h * x^t mod f for the digit h
 shifted out. exp holds two periods and log[0] = 2(q-1), so a product of
 nonzero codes is exp[log[a] + log[b]], with no reduction mod q - 1, and
 every power, a^-1 = a^(q - 2) and w^k among them, is
-exp[log[a] * e mod (q - 1)] (``pow_code``). Sums read a Zech list built
-with them, zech[e] = log(1 + w^e), which holds log[0] where 1 + w^e = 0:
-for nonzero a and b, a + b = w^log(a) * (1 + w^(log(b) - log(a))). A
+exp[log[a] * e mod (q - 1)] (``pow_code``). Sums read a Zech list,
+zech[e] = log(1 + w^e), which holds log[0] where 1 + w^e = 0: for
+nonzero a and b, a + b = w^log(a) * (1 + w^(log(b) - log(a))). A
 difference is a sum with a negation, and -a is w^(log(a) + (q - 1)/2)
 for odd p (``neg_code``). Adding 1 changes only base-p digit 0, so the
-list costs one pass over exp. In characteristic 2 a sum is the xor of
-the codes, with no table at any order. The numpy kernels copy exp and
-log, with a zero tail of 2(q-1)+1 entries on exp that every sum with
-log[0] lands in, so they need no zero test. Tables are built on first
-use up to order 2^16 (``_AUTO_TABLE_LIMIT``); above it, products run on
+list costs one pass over exp. ``_scalar_zech`` builds it on the first
+sum or scalar minor pass, never on a product or a ``dlog``; in
+characteristic 2, where a sum is the xor of the codes at any order, on
+the scalar minor pass alone. The numpy kernels copy exp and log, with a
+zero tail of 2(q-1)+1 entries on exp that every sum with log[0] lands
+in, so they need no zero test. Tables are built on first use up to
+order 2^16 (``_AUTO_TABLE_LIMIT``); above it, products run on
 polynomials unless ``dlog`` built the exp/log lists, and sums for odd p
 digit by digit, as ``dlog`` builds no Zech list. That path stays: tables
 take seconds and ~100 MB at 2^20, and orders between ``DLOG_TABLE_LIMIT``
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import threading
 from typing import Iterable, Iterator, Sequence
@@ -87,35 +90,27 @@ DEFAULT_ORDER_LIMIT = 1 << 24
 _AUTO_TABLE_LIMIT = 1 << 16
 
 
+def _least_factor(m: int) -> int:
+    """The least divisor d >= 2 of m >= 2, by trial division by 2 and then
+    odd d <= isqrt(m): m itself iff m is prime. The only trial division."""
+    if m % 2 == 0:
+        return 2
+    return next((d for d in range(3, math.isqrt(m) + 1, 2) if m % d == 0), m)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic primality check: n >= 2 is its own least factor."""
+    return n >= 2 and _least_factor(n) == n
 
 
 def _prime_factors(m: int) -> list[int]:
-    """Distinct prime factors of m, ascending."""
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
+    """Distinct prime factors of m >= 1, ascending: the least factor d of
+    m, then those of m / d without d again."""
+    if m < 2:
+        return []
+    d = _least_factor(m)
+    rest = _prime_factors(m // d)
+    return rest if rest[:1] == [d] else [d] + rest
 
 
 def _primitive_roots(p: int) -> Iterator[int]:
@@ -213,51 +208,44 @@ class FieldElement:
         ascending degree (length t)."""
         return self.spec.code_to_coords(self.code)
 
-    def _coerce(self, other) -> "FieldElement | None":
+    def _apply(self, other, op, swap: bool = False):
+        """op(a, b) on codes, wrapped in this field: a is this element and
+        b the operand, or the other way round if ``swap``. The one coerce
+        and wrap step of ``+ - * /``: an int operand n is n * 1, another
+        field's element raises FieldMismatch, any other type NotImplemented."""
         if isinstance(other, FieldElement):
             if other.spec.field_id != self.spec.field_id:
                 raise FieldMismatch(f"{self.spec} vs {other.spec}")
-            return other
-        if isinstance(other, int):  # an operand n is n * 1, not the element of code n
-            return FieldElement(self.spec, other % self.spec.p)
-        return None
+            b = other.code
+        elif isinstance(other, int):  # an operand n is n * 1, not the element of code n
+            b = other % self.spec.p
+        else:
+            return NotImplemented
+        a, b = (b, self.code) if swap else (self.code, b)
+        return FieldElement(self.spec, op(a, b))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add_code(self.code, o.code))
+        return self._apply(other, self.spec.add_code)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_code(self.code, o.code))
+        return self._apply(other, self.spec.sub_code)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_code(o.code, self.code))
+        return self._apply(other, self.spec.sub_code, swap=True)
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.neg_code(self.code))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_code(self.code, o.code))
+        return self._apply(other, self.spec.mul_code)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
+        spec = self.spec
+        return self._apply(other, lambda a, b: spec.mul_code(a, spec.inv_code(b)))
 
     def __pow__(self, e: int):
         return FieldElement(self.spec, self.spec.pow_code(self.code, e))
@@ -302,8 +290,8 @@ class FieldSpec:
         self._lock = threading.Lock()
         self._exp: list[int] | None = None  # exponent -> code, two periods
         self._log: list[int] | None = None  # code -> exponent, 2(order-1) for 0
-        self._red: list[int] | None = None  # the log-sum lists, up to _AUTO_TABLE_LIMIT
-        self._step: list[int] | None = None  # its head is the Zech list
+        self._red: list[int] | None = None  # the log-sum lists (_scalar_zech),
+        self._step: list[int] | None = None  # up to _AUTO_TABLE_LIMIT; step's head is the Zech list
         self._neg_log = (self.order - 1) // 2 if p % 2 else 0  # -1 = w^_neg_log
         self._arrays = None  # numpy (log, exp, coords, powers), built on first use
 
@@ -509,20 +497,9 @@ class FieldSpec:
 
     def _scalar_log(self, limit: int = _AUTO_TABLE_LIMIT) -> list[int] | None:
         """The log list, built with the exp list on the first call at an
-        order of at most ``limit``; None above it while unbuilt.
-
-        Up to ``_AUTO_TABLE_LIMIT`` the Zech list is built with them, and
-        the two lists every sum of logs reads, with zero held as its log
-        z = 2m, m = q - 1: red[x] is x mod m for x < 2m and z for x >= 2m,
-        so red[a + b] is the log of a product of two such logs, and
-        step[b - a] is what a + b needs added to a, before ``red``:
-        zech[(b - a) mod m] when both are nonzero, 0 when b is zero, and
-        b - a when a is zero (b - z lies in [-2m, -m), read from the end of
-        the list, 4m + 1 long). ``add_code`` and the scalar minor pass in
-        ``codes`` read them. Every list is built before the first store,
-        and ``step``, the Zech list at its head, is stored last, so a
-        reader that finds it through ``_scalar_zech`` finds all.
-        """
+        order of at most ``limit``; None above it while unbuilt. ``log``
+        is stored last, so a reader that finds it finds ``exp``. The only
+        writer of both; the log-sum lists are ``_scalar_zech``'s."""
         if self._log is not None or self.order > limit:
             return self._log
         with self._lock:
@@ -540,23 +517,35 @@ class FieldSpec:
                     else:
                         h, c = divmod(c, top)
                         c = self._digit_sum(c * p, carry[h], 1) if h else c * p
-                red = step = None
-                if self.order <= _AUTO_TABLE_LIMIT:
-                    # 1 + c changes digit 0 only; log[0] = 2m marks 1 + w^e = 0
-                    zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp[:m]]
-                    red = list(range(m)) * 2 + [2 * m] * (2 * m + 1)
-                    step = zech + [0] * (m + 1) + list(range(-2 * m, -m)) + zech
-                self._exp, self._red = exp, red
-                self._log = log  # marks the exp/log tables built
-                self._step = step  # set last: marks the log-sum lists built
+                self._exp = exp
+                self._log = log  # set last: marks the exp/log tables built
         return self._log
 
     def _scalar_zech(self) -> list[int] | None:
-        """``step``, its first q - 1 entries the Zech list (``_scalar_log``),
-        with every table built; None above ``_AUTO_TABLE_LIMIT``, where
-        a + b runs digit by digit."""
+        """``step``, its first q - 1 entries the Zech list, with ``red``
+        and the exp/log tables built; None above ``_AUTO_TABLE_LIMIT``,
+        where a + b runs digit by digit. The only writer of both lists,
+        on its first call, from a sum or the scalar minor pass in ``codes``.
+
+        zech[e] = log(1 + w^e) (Lidl and Niederreiter, Sec. 9.1), log[0]
+        where 1 + w^e = 0. With zero held as its log z = 2m, m = q - 1:
+        red[x] is x mod m for x < 2m and z for x >= 2m, so red[a + b] is
+        the log of a product of two such logs, and step[b - a] is what
+        a + b needs added to a, before ``red``: zech[(b - a) mod m] when
+        both are nonzero, 0 when b is zero, and b - a when a is zero
+        (b - z lies in [-2m, -m), read from the end of the list, 4m + 1
+        long). ``red`` is stored first and ``step`` last, so a reader
+        that finds ``step`` finds ``red``.
+        """
         if self._step is None and self.order <= _AUTO_TABLE_LIMIT:
-            self._scalar_log()
+            log = self._scalar_log()
+            with self._lock:
+                if self._step is None:
+                    p, m = self.p, self.order - 1
+                    # 1 + c changes digit 0 only; log[0] = 2m marks 1 + w^e = 0
+                    zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in self._exp[:m]]
+                    self._red = list(range(m)) * 2 + [2 * m] * (2 * m + 1)
+                    self._step = zech + [0] * (m + 1) + list(range(-2 * m, -m)) + zech
         return self._step
 
     # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ library uses, so agreement is evidence rather than tautology:
   enumeration of all q^k messages (the library enumerates one message
   per projective point, vectorized over F_p coordinates, or reads
   d = n - k + 1 of an MDS code from its minors);
+- prime factors by dividing by every d >= 2 (the library divides by 2
+  and odd d only, restarting from the least factor of each cofactor);
 - binomials by the multiplicative formula with exact stepwise division
   (the library calls math.comb);
 - irreducibility by trial division against every monic polynomial of
@@ -55,6 +57,19 @@ def oracle_weight_distribution(code: LinearCode) -> list[int]:
 def oracle_min_distance(code: LinearCode) -> int:
     """Minimum nonzero codeword weight, from the brute-force histogram."""
     return next(w for w, c in enumerate(oracle_weight_distribution(code)) if c)
+
+
+def oracle_prime_factors(m: int) -> list[int]:
+    """Distinct prime factors of m, ascending: every d = 2, 3, 4, ... divided
+    out in turn while d * d <= m, then what is left if it is above 1."""
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return out + [m] if m > 1 else out
 
 
 def oracle_binomial(m: int, n: int) -> int:

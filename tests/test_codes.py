@@ -42,7 +42,7 @@ from mdslift.errors import (
     ZeroMultiplier,
     ZeroScalar,
 )
-from mdslift.field import FieldElement, make_extension_field, make_prime_field
+from mdslift.field import FieldElement, FieldSpec, make_extension_field, make_prime_field
 from mdslift.kernels import _MINOR_BLOCK, _plan_block
 from mdslift.lifting import lift, sample_dh
 from mdslift.matrix import (
@@ -629,6 +629,17 @@ def test_scalar_pass_matches_array_pass_and_oracle():
                 assert _scalar_first_singular(m) == kernels.first_singular(m) == want
                 seen.add(bool(singular))
     assert seen == {True, False}
+
+
+def test_scalar_pass_builds_the_log_sum_lists_it_reads():
+    # a fresh spec in characteristic 2, where the sums of the row reduction
+    # are xors: only products have built tables when the pass starts
+    spec = FieldSpec(2, 4, make_extension_field(2, 4).modulus, 2)
+    g = grs_generator(spec, 8, 3).generator
+    g.echelon()
+    assert spec._log is not None and spec._red is None and spec._step is None
+    assert _scalar_first_singular(g) is None
+    assert spec._red is not None and spec._step is not None
 
 
 @st.composite

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import sys
 import threading
 import time
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from mdslift.field import (
     FieldElement,
     FieldSpec,
     _has_max_order,
+    _prime_factors,
     _primitive_roots,
     field_from_modulus,
     is_prime,
@@ -37,6 +40,7 @@ from oracles import (
     oracle_is_irreducible,
     oracle_is_primitive,
     oracle_multiplicative_order,
+    oracle_prime_factors,
     oracle_smallest_generator,
 )
 
@@ -54,6 +58,18 @@ def _make(p, t):
 def test_is_prime_basics():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(0) and not is_prime(1) and not is_prime(-7)
+
+
+def test_trial_division_matches_oracle():
+    # every m below 20,000, then primes and composites near 2^24, 2^31 and 2^32:
+    # 2^24 - 3 is prime, 2^24 - 1 = 3^2 * 5 * 7 * 13 * 17 * 241, 2^32 - 5 is
+    # prime and 2^32 + 1 = 641 * 6,700,417
+    for m in list(range(20_000)) + [16_777_213, 16_777_215, 2**31 - 1, 4_294_967_291,
+                                    4_294_967_297]:
+        factors = oracle_prime_factors(m)
+        assert _prime_factors(m) == factors, m
+        assert is_prime(m) == (factors == [m]), m
+    assert _prime_factors(4_294_967_297) == [641, 6_700_417]
 
 
 def test_nonprime_p_rejected():
@@ -448,6 +464,29 @@ def test_tables_match_oracle(p, t):
     assert all(oracle_field_mul(spec, a, spec.inv_code(a)) == 1 for a in units)
 
 
+# each call on a spec of its own, so it is the first: a product, a power or a
+# dlog builds exp and log alone, not the Zech list and the log-sum lists
+@pytest.mark.parametrize("p,t", [(2, 16), (3, 10)])
+def test_products_and_logs_build_no_log_sum_lists(p, t):
+    modulus = _make(p, t).modulus
+    for first in (lambda s: s.mul_code(5, 7), lambda s: s.pow_code(5, 3), lambda s: s.dlog(5)):
+        spec = FieldSpec(p, t, modulus, p)
+        tracemalloc.start()
+        try:
+            first(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec._log is not None and spec._red is None and spec._step is None
+        assert peak < 8 << 20, peak
+    if p == 2:
+        assert spec.add_code(5, 7) == 2 and spec._step is None  # a sum is a xor
+        assert spec._scalar_zech() is not None
+    else:
+        assert spec.add_code(5, 7) == oracle_field_add(spec, 5, 7)
+    assert spec._red is not None and spec._step is not None
+
+
 def test_extension_generator_is_x(f2_17):
     for spec in [_make(p, t) for p, t in ALL_PAIRS + SAMPLED] + [f2_17]:
         assert spec.generator_w.coords == (0, 1) + (0,) * (spec.t - 2)
@@ -502,6 +541,32 @@ def test_int_operands_are_constants(p, t):
     assert a * 1 == a
     assert a * p == spec.zero()  # characteristic
     assert 1 - spec.one() == spec.zero()
+
+
+@pytest.mark.parametrize("p,t", [(7, 1), (2, 3), (3, 2)])
+def test_operators_match_code_ops(p, t):
+    spec = _make(p, t)
+    elems = list(spec.elements())
+    for a, b in product(elems, repeat=2):
+        assert (a + b).code == spec.add_code(a.code, b.code)
+        assert (a - b).code == spec.sub_code(a.code, b.code)
+        assert (a * b).code == spec.mul_code(a.code, b.code)
+        if b:
+            assert (a / b).code == spec.mul_code(a.code, spec.inv_code(b.code))
+    # an int operand n, on either side, is n * 1
+    for a, n in product(elems, [-p - 1, -1, 0, 1, 2, p, p + 3, 100]):
+        one = n % p
+        assert (n + a).code == (a + n).code == spec.add_code(one, a.code)
+        assert (n - a).code == spec.sub_code(one, a.code)
+        assert (a - n).code == spec.sub_code(a.code, one)
+        assert (n * a).code == (a * n).code == spec.mul_code(one, a.code)
+    for a in elems:
+        with pytest.raises(DivisionByZero):
+            a / 0
+        with pytest.raises(TypeError):
+            a + 1.5
+        with pytest.raises(TypeError):
+            1.5 - a
 
 
 def test_cross_field_arithmetic_rejected(f7, f343, f49):
@@ -612,3 +677,34 @@ def test_concurrent_table_build_is_safe():
     for th in threads:
         th.join()
     assert len(set(results)) == 1
+
+
+def test_concurrent_log_and_zech_builds_are_safe():
+    # threads race on a fresh F_3^9 spec, half building the Zech list first
+    # (a sum) and half the exp/log tables (a product): every result matches
+    # the oracle, and the lists are built once
+    spec = FieldSpec(3, 9, make_extension_field(3, 9).modulus, 3)
+    pairs = list(zip(_sample(spec, 12, 40), _sample(spec, 13, 40)))
+    results, steps = {}, []
+    def worker(i):
+        ops = [spec.add_code, spec.mul_code]
+        if i % 2:
+            ops.reverse()
+        results[i] = [op(a, b) for op in ops for a, b in pairs]
+        steps.append(spec._scalar_zech())
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads) and len(results) == 8
+    sums = [oracle_field_add(spec, a, b) for a, b in pairs]
+    products = [oracle_field_mul(spec, a, b) for a, b in pairs]
+    for i, got in results.items():
+        assert got == (products + sums if i % 2 else sums + products)
+    assert all(step is steps[0] for step in steps)
