@@ -108,6 +108,8 @@ def sample_dh(spec: FieldSpec, n: int, seed: int) -> DhDiagonal:
     (see ``rng``), so samples are stable across platforms and runs. The
     drawn codes are kept unchecked (``DhDiagonal._of``).
     """
+    if n < 0:
+        raise DimensionMismatch(f"n={n} is negative")
     if spec.order - 1 < n:
         raise FieldTooSmall(f"{spec} has {spec.order - 1} nonzero elements, need {n}")
     return DhDiagonal._of(spec, tuple(SplitMix64(seed).sample(range(1, spec.order), n)))

@@ -31,7 +31,11 @@ library uses, so agreement is evidence rather than tautology:
   scalings, and expands the minors of its non-pivot block in one
   Laplace pass, on discrete logs or on numpy arrays);
 - matrix products entry by entry in FieldElement arithmetic (the library
-  works on rows of codes with the field's code ops).
+  works on rows of codes with the field's code ops);
+- SplitMix64 words, bounded draws and samples transcribed from the ``rng``
+  module docstring, reducing mod 2^64 and swapping both slots of a
+  dict-held pool (the library masks, draws every word through one
+  rejection loop, and writes only the drawn slot of its dict).
 """
 
 from __future__ import annotations
@@ -241,3 +245,34 @@ def oracle_singular_sets(m: FieldMatrix) -> list[tuple[int, ...]]:
 
 def oracle_is_mds(code: LinearCode) -> bool:
     return oracle_singular_minor(code) is None
+
+
+class OracleSplitMix64:
+    """SplitMix64 as the ``rng`` docstring states it, importing nothing from
+    ``rng``. ``rejected`` counts the words a bounded draw threw away."""
+
+    def __init__(self, seed: int) -> None:
+        self.state, self.rejected = seed, 0
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2 ** 64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2 ** 64
+        return z ^ (z >> 31)
+
+    def below(self, bound: int) -> int:
+        """Words at or above 2^64 - (2^64 mod bound) are rejected."""
+        while (z := self.next_u64()) >= 2 ** 64 - 2 ** 64 % bound:
+            self.rejected += 1
+        return z % bound
+
+    def sample(self, population, count: int) -> list:
+        """Partial Fisher-Yates: swap slots i and i + below(size - i) of the
+        pool, a dict from slot to population index (absent: the slot's own)."""
+        pool, out = {}, []
+        for i in range(count):
+            j = i + self.below(len(population) - i)
+            pool[i], pool[j] = pool.get(j, j), pool.get(i, i)
+            out.append(population[pool[i]])
+        return out

@@ -181,6 +181,11 @@ def test_dh_seed_must_be_64_bit(capsys):
     assert code == 2
 
 
+def test_dh_negative_length_is_usage_error(capsys):
+    code, out, err = run(capsys, "dh", "-p", "7", "-t", "3", "-n", "-1")
+    assert (code, out, err) == (2, "", "error: DimensionMismatch: n=-1 is negative\n")
+
+
 # lifting ------------------------------------------------------------------------
 
 

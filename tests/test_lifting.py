@@ -146,6 +146,8 @@ def test_sample_dh_size_errors(f16, f343):
     for spec in (f16, f343):
         with pytest.raises(EmptyDiagonal, match="l statistic of an empty diagonal"):
             sample_dh(spec, 0, 1)
+        with pytest.raises(DimensionMismatch, match="^n=-1 is negative$"):
+            sample_dh(spec, -1, 1)
         with pytest.raises(FieldTooSmall):
             sample_dh(spec, spec.order, 1)
 
@@ -269,7 +271,13 @@ def test_minor_plan_is_kept_per_field(example1, f7, f49, f343):
         [0, 1, 0, 3, 1, 5, 1, 1],
         [0, 0, 1, 3, 5, 2, 4, 4],
     ]))
-    for base, want in ((example1, None), (non_mds, (0, 6, 7))):
+    # a zero in the RREF block: a singular 1 x 1 minor, found by the plan's
+    # level-1 pass
+    zeroed_rows = example1.generator.codes.tolist()
+    zeroed_rows[0][6] = 0
+    zeroed = LinearCode(FieldMatrix.from_rows(f7, zeroed_rows))
+    for base, want in ((example1, None), (non_mds, (0, 6, 7)),
+                       (zeroed, oracle_singular_minor(zeroed))):
         family = [base] + [LinearCode(embed_matrix(base.generator, spec)) for spec in (f49, f343)]
         rows = base.generator.echelon()[0]
         assert all(c.generator.echelon()[0] is rows for c in family)

@@ -6,12 +6,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mdslift
 from mdslift.field import make_extension_field
 from mdslift.lifting import sample_dh
 from mdslift.rng import SplitMix64
+from oracles import OracleSplitMix64
 
 
 def test_reference_stream_seed_zero():
@@ -66,7 +68,28 @@ def test_below_refuses_bounds_above_two_to_the_64():
     assert proc.returncode == 0, proc.stderr
     assert "2^64" in proc.stdout
     # 2^64 itself accepts every word, so the draw is the next word
-    assert SplitMix64(1).below(2 ** 64) == SplitMix64(1).next_u64()
+    assert SplitMix64(1).below(2 ** 64) == OracleSplitMix64(1).next_u64()
+
+
+def test_bounds_and_seeds_are_read_as_integers():
+    # operator.index, as FieldSpec.code reads a code: below(2.5) once
+    # returned a float
+    for bound in (2.5, 2.0, "3"):
+        with pytest.raises(TypeError):
+            SplitMix64(1).below(bound)
+    with pytest.raises(TypeError):
+        SplitMix64(2.5)
+    assert SplitMix64(np.uint64(3)).below(np.int64(342)) == SplitMix64(3).below(342)
+
+
+def test_seeds_outside_64_bits_are_refused(f49):
+    # seeds are not reduced mod 2^64: -1 would replay seed 2^64 - 1's stream
+    for seed in (-1, 2 ** 64, 2 ** 64 + 1, -(2 ** 64)):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            SplitMix64(seed)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            sample_dh(f49, 3, seed)
+    assert SplitMix64(2 ** 64 - 1).next_u64() == OracleSplitMix64(2 ** 64 - 1).next_u64()
 
 
 def test_sample_without_replacement():
@@ -84,6 +107,8 @@ def test_sample_is_deterministic():
 def test_sample_count_validation():
     with pytest.raises(ValueError):
         SplitMix64(0).sample(range(3), 4)
+    with pytest.raises(ValueError, match="sample count must be >= 0, got -1"):
+        SplitMix64(0).sample(range(5), -1)
 
 
 @pytest.mark.parametrize(("t", "seed", "codes"), [
@@ -148,7 +173,7 @@ def test_sample_draws_as_below_does():
     for seed in range(40):
         size = 1 + seed * 37 % 400
         count = seed % (size + 1)
-        a, b = SplitMix64(seed), SplitMix64(seed)
+        a, b = SplitMix64(seed), OracleSplitMix64(seed)
         assert a.sample(range(size), count) == reference(b, range(size), count)
         assert a.next_u64() == b.next_u64()  # the state advances alike
 
@@ -157,60 +182,36 @@ def test_sample_rejects_draws_as_below_does():
     # each of the first five bounds, 2^62 + 5 - i, leaves 2^64 mod bound, about
     # 2^62, of the words above its threshold, so about a quarter of the words
     # are rejected and drawn again; the population is too large to list, so
-    # the reference swaps through a dict, drawing with below()
+    # the oracle swaps through a dict
     size = 2 ** 62 + 5
-    words = []
-
-    class Counted(SplitMix64):
-        def next_u64(self):
-            words.append(super().next_u64())
-            return words[-1]
-
-    def reference(r, count):
-        moved, out = {}, []
-        for i in range(count):
-            j = i + r.below(size - i)
-            out.append(moved.get(j, j))
-            moved[j] = moved.get(i, i)
-        return out
-
+    rejected = 0
     for seed in range(40):
-        a, b = SplitMix64(seed), Counted(seed)
-        assert a.sample(range(size), 5) == reference(b, 5)
+        a, b = SplitMix64(seed), OracleSplitMix64(seed)
+        assert a.sample(range(size), 5) == b.sample(range(size), 5)
         assert a.next_u64() == b.next_u64()  # the state advances alike
-    assert len(words) - 40 * 6 > 40  # about 67 rejected draws are expected
+        rejected += b.rejected
+    assert rejected > 40  # about 67 rejected draws are expected
 
 
 def test_packed_draws_reject_on_any_lane():
     # over 2^62 + 5 items about a quarter of the words are rejected and drawn
-    # again. The draws of the rejected words are read off the reference
+    # again. The draws of the rejected words are read off the oracle's
     # stream, and rejections must fall on the first, a middle and the last
     # draw of a sample
     size = 2 ** 62 + 5
     places = set()
     for seed in range(60):
         count = 1 + seed % 12
-        a, b = SplitMix64(seed), SplitMix64(seed)
-        assert a.sample(range(size), count) == _below_sample(b, range(size), count)
+        a, b = SplitMix64(seed), OracleSplitMix64(seed)
+        assert a.sample(range(size), count) == b.sample(range(size), count)
         assert a.next_u64() == b.next_u64()
-        r, i = SplitMix64(seed), 0
-        while i < count:
-            if r.next_u64() < 2 ** 64 - 2 ** 64 % (size - i):
-                i += 1
-            elif count > 2:
+        r = OracleSplitMix64(seed)
+        for i in range(count):
+            rejected = r.rejected
+            r.below(size - i)
+            if r.rejected > rejected and count > 2:
                 places.add("first" if i == 0 else "last" if i == count - 1 else "middle")
     assert places == {"first", "middle", "last"}
-
-
-def _below_sample(r, population, count):
-    """Partial Fisher-Yates on below(), swapping through a dict: the
-    reference for the draws of ``sample``."""
-    moved, out = {}, []
-    for i in range(count):
-        j = i + r.below(len(population) - i)
-        out.append(population[moved.get(j, j)])
-        moved[j] = moved.get(i, i)
-    return out
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 31, 32, 33, 67])
@@ -222,6 +223,25 @@ def test_packed_draws_match_below_at_every_width(count):
     seeds = [0, 1, 12345, (1 << 64) - 1, (1 << 64) - 2, (1 << 64) - 64]
     for population in populations:
         for seed in seeds:
-            a, b = SplitMix64(seed), SplitMix64(seed)
-            assert a.sample(population, count) == _below_sample(b, population, count)
+            a, b = SplitMix64(seed), OracleSplitMix64(seed)
+            assert a.sample(population, count) == b.sample(population, count)
             assert a.next_u64() == b.next_u64()  # the state advances alike
+
+
+def test_every_draw_matches_the_oracle():
+    # each sample on a fresh generator, as sample_dh draws; the bounded draws
+    # run on one generator, from bound 1 to 2^62 + 5 (about a quarter of the
+    # words rejected) and 2^64 (the raw word); seeds near 2^64 wrap the state
+    for seed in [*range(500), *range(2 ** 64 - 500, 2 ** 64)]:
+        for q in (49, 343, 2401, 65536):
+            for n in (1, 8, 12):
+                a, b = SplitMix64(seed), OracleSplitMix64(seed)
+                assert a.sample(range(1, q), n) == b.sample(range(1, q), n)
+                assert a.next_u64() == b.next_u64()
+        a, b = SplitMix64(seed), OracleSplitMix64(seed)
+        for bound in (1, 2, 342, 2 ** 62 + 5, 2 ** 64):
+            assert a.below(bound) == b.below(bound)
+        assert a.next_u64() == b.next_u64()
+    readme = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    a, b = SplitMix64(0), OracleSplitMix64(0)
+    assert [a.next_u64() for _ in readme] == [b.next_u64() for _ in readme] == readme
