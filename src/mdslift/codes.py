@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from math import comb
 from typing import Sequence
 
@@ -44,7 +45,7 @@ from .errors import (
     ZeroScalar,
 )
 from .field import FieldElement, FieldSpec, make_prime_field
-from .matrix import FieldMatrix, diag_product, rank, vec_mat_mul
+from .matrix import FieldMatrix, diag_product, rank, row_reduce, vec_mat_mul
 
 #: Cap on the q^k - 1 codewords an exhaustive enumeration covers.
 DEFAULT_ENUM_LIMIT = 1 << 26
@@ -85,13 +86,17 @@ class LinearCode:
         """The dual [n, n - k] code. With RREF R, pivot columns P and the
         other columns Q, its generator H is the identity on Q and -R[:, Q]^T
         on P, so that G H^T = R[:, Q] - R[:, Q] = 0; no leading block need
-        be nonsingular."""
-        reduced, pivots = self.generator.rref()
-        n, rows = self.n, []
-        for j in _free_columns(n, pivots):
-            on_pivots = dict(zip(pivots, (self.spec.neg_code(r[j]) for r in reduced)))
-            rows.append(tuple(on_pivots.get(c, int(c == j)) for c in range(n)))
-        return LinearCode(FieldMatrix._of(self.spec, tuple(rows), (len(rows), n)))
+        be nonsingular. H comes with its RREF, by the same rule on the RREF
+        R' of G read right to left: its pivots P' are the code's lex-last
+        information set, so Q' is the dual's lex-first one (matroid duality),
+        and row j is zero left of j, as R' is zero beyond each pivot."""
+        spec, n = self.spec, self.n
+        rows = _dual_rows(spec, n, *self.generator.rref())
+        flipped = [r[::-1] for r in self.generator.to_lists()]
+        last = [n - 1 - c for c in row_reduce(flipped, spec)]
+        reduced = [r[::-1] for r in flipped[:len(last)]]
+        rref = _dual_rows(spec, n, reduced, last), _free_columns(n, last), None
+        return LinearCode(FieldMatrix._of(spec, rows, (len(rows), n), rref=rref))
 
     def params(self) -> str:
         d = "?" if self._d is None else str(self._d)
@@ -282,6 +287,16 @@ def _free_columns(n: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(range(n)).difference(pivots)))
 
 
+def _dual_rows(spec: FieldSpec, n: int, reduced, pivots) -> tuple[tuple[int, ...], ...]:
+    """One row per column j outside ``pivots``, ascending: 1 at j, -R_ij at
+    pivot P_i of row i of ``reduced``, 0 elsewhere."""
+    rows = []
+    for j in _free_columns(n, pivots):
+        on_pivots = dict(zip(pivots, (spec.neg_code(r[j]) for r in reduced)))
+        rows.append(tuple(on_pivots.get(c, int(c == j)) for c in range(n)))
+    return tuple(rows)
+
+
 #: Scalar-pass plans by (id of the field, id of the RREF rows): each plan
 #: holds both objects, so neither id is reused while it is kept.
 _PLANS: dict[tuple[int, int], tuple] = {}
@@ -378,7 +393,7 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
     minors that no level reads are only tested for zero, else on numpy
     arrays (``kernels.first_singular``).
     In-process on 2 vCPUs, ``is_mds`` of a lift of the [8,3] code into
-    F_49, F_343 or F_2401 takes about 17 us (``BENCH_20.json``).
+    F_49, F_343 or F_2401 takes about 9 us (``BENCH_31.json``).
     """
     k, n = code.k, code.n
     minors = comb(n, k)
@@ -405,8 +420,9 @@ def is_mds(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT) -> bool:
 
 
 def scale_row(g: FieldMatrix, i: int, c: int | FieldElement) -> FieldMatrix:
-    """Copy of g with row i multiplied by nonzero c (int = element code)."""
-    cc = g.spec.code(c)
+    """Copy of g with row i (read by ``operator.index``) multiplied by
+    nonzero c (int = element code)."""
+    cc, i = g.spec.code(c), operator.index(i)
     if cc == 0:
         raise ZeroScalar("row scaling by zero")
     if not 0 <= i < g.rows:
@@ -415,8 +431,9 @@ def scale_row(g: FieldMatrix, i: int, c: int | FieldElement) -> FieldMatrix:
 
 
 def scale_col(g: FieldMatrix, j: int, c: int | FieldElement) -> FieldMatrix:
-    """Copy of g with column j multiplied by nonzero c (int = element code)."""
-    cc = g.spec.code(c)
+    """Copy of g with column j (read by ``operator.index``) multiplied by
+    nonzero c (int = element code)."""
+    cc, j = g.spec.code(c), operator.index(j)
     if cc == 0:
         raise ZeroScalar("column scaling by zero")
     if not 0 <= j < g.cols:

@@ -11,6 +11,7 @@ surfaces as Inconsistent instead of a silently wrong message.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .codes import LinearCode
@@ -65,8 +66,9 @@ def erasure_encode(code: LinearCode, message: Sequence[FieldElement]) -> list[Fi
 
 
 def erase(code: LinearCode, codeword: Sequence[FieldElement], positions: Sequence[int]) -> ErasureWord:
-    """Word with the given positions knocked out."""
-    pos = set(positions)
+    """Word with the given positions, each read by ``operator.index``,
+    knocked out."""
+    pos = set(map(operator.index, positions))
     for i in pos:
         if not 0 <= i < code.n:
             raise IndexOutOfRange(f"position {i} of {code.n}")

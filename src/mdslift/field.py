@@ -15,7 +15,10 @@ lists compared low degree first) for which the residue class of x
 generates the multiplicative group, and uses x as the generator w.
 ``make_prime_field`` uses the smallest generator of (Z/p)*. Two
 constructions of the same parameters always agree, so files written in
-``w^k`` notation are reproducible across runs.
+``w^k`` notation are reproducible across runs. The constructors read
+p, t, ``order_limit`` and each modulus coefficient with ``operator.index``,
+check them on every call, and share one cached ``_field(p, t, modulus)``
+and one spec store, both keyed on Python ints only.
 
 Primality is checked by deterministic trial division. A candidate
 modulus is decided by one test on polynomials, with no per-candidate
@@ -120,14 +123,17 @@ def _primitive_roots(p: int) -> Iterator[int]:
     return (g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in factors))
 
 
-def _check_field(p: int, t: int, order_limit: int) -> None:
-    """Refuse p^t > order_limit, then a composite p. The cap comes first,
-    so no trial division runs on a huge p; p^t is not computed when t
-    alone exceeds the limit's bit length, since then p^t >= 2^t > order_limit."""
+def _check_field(p: int, t: int, order_limit: int) -> tuple[int, int]:
+    """(p, t), read with ``order_limit`` by ``operator.index``, after refusing
+    p^t > order_limit, then a composite p. The cap comes first, so no trial
+    division runs on a huge p; p^t is not computed when t alone exceeds the
+    limit's bit length, since then p^t >= 2^t > order_limit."""
+    p, t, order_limit = map(operator.index, (p, t, order_limit))
     if p >= 2 and (t > order_limit.bit_length() or p ** t > order_limit):
         raise FieldTooLarge(f"order {p}^{t} exceeds the field order limit {order_limit}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    return p, t
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +172,19 @@ def _poly_pow_mod(base: Sequence[int], e: int, modulus: Sequence[int], p: int) -
     return result
 
 
-def _has_max_order(modulus: Sequence[int], p: int) -> bool:
+def _has_max_order(modulus: Sequence[int], p: int, factors: list[int] | None = None) -> bool:
     """True iff x has multiplicative order m = p^t - 1 modulo the monic
     modulus f of degree t >= 2: x^m = 1 and x^(m/r) != 1 for each prime r
     dividing m. Then F_p[x]/(f) has m units, so it is a field: this one
     test decides that f is irreducible and x primitive (Lidl and
     Niederreiter, Thm 3.16). x^m is y^r0 for y = x^(m/r0), r0 the
-    smallest r, so a reducible f costs one full power."""
+    smallest r, so a reducible f costs one full power. ``factors``, the
+    primes r, is factored here unless given, as a scan gives it once."""
     t = len(modulus) - 1
     m = p ** t - 1
     x = [0, 1] + [0] * (t - 2)
     one = [1] + [0] * (t - 1)
-    r0, *rest = _prime_factors(m)
+    r0, *rest = _prime_factors(m) if factors is None else factors
     y = _poly_pow_mod(x, m // r0, modulus, p)
     return (y != one and _poly_pow_mod(y, r0, modulus, p) == one
             and all(_poly_pow_mod(x, m // r, modulus, p) != one for r in rest))
@@ -564,18 +571,16 @@ class FieldSpec:
         return f"F_{self.p}^{self.t}"
 
 
-@functools.lru_cache(maxsize=None)
 def make_prime_field(p: int, order_limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
     """F_p with the smallest generator of (Z/p)* as w.
 
     Raises FieldTooLarge if p > order_limit, NotPrime if p is composite
     or < 2.
     """
-    _check_field(p, 1, order_limit)
-    return _field(p, 1, None, next(_primitive_roots(p)))
+    p, _ = _check_field(p, 1, order_limit)
+    return _field(p, 1, None)
 
 
-@functools.lru_cache(maxsize=None)
 def make_extension_field(p: int, t: int, order_limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
     """F_{p^t} with the deterministic modulus convention.
 
@@ -585,51 +590,54 @@ def make_extension_field(p: int, t: int, order_limit: int = DEFAULT_ORDER_LIMIT)
     Constant terms c0 with (-1)^t c0 not a primitive root mod p are
     skipped whole. Raises FieldTooLarge if p^t > order_limit.
     """
-    _check_field(p, t, order_limit)
+    p, t = _check_field(p, t, order_limit)
     if t < 2:
         raise DegreeTooSmall(f"extension degree must be >= 2, got {t}")
-    norms = set(_primitive_roots(p))
-    for c0 in range(p):
-        if (-1) ** t * c0 % p not in norms:
-            continue
-        for rest in itertools.product(range(p), repeat=t - 1):
-            modulus = (c0,) + rest + (1,)
-            if _has_max_order(modulus, p):
-                return _field(p, t, modulus, p)  # code p is the class of x
-    raise AssertionError(f"no primitive-x irreducible modulus of degree {t} over F_{p}")
-
-
-@functools.lru_cache(maxsize=None)
-def _field(p: int, t: int, modulus: tuple[int, ...] | None, w_code: int) -> FieldSpec:
-    # one spec per field, shared by every constructor and order limit
-    return FieldSpec(p, t, modulus, w_code)
+    return _field(p, t, None)
 
 
 def field_from_modulus(p: int, t: int, modulus: Sequence[int],
                        order_limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpec:
     """F_{p^t} with an explicit monic primitive modulus (t+1 ascending
-    coefficients): x must have order p^t - 1. Used when parsing files.
-    Raises FieldTooLarge if p^t > order_limit. The order cap and the
-    format checks run on every call; the order test, which decides
-    irreducibility and primitivity together, once per accepted
-    (p, t, modulus)."""
-    _check_field(p, t, order_limit)
+    coefficients, each read with ``operator.index``): x must have order
+    p^t - 1. Used when parsing files. Raises FieldTooLarge if
+    p^t > order_limit."""
+    p, t = _check_field(p, t, order_limit)
     if t < 2:
         raise DegreeTooSmall(f"extension degree must be >= 2, got {t}")
-    modulus = tuple(int(c) for c in modulus)
+    modulus = tuple(map(operator.index, modulus))
     if len(modulus) != t + 1:
         raise FormatError(f"modulus needs {t + 1} coefficients, got {len(modulus)}")
     if modulus[-1] != 1:
         raise FormatError("modulus must be monic")
     if any(not 0 <= c < p for c in modulus):
         raise FormatError(f"modulus coefficients must lie in [0, {p})")
-    return _checked_modulus_field(p, t, modulus)
+    return _field(p, t, modulus)
 
 
 @functools.lru_cache(maxsize=None)
-def _checked_modulus_field(p: int, t: int, modulus: tuple[int, ...]) -> FieldSpec:
-    # the cache keeps accepted moduli only: a rejection raises, and
-    # lru_cache stores no exception, so a bad modulus is tested each time
-    if not _has_max_order(modulus, p):
-        raise FormatError(f"modulus {list(modulus)} is not a primitive polynomial over F_{p}")
-    return _field(p, t, modulus, p)
+def _field(p: int, t: int, modulus: tuple[int, ...] | None) -> FieldSpec:
+    """The one construction path, behind the constructors' checks: F_p
+    with its least primitive root as w for t = 1, the lex-first scan for
+    ``modulus`` None, else the given modulus, refused unless x has order
+    p^t - 1. Kept per accepted argument triple; a rejection raises, and
+    lru_cache stores no exception, so a bad modulus is tested each time."""
+    if t == 1:
+        return _spec(p, 1, None, next(_primitive_roots(p)))
+    if modulus is not None:
+        if not _has_max_order(modulus, p):
+            raise FormatError(f"modulus {list(modulus)} is not a primitive polynomial over F_{p}")
+        return _spec(p, t, modulus, p)  # code p is the class of x
+    norms, factors = set(_primitive_roots(p)), _prime_factors(p ** t - 1)
+    for c0 in range(p):
+        if (-1) ** t * c0 % p not in norms:
+            continue
+        for rest in itertools.product(range(p), repeat=t - 1):
+            modulus = (c0,) + rest + (1,)
+            if _has_max_order(modulus, p, factors):
+                return _spec(p, t, modulus, p)
+    raise AssertionError(f"no primitive-x irreducible modulus of degree {t} over F_{p}")
+
+
+# the spec store: one FieldSpec per field, whichever path reached it
+_spec = functools.lru_cache(maxsize=None)(FieldSpec)

@@ -3,10 +3,11 @@
 Each oracle recomputes a quantity with a different algorithm than the
 library uses, so agreement is evidence rather than tautology:
 
-- minimum distance and weight distribution by scalar element-level
-  enumeration of all q^k messages (the library enumerates one message
-  per projective point, vectorized over F_p coordinates, or reads
-  d = n - k + 1 of an MDS code from its minors);
+- minimum distance and weight distribution by enumeration of all q^k
+  messages, each encoded by a schoolbook product over the generator's
+  code rows with the oracle field ops below (the library enumerates one
+  message per projective point, vectorized over F_p coordinates, or
+  reads d = n - k + 1 of an MDS code from its minors);
 - prime factors by dividing by every d >= 2 (the library divides by 2
   and odd d only, restarting from the least factor of each cofactor);
 - binomials by the multiplicative formula with exact stepwise division
@@ -42,19 +43,27 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from mdslift.codes import LinearCode, encode_message
+from mdslift.codes import LinearCode
 from mdslift.matrix import FieldMatrix
 
 
 def oracle_weight_distribution(code: LinearCode) -> list[int]:
-    """Nonzero codewords of each weight 0..n, one scalar message at a time."""
-    spec = code.spec
+    """Nonzero codewords of each weight 0..n over all q^k messages: m . G
+    as the schoolbook sum of m_i times row i by ``oracle_field_add``, each
+    product by ``oracle_field_mul``, once per symbol and row. Only the
+    generator's code rows are read."""
+    spec, order = code.spec, code.spec.order
+    times = [[[oracle_field_mul(spec, m, g) for g in row] for m in range(order)]
+             for row in code.generator.to_lists()]
     counts = [0] * (code.n + 1)
-    elems = [spec.from_code(c) for c in range(spec.order)]
-    for msg in product(elems, repeat=code.k):
-        if all(m.code == 0 for m in msg):
+    for msg in product(range(order), repeat=code.k):
+        if not any(msg):
             continue
-        counts[sum(1 for s in encode_message(code, list(msg)) if s.code != 0)] += 1
+        word = [0] * code.n
+        for m, products in zip(msg, times):
+            if m:  # a zero message symbol adds nothing
+                word = [oracle_field_add(spec, w, x) for w, x in zip(word, products[m])]
+        counts[sum(1 for s in word if s)] += 1
     return counts
 
 

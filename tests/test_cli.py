@@ -318,9 +318,11 @@ def digit_limit():
 
 
 @pytest.mark.parametrize("argv", [("-p", "7", "-t", "6000", "-n", "2"),
-                                  ("-p", "2", "-t", "20", "-n", "524288")])
+                                  ("-p", "2", "-t", "20", "-n", "524288"),
+                                  ("-p", "7", "-t", "3000000", "-n", "2")])
 def test_diversity_count_past_the_digit_limit_is_refused(capsys, digit_limit, argv):
-    # counts of 10,141 and about 315,000 digits: decided from p, t and n by logs
+    # counts of 10,141 and about 315,000 digits, decided from p, t and n by
+    # logs, and of about 5 million, by bit lengths alone
     start = time.perf_counter()
     code, out, err = run(capsys, "diversity", *argv)
     assert time.perf_counter() - start < 1
@@ -339,6 +341,13 @@ def test_diversity_count_at_the_digit_limit_prints(capsys, digit_limit):
     sys.set_int_max_str_digits(0)  # no limit: every count prints
     code, out, _ = run(capsys, "diversity", "-p", "7", "-t", "6000", "-n", "2")
     assert (code, out) == (0, f"{math.comb(7 ** 6000 - 1, 2)}\n")
+
+
+def test_diversity_count_of_no_entries_needs_no_power(capsys, digit_limit):
+    # C(7^(10^7) - 1, 0) = 1, settled by bit lengths: 7^(10^7) is never computed
+    start = time.perf_counter()
+    assert run(capsys, "diversity", "-p", "7", "-t", "10000000", "-n", "0") == (0, "1\n", "")
+    assert time.perf_counter() - start < 1
 
 
 # encode / decode ----------------------------------------------------------------

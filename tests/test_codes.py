@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -50,6 +51,7 @@ from mdslift.matrix import (
     diag_product,
     embed_matrix,
     rank,
+    row_reduce,
     solve,
     submatrix,
     to_systematic,
@@ -853,6 +855,48 @@ def test_dual_is_orthogonal_and_needs_no_leading_block(f7, f49):
                        for x in row)
     late = LinearCode(FieldMatrix(f7, [[0, 1, 2, 3], [0, 0, 1, 5]]))
     assert late.dual().generator.to_lists() == [[1, 0, 0, 0], [0, 0, 2, 1]]  # pivots 1, 2
+
+
+@st.composite
+def _dual_case(draw):
+    p, t = draw(st.sampled_from(_ELIMINATION_FIELDS))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, n))
+    entry = st.integers(0, p ** t - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    for col in draw(st.lists(st.integers(0, n - 1), max_size=2)):  # zero columns
+        for row in rows:
+            row[col] = 0
+    return p, t, n, rows
+
+
+@given(_dual_case())
+@example((7, 1, 4, [[0, 1, 2, 3], [0, 0, 1, 5]]))  # late pivots
+@example((7, 2, 5, [[1, 9, 9, 0, 4], [3, 20, 20, 0, 5]]))  # repeated and zero columns
+@example((2, 3, 3, []))  # k = 0: the dual is the whole space
+@example((3, 2, 3, [[1, 2, 0], [4, 0, 8], [0, 5, 5]]))  # k = n: the dual is zero
+@example((2, 17, 4, [[5, 0, 70000, 131071]]))
+@settings(max_examples=80, deadline=None)
+def test_dual_carries_the_rref_of_a_fresh_elimination(f2_17, case):
+    p, t, n, rows = case
+    spec = f2_17 if (p, t) == (2, 17) else _field(p, t)
+    g = FieldMatrix(spec, rows) if rows else FieldMatrix.zeros(spec, 0, n)
+    assume(rank(g) == len(rows))
+    dual = LinearCode(g).dual()
+    fresh = dual.generator.to_lists()
+    pivots = row_reduce(fresh, spec)
+    assert dual.generator.echelon() == (tuple(map(tuple, fresh)), tuple(pivots), None)
+    assert len(pivots) == n - len(rows)
+
+
+def test_dual_of_a_long_code_is_not_eliminated_again():
+    # GRS[1000,1] over F_2^10: its [1000,999] dual took about 29 s when its
+    # generator was row-reduced afresh
+    code = grs_generator(make_extension_field(2, 10), 1000, 1)
+    start = time.perf_counter()
+    dual = code.dual()
+    assert time.perf_counter() - start < 5
+    assert dual.generator.echelon()[1] == tuple(range(999))
 
 
 def _random_full_rank_rows(spec, k, n, rng, pattern):

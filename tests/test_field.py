@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdslift import field as field_module
+from mdslift.codes import grs_generator, min_distance
 from mdslift.errors import (
     CharacteristicMismatch,
     DegreeTooSmall,
@@ -19,6 +21,7 @@ from mdslift.errors import (
     FieldTooLarge,
     FormatError,
     NotPrime,
+    TooManyCodewords,
 )
 from mdslift.field import (
     DEFAULT_ORDER_LIMIT,
@@ -260,7 +263,7 @@ def test_field_from_modulus_tests_each_accepted_modulus_once(monkeypatch):
         calls.append("_has_max_order")
         return _real(modulus, p)
     monkeypatch.setattr(field_module, "_has_max_order", counted)
-    field_module._checked_modulus_field.cache_clear()
+    field_module._field.cache_clear()
     spec = field_from_modulus(2, 4, [1, 1, 0, 0, 1])
     assert calls == ["_has_max_order"]
     for _ in range(3):
@@ -281,6 +284,59 @@ def test_field_from_modulus_tests_each_accepted_modulus_once(monkeypatch):
         with pytest.raises(FormatError):
             field_from_modulus(2, 4, [1, 1, 1, 1, 1])  # irreducible, x of order 5
         assert calls[4:] == ["_has_max_order"] * rejected
+
+
+def test_the_scan_factors_the_group_order_once(monkeypatch):
+    calls = []
+    def counted(m, _real=field_module._prime_factors):
+        calls.append(m)
+        return _real(m)
+    built = make_extension_field(11, 6)
+    monkeypatch.setattr(field_module, "_prime_factors", counted)
+    field_module._field.cache_clear()
+    assert make_extension_field(11, 6) is built  # 81 candidates scanned again
+    assert calls.count(11 ** 6 - 1) == 1
+
+
+def test_numpy_integers_never_stand_in_for_a_cached_field():
+    # F_3^13, which no other test builds: its first call reads numpy integers
+    spec = make_extension_field(3, np.int64(13))
+    assert type(spec.order) is int and type(spec.p) is int and type(spec.t) is int
+    assert make_extension_field(3, 13) is spec
+    with pytest.raises(TooManyCodewords):  # 3^78 - 1 codewords, not an int64 wrap
+        min_distance(grs_generator(spec, 8, 6))
+
+
+def test_numpy_integers_build_fields_of_python_ints():
+    assert make_prime_field(np.int64(7)) is make_prime_field(7)
+    assert make_prime_field(7, order_limit=np.int64(7)) is make_prime_field(7)
+    spec = field_from_modulus(np.int64(7), np.int64(3), np.array([2, 1, 1, 1]), np.int64(343))
+    assert spec is make_extension_field(np.int64(7), np.uint8(3)) is make_extension_field(7, 3)
+    assert all(type(c) is int for c in (spec.p, spec.t, spec.order, *spec.modulus))
+
+
+def test_non_integer_parameters_are_refused():
+    make_extension_field(7, 2)
+    for build in (lambda: make_extension_field(7, 2.0),  # F_49 is built
+                  lambda: make_extension_field(3, 14.0),  # F_3^14 is not
+                  lambda: make_prime_field(7.0),
+                  lambda: make_prime_field(7, order_limit=49.0),
+                  lambda: field_from_modulus(2, 2, [1.9, 1, 1]),
+                  lambda: field_from_modulus(2, 2, ["1", 1, 1]),
+                  lambda: field_from_modulus(7, 3, [2, 1, 1, 1.0]),
+                  lambda: field_from_modulus(7, 3, "2111")):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_equal_fields_and_elements_hash_alike(f343):
+    twin = FieldSpec(7, 3, f343.modulus, 7)  # equal to the stored spec, not it
+    assert twin == f343 and twin is not f343 and hash(twin) == hash(f343)
+    assert {f343: "F_343"}[twin] == "F_343"
+    a, b = f343.from_code(10), FieldElement(twin, 10)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "3 + x"}[b] == "3 + x" and len({a, b, f343.element([3, 1])}) == 1
+    assert len(set(f343.elements()) | set(twin.elements())) == 343
 
 
 # arithmetic axioms ------------------------------------------------------------

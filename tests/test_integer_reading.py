@@ -1,6 +1,7 @@
 """Every place that accepts a field element reads an int the same way: as
 an element code, through ``FieldSpec.code``. Only the operators of
-``FieldElement`` read an int operand n as the multiple n * 1."""
+``FieldElement`` read an int operand n as the multiple n * 1. Every row,
+column and position index is read by ``operator.index``."""
 
 from __future__ import annotations
 
@@ -9,8 +10,9 @@ import re
 import numpy as np
 import pytest
 
-from mdslift.codes import grs_generator, monomial_sandwich, scale_col, scale_row
-from mdslift.errors import FieldMismatch
+from mdslift.codes import encode_message, grs_generator, monomial_sandwich, scale_col, scale_row
+from mdslift.erasure import erase
+from mdslift.errors import FieldMismatch, IndexOutOfRange
 from mdslift.field import FieldElement, make_extension_field, make_prime_field
 from mdslift.lifting import DhDiagonal
 from mdslift.matrix import FieldMatrix, solve, vec_mat_mul
@@ -90,3 +92,26 @@ def test_sequences_stay_coordinate_vectors(f343):
     assert f343.element([3, 1]) == f343.element((3, 1, 0)) == f343.from_code(10)
     assert f343.element(np.array([3, 8])) == f343.from_code(10)  # each reduced mod p
     assert make_prime_field(7).element([9]) == make_prime_field(7).from_code(2)
+
+
+# each index position takes the index under test, i, on a code and a codeword
+INDEX_POSITIONS = {
+    "scale_row": lambda code, word, i: scale_row(code.generator, i, 3),
+    "scale_col": lambda code, word, i: scale_col(code.generator, i, 3),
+    "erase": lambda code, word, i: erase(code, word, [i, 7]).symbols,
+}
+
+
+@pytest.mark.parametrize("position", INDEX_POSITIONS)
+def test_an_index_is_read_as_an_integer(position, example1):
+    at = INDEX_POSITIONS[position]
+    word = encode_message(example1, [example1.spec.from_code(c) for c in (1, 2, 3)])
+    for i in (0, 2):
+        want = at(example1, word, i)
+        assert at(example1, word, np.int64(i)) == at(example1, word, np.uint8(i)) == want
+    assert at(example1, word, True) == at(example1, word, 1)
+    for i in (0.5, 1.5, 2.0, "1"):
+        with pytest.raises(TypeError):
+            at(example1, word, i)
+    with pytest.raises(IndexOutOfRange):
+        at(example1, word, np.int64(-1))
