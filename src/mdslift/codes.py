@@ -86,16 +86,19 @@ class LinearCode:
         """The dual [n, n - k] code. With RREF R, pivot columns P and the
         other columns Q, its generator H is the identity on Q and -R[:, Q]^T
         on P, so that G H^T = R[:, Q] - R[:, Q] = 0; no leading block need
-        be nonsingular. H comes with its RREF, by the same rule on the RREF
-        R' of G read right to left: its pivots P' are the code's lex-last
-        information set, so Q' is the dual's lex-first one (matroid duality),
-        and row j is zero left of j, as R' is zero beyond each pivot."""
+        be nonsingular. A code with k < n - k hands H its RREF, by the
+        same rule on the RREF R' of G read right to left: its pivots P' are
+        the code's lex-last information set, so Q' is the dual's lex-first
+        one (matroid duality), and row j is zero left of j, as R' is zero
+        beyond each pivot. Else H, with n - k <= k rows, is the cheaper
+        one to reduce, and ``__init__`` reduces it."""
         spec, n = self.spec, self.n
-        rows = _dual_rows(spec, n, *self.generator.rref())
-        flipped = [r[::-1] for r in self.generator.to_lists()]
-        last = [n - 1 - c for c in row_reduce(flipped, spec)]
-        reduced = [r[::-1] for r in flipped[:len(last)]]
-        rref = _dual_rows(spec, n, reduced, last), _free_columns(n, last), None
+        rows, rref = _dual_rows(spec, n, *self.generator.rref()), None
+        if 2 * self.k < n:
+            flipped = [r[::-1] for r in self.generator.to_lists()]
+            last = [n - 1 - c for c in row_reduce(flipped, spec)]
+            reduced = [r[::-1] for r in flipped[:len(last)]]
+            rref = _dual_rows(spec, n, reduced, last), _free_columns(n, last), None
         return LinearCode(FieldMatrix._of(spec, rows, (len(rows), n), rref=rref))
 
     def params(self) -> str:

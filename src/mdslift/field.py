@@ -16,9 +16,10 @@ generates the multiplicative group, and uses x as the generator w.
 ``make_prime_field`` uses the smallest generator of (Z/p)*. Two
 constructions of the same parameters always agree, so files written in
 ``w^k`` notation are reproducible across runs. The constructors read
-p, t, ``order_limit`` and each modulus coefficient with ``operator.index``,
-check them on every call, and share one cached ``_field(p, t, modulus)``
-and one spec store, both keyed on Python ints only.
+p, t, ``order_limit`` and each modulus coefficient with ``operator.index``
+and check the cap on every call, then share one cached
+``_field(p, t, modulus)``, which checks primality and the modulus once per
+accepted field, and one spec store, both keyed on Python ints only.
 
 Primality is checked by deterministic trial division. A candidate
 modulus is decided by one test on polynomials, with no per-candidate
@@ -123,17 +124,24 @@ def _primitive_roots(p: int) -> Iterator[int]:
     return (g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in factors))
 
 
-def _check_field(p: int, t: int, order_limit: int) -> tuple[int, int]:
+def _check_field(p: int, t: int, order_limit: int, min_degree: int = 2) -> tuple[int, int]:
     """(p, t), read with ``order_limit`` by ``operator.index``, after refusing
-    p^t > order_limit, then a composite p. The cap comes first, so no trial
-    division runs on a huge p; p^t is not computed when t alone exceeds the
-    limit's bit length, since then p^t >= 2^t > order_limit."""
+    p^t > order_limit, then a degree t < ``min_degree``, which a composite p
+    preempts. The cap comes first, so no trial division runs on a huge p;
+    p^t is not computed when t alone exceeds the limit's bit length, since
+    then p^t >= 2^t > order_limit. An accepted t leaves p to ``_field``."""
     p, t, order_limit = map(operator.index, (p, t, order_limit))
     if p >= 2 and (t > order_limit.bit_length() or p ** t > order_limit):
         raise FieldTooLarge(f"order {p}^{t} exceeds the field order limit {order_limit}")
+    if t < min_degree:
+        _check_prime(p)
+        raise DegreeTooSmall(f"extension degree must be >= {min_degree}, got {t}")
+    return p, t
+
+
+def _check_prime(p: int) -> None:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return p, t
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +186,9 @@ def _has_max_order(modulus: Sequence[int], p: int, factors: list[int] | None = N
     dividing m. Then F_p[x]/(f) has m units, so it is a field: this one
     test decides that f is irreducible and x primitive (Lidl and
     Niederreiter, Thm 3.16). x^m is y^r0 for y = x^(m/r0), r0 the
-    smallest r, so a reducible f costs one full power. ``factors``, the
-    primes r, is factored here unless given, as a scan gives it once."""
+    smallest r, so a reducible f costs one full power. ``_field`` gives
+    ``factors``, the primes r, factored once per field; they are factored
+    here only for a direct call."""
     t = len(modulus) - 1
     m = p ** t - 1
     x = [0, 1] + [0] * (t - 2)
@@ -577,7 +586,7 @@ def make_prime_field(p: int, order_limit: int = DEFAULT_ORDER_LIMIT) -> FieldSpe
     Raises FieldTooLarge if p > order_limit, NotPrime if p is composite
     or < 2.
     """
-    p, _ = _check_field(p, 1, order_limit)
+    p, _ = _check_field(p, 1, order_limit, min_degree=1)
     return _field(p, 1, None)
 
 
@@ -591,8 +600,6 @@ def make_extension_field(p: int, t: int, order_limit: int = DEFAULT_ORDER_LIMIT)
     skipped whole. Raises FieldTooLarge if p^t > order_limit.
     """
     p, t = _check_field(p, t, order_limit)
-    if t < 2:
-        raise DegreeTooSmall(f"extension degree must be >= 2, got {t}")
     return _field(p, t, None)
 
 
@@ -603,32 +610,33 @@ def field_from_modulus(p: int, t: int, modulus: Sequence[int],
     p^t - 1. Used when parsing files. Raises FieldTooLarge if
     p^t > order_limit."""
     p, t = _check_field(p, t, order_limit)
-    if t < 2:
-        raise DegreeTooSmall(f"extension degree must be >= 2, got {t}")
-    modulus = tuple(map(operator.index, modulus))
-    if len(modulus) != t + 1:
-        raise FormatError(f"modulus needs {t + 1} coefficients, got {len(modulus)}")
-    if modulus[-1] != 1:
-        raise FormatError("modulus must be monic")
-    if any(not 0 <= c < p for c in modulus):
-        raise FormatError(f"modulus coefficients must lie in [0, {p})")
-    return _field(p, t, modulus)
+    return _field(p, t, tuple(map(operator.index, modulus)))
 
 
 @functools.lru_cache(maxsize=None)
 def _field(p: int, t: int, modulus: tuple[int, ...] | None) -> FieldSpec:
-    """The one construction path, behind the constructors' checks: F_p
-    with its least primitive root as w for t = 1, the lex-first scan for
-    ``modulus`` None, else the given modulus, refused unless x has order
-    p^t - 1. Kept per accepted argument triple; a rejection raises, and
-    lru_cache stores no exception, so a bad modulus is tested each time."""
+    """The one construction path, behind the constructors' integer reads
+    and cap: after refusing a composite p, F_p with its least primitive
+    root as w for t = 1, the lex-first scan for ``modulus`` None, else
+    the given modulus, refused unless well formed and x has order
+    p^t - 1. Kept per accepted argument triple; a refusal raises, and
+    lru_cache stores no exception, so a bad p or modulus is refused on
+    every call."""
+    _check_prime(p)
     if t == 1:
         return _spec(p, 1, None, next(_primitive_roots(p)))
+    factors = _prime_factors(p ** t - 1)
     if modulus is not None:
-        if not _has_max_order(modulus, p):
+        if len(modulus) != t + 1:
+            raise FormatError(f"modulus needs {t + 1} coefficients, got {len(modulus)}")
+        if modulus[-1] != 1:
+            raise FormatError("modulus must be monic")
+        if any(not 0 <= c < p for c in modulus):
+            raise FormatError(f"modulus coefficients must lie in [0, {p})")
+        if not _has_max_order(modulus, p, factors):
             raise FormatError(f"modulus {list(modulus)} is not a primitive polynomial over F_{p}")
         return _spec(p, t, modulus, p)  # code p is the class of x
-    norms, factors = set(_primitive_roots(p)), _prime_factors(p ** t - 1)
+    norms = set(_primitive_roots(p))
     for c0 in range(p):
         if (-1) ** t * c0 % p not in norms:
             continue

@@ -899,6 +899,34 @@ def test_dual_of_a_long_code_is_not_eliminated_again():
     assert dual.generator.echelon()[1] == tuple(range(999))
 
 
+def test_dual_row_reduces_the_side_with_fewer_rows(monkeypatch, f49):
+    import mdslift.matrix as matrix_module
+    reduced = []
+
+    def counted(rows, spec, _real=row_reduce):
+        reduced.append(len(rows))
+        return _real(rows, spec)
+
+    monkeypatch.setattr(codes, "row_reduce", counted)
+    monkeypatch.setattr(matrix_module, "row_reduce", counted)
+    for k, fewer in [(2, 2), (3, 3), (4, 4), (5, 3), (7, 1)]:
+        code = grs_generator(f49, 8, k)
+        reduced.clear()
+        code.dual()
+        assert reduced == [fewer], k  # G read right to left, or H by __init__
+
+
+def test_dual_of_a_high_rate_code_costs_less_than_its_generator():
+    # reducing GRS[150,149] right to left again took as long as building it
+    start = time.perf_counter()
+    code = grs_generator(make_extension_field(2, 10), 150, 149)
+    built = time.perf_counter() - start
+    start = time.perf_counter()
+    dual = code.dual()
+    assert time.perf_counter() - start < built / 10
+    assert dual.k == 1
+
+
 def _random_full_rank_rows(spec, k, n, rng, pattern):
     while True:
         g = FieldMatrix(spec, _rows_with_pattern(spec, k, n, rng, pattern))

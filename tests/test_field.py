@@ -259,9 +259,9 @@ def test_field_from_modulus_rejects_bad_polynomials():
 def test_field_from_modulus_tests_each_accepted_modulus_once(monkeypatch):
     from mdslift import field as field_module
     calls = []
-    def counted(modulus, p, _real=field_module._has_max_order):
+    def counted(modulus, p, factors, _real=field_module._has_max_order):
         calls.append("_has_max_order")
-        return _real(modulus, p)
+        return _real(modulus, p, factors)
     monkeypatch.setattr(field_module, "_has_max_order", counted)
     field_module._field.cache_clear()
     spec = field_from_modulus(2, 4, [1, 1, 0, 0, 1])
@@ -296,6 +296,28 @@ def test_the_scan_factors_the_group_order_once(monkeypatch):
     field_module._field.cache_clear()
     assert make_extension_field(11, 6) is built  # 81 candidates scanned again
     assert calls.count(11 ** 6 - 1) == 1
+
+
+def test_a_built_field_is_not_checked_again_and_a_refusal_is_repeated(monkeypatch):
+    calls = []
+    def counted(n, _real=field_module.is_prime):
+        calls.append(n)
+        return _real(n)
+    built = [make_prime_field(16_777_213), make_extension_field(7, 3),
+             field_from_modulus(7, 3, [2, 1, 1, 1])]
+    monkeypatch.setattr(field_module, "is_prime", counted)
+    for _ in range(3):
+        assert [make_prime_field(16_777_213), make_extension_field(7, 3),
+                field_from_modulus(7, 3, [2, 1, 1, 1])] == built
+    assert calls == []
+    for rejected in range(1, 3):
+        with pytest.raises(NotPrime):
+            make_prime_field(16_777_215)
+        with pytest.raises(NotPrime):  # a composite p is refused ahead of the degree
+            make_extension_field(9, 1)
+        with pytest.raises(FormatError):
+            field_from_modulus(7, 3, [2, 1, 1, 2])
+        assert calls == [16_777_215, 9, 7] * rejected
 
 
 def test_numpy_integers_never_stand_in_for_a_cached_field():
