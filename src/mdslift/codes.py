@@ -118,11 +118,12 @@ def grs_generator(
 ) -> LinearCode:
     """Generalized Reed-Solomon code with entries v_j * alpha_j^i.
 
-    Alphas and vs are read by ``FieldSpec.code``. Defaults: alphas =
-    codes 0..n-1, vs all ones. Any choice of distinct alphas and nonzero
-    vs yields an MDS code (verified in tests, not assumed here: d is left
-    uncached).
+    n and k are read by ``operator.index``, alphas and vs by
+    ``FieldSpec.code``. Defaults: alphas = codes 0..n-1, vs all ones. Any
+    choice of distinct alphas and nonzero vs yields an MDS code (verified
+    in tests, not assumed here: d is left uncached).
     """
+    n, k = operator.index(n), operator.index(k)
     if n > spec.order:
         raise TooLong(f"n={n} exceeds field order {spec.order}")
     if not 1 <= k <= n:
@@ -194,6 +195,7 @@ def min_distance(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) -> int:
     minors against 117,993 points for the lifted [8,3] code over F_343).
     Any other code enumerates one codeword per projective point.
     """
+    enum_limit = operator.index(enum_limit)
     if code.d is not None:
         return code.d
     k, n = code.k, code.n
@@ -213,7 +215,7 @@ def weight_distribution(code: LinearCode, enum_limit: int = DEFAULT_ENUM_LIMIT) 
     Entry 0 is 0 and the entries sum to q^k - 1. Same enumeration and
     ``enum_limit`` as ``min_distance``.
     """
-    _projective_points(code, enum_limit)
+    _projective_points(code, operator.index(enum_limit))
     from .kernels import projective_weight_counts
     return [c * (code.spec.order - 1) for c in projective_weight_counts(code)]
 
@@ -398,7 +400,7 @@ def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT
     In-process on 2 vCPUs, ``is_mds`` of a lift of the [8,3] code into
     F_49, F_343 or F_2401 takes about 9 us (``BENCH_31.json``).
     """
-    k, n = code.k, code.n
+    minor_limit, k, n = operator.index(minor_limit), code.k, code.n
     minors = comb(n, k)
     if minors > minor_limit:
         raise TooManyMinors(f"[{n},{k}] minor check needs {minors} minors, "

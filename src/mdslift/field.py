@@ -19,7 +19,8 @@ constructions of the same parameters always agree, so files written in
 p, t, ``order_limit`` and each modulus coefficient with ``operator.index``
 and check the cap on every call, then share one cached
 ``_field(p, t, modulus)``, which checks primality and the modulus once per
-accepted field, and one spec store, both keyed on Python ints only.
+accepted field, and one spec store, filled by ``setdefault`` alone so that
+concurrent builds of a field get one spec; both key on Python ints only.
 
 Primality is checked by deterministic trial division. A candidate
 modulus is decided by one test on polynomials, with no per-candidate
@@ -104,6 +105,7 @@ def _least_factor(m: int) -> int:
 
 def is_prime(n: int) -> bool:
     """Deterministic primality check: n >= 2 is its own least factor."""
+    n = operator.index(n)
     return n >= 2 and _least_factor(n) == n
 
 
@@ -180,20 +182,19 @@ def _poly_pow_mod(base: Sequence[int], e: int, modulus: Sequence[int], p: int) -
     return result
 
 
-def _has_max_order(modulus: Sequence[int], p: int, factors: list[int] | None = None) -> bool:
+def _has_max_order(modulus: Sequence[int], p: int, factors: list[int]) -> bool:
     """True iff x has multiplicative order m = p^t - 1 modulo the monic
     modulus f of degree t >= 2: x^m = 1 and x^(m/r) != 1 for each prime r
     dividing m. Then F_p[x]/(f) has m units, so it is a field: this one
     test decides that f is irreducible and x primitive (Lidl and
     Niederreiter, Thm 3.16). x^m is y^r0 for y = x^(m/r0), r0 the
-    smallest r, so a reducible f costs one full power. ``_field`` gives
-    ``factors``, the primes r, factored once per field; they are factored
-    here only for a direct call."""
+    smallest r, so a reducible f costs one full power. ``factors`` are the
+    primes r, which ``_field`` factors once per field."""
     t = len(modulus) - 1
     m = p ** t - 1
     x = [0, 1] + [0] * (t - 2)
     one = [1] + [0] * (t - 1)
-    r0, *rest = _prime_factors(m) if factors is None else factors
+    r0, *rest = factors
     y = _poly_pow_mod(x, m // r0, modulus, p)
     return (y != one and _poly_pow_mod(y, r0, modulus, p) == one
             and all(_poly_pow_mod(x, m // r, modulus, p) != one for r in rest))
@@ -432,6 +433,7 @@ class FieldSpec:
         builtin ``pow`` for t = 1, exp[log a * e mod (q - 1)] with tables,
         else ``_poly_pow_mod``, the square-and-multiply that also tests
         each modulus."""
+        e = operator.index(e)
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         if self.t == 1:
@@ -487,15 +489,15 @@ class FieldSpec:
 
     def from_power(self, k: int) -> FieldElement:
         """w^(k mod (order - 1)), by ``pow_code``; k may be negative."""
-        return FieldElement(self, self.pow_code(self._w_code, k % (self.order - 1)))
+        return FieldElement(self, self.pow_code(self._w_code, operator.index(k) % (self.order - 1)))
 
     def dlog(self, a: "int | FieldElement", *, table_limit: int | None = None) -> int:
         """Exponent k in [0, order-1) with w^k = a; a must be nonzero, and
         is read by ``code``."""
+        limit = DLOG_TABLE_LIMIT if table_limit is None else operator.index(table_limit)
         code = self.code(a)
         if code == 0:
             raise DivisionByZero(f"discrete log of zero in {self}")
-        limit = DLOG_TABLE_LIMIT if table_limit is None else table_limit
         if self.order > limit:
             raise FieldTooLarge(f"order {self.order} exceeds dlog table limit {limit}")
         return self._scalar_log(limit)[code]
@@ -647,5 +649,9 @@ def _field(p: int, t: int, modulus: tuple[int, ...] | None) -> FieldSpec:
     raise AssertionError(f"no primitive-x irreducible modulus of degree {t} over F_{p}")
 
 
-# the spec store: one FieldSpec per field, whichever path reached it
-_spec = functools.lru_cache(maxsize=None)(FieldSpec)
+# the spec store: one FieldSpec per field, the first that any path or thread built
+_SPECS: dict[tuple, FieldSpec] = {}
+
+
+def _spec(p: int, t: int, modulus: tuple[int, ...] | None, w_code: int) -> FieldSpec:
+    return _SPECS.setdefault((p, t, modulus), FieldSpec(p, t, modulus, w_code))

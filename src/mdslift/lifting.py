@@ -18,6 +18,7 @@ generator matrices; ``diversity_count`` counts the unordered ones.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from typing import NamedTuple, Sequence
 
@@ -108,6 +109,7 @@ def sample_dh(spec: FieldSpec, n: int, seed: int) -> DhDiagonal:
     (see ``rng``), so samples are stable across platforms and runs. The
     drawn codes are kept unchecked (``DhDiagonal._of``).
     """
+    n = operator.index(n)
     if n < 0:
         raise DimensionMismatch(f"n={n} is negative")
     if spec.order - 1 < n:
@@ -179,6 +181,7 @@ def verify_lift(
     verdict, and the distances agree, unless ``min_distance`` refuses
     either code (TooManyCodewords): then both distances are None.
     """
+    enum_limit = operator.index(enum_limit)
     n_match = lifted.n == base.n
     k_match = lifted.k == base.k
     mds = is_mds(lifted)
@@ -198,6 +201,7 @@ def diversity_count(p: int, t: int, n: int) -> int:
     ordered diagonal), nor distinct codes (diagonals that differ by a
     common factor give one code), and every lift is equivalent to its base.
     """
+    p, t, n = map(operator.index, (p, t, n))
     if not is_prime(p):
         raise NotPrime(f"p={p}")
     if t < 1:

@@ -25,6 +25,7 @@ coordinate positions carry meaning for codes and erasure patterns.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .errors import (
@@ -88,6 +89,7 @@ class FieldMatrix:
 
     @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "FieldMatrix":
+        rows, cols = operator.index(rows), operator.index(cols)
         if rows < 0 or cols < 0:
             raise ValueError(f"negative matrix dimensions {rows}x{cols}")
         return cls._of(spec, ((0,) * cols,) * rows, (rows, cols))
@@ -282,13 +284,14 @@ def is_nonsingular(a: FieldMatrix) -> bool:
 
 def submatrix(a: FieldMatrix, row_indices: Sequence[int], col_indices: Sequence[int]) -> FieldMatrix:
     """Rows and columns selected by strictly increasing index lists."""
-    for name, idx, bound in (("row", row_indices, a.rows), ("col", col_indices, a.cols)):
-        if any(i + 1 > bound or i < 0 for i in idx):
-            raise IndexOutOfRange(f"{name} index out of range in {list(idx)}")
+    rows_at, cols_at = (list(map(operator.index, idx)) for idx in (row_indices, col_indices))
+    for name, idx, bound in (("row", rows_at, a.rows), ("col", cols_at, a.cols)):
+        if any(not 0 <= i < bound for i in idx):
+            raise IndexOutOfRange(f"{name} index out of range in {idx}")
         if any(x >= y for x, y in zip(idx, idx[1:])):
-            raise NotStrictlyIncreasing(f"{name} indices {list(idx)}")
-    rows = tuple(tuple(a._rows[i][j] for j in col_indices) for i in row_indices)
-    return FieldMatrix._of(a.spec, rows, (len(row_indices), len(col_indices)))
+            raise NotStrictlyIncreasing(f"{name} indices {idx}")
+    rows = tuple(tuple(a._rows[i][j] for j in cols_at) for i in rows_at)
+    return FieldMatrix._of(a.spec, rows, (len(rows_at), len(cols_at)))
 
 
 def solve(a: FieldMatrix, b: Sequence[int | FieldElement]) -> list[FieldElement]:

@@ -20,8 +20,8 @@ procedures are part of the package's reproducibility contract.
 
 Inputs the generator cannot honour are refused rather than folded into
 another stream: a seed outside [0, 2^64) and a negative sample count
-raise ValueError, and a seed or bound that is not an integer raises
-TypeError (both are read with ``operator.index``).
+raise ValueError, and a seed, bound or count that is not an integer
+raises TypeError (each is read with ``operator.index``).
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class SplitMix64:
         shuffle has written to the population index it now holds, and
         each draw is ``below(size - i)``.
         """
-        size = len(population)
+        count, size = operator.index(count), len(population)
         if count > size:
             raise ValueError("sample larger than population")
         if count < 0:

@@ -169,7 +169,7 @@ def test_modulus_predicates_match_oracles(p, t):
             # tables built from x are exact even when x is not primitive
             spec = FieldSpec(p, t, modulus, p)
             expected = oracle_is_primitive(spec, spec.generator_w)
-        assert _has_max_order(modulus, p) == expected, modulus
+        assert _has_max_order(modulus, p, _prime_factors(p ** t - 1)) == expected, modulus
 
 
 @pytest.mark.parametrize("p,t", _ORACLE_DEGREES)
@@ -219,7 +219,7 @@ def test_order_limit_can_be_raised():
     with pytest.raises(FieldTooLarge):
         make_extension_field(2, 25)
     big = make_extension_field(2, 25, order_limit=1 << 25)
-    assert big.order == 1 << 25 and _has_max_order(big.modulus, 2)
+    assert big.order == 1 << 25 and _has_max_order(big.modulus, 2, _prime_factors(2 ** 25 - 1))
     with pytest.raises(FieldTooLarge):
         make_prime_field(16777259)  # the first prime past 2^24
     assert make_prime_field(16777259, order_limit=1 << 25).order == 16777259
@@ -318,6 +318,33 @@ def test_a_built_field_is_not_checked_again_and_a_refusal_is_repeated(monkeypatc
         with pytest.raises(FormatError):
             field_from_modulus(7, 3, [2, 1, 1, 2])
         assert calls == [16_777_215, 9, 7] * rejected
+
+
+def test_concurrent_builds_of_one_field_get_one_spec(monkeypatch):
+    # eight threads miss the cleared field cache and hold at a barrier inside
+    # FieldSpec.__init__, so each builds its own spec of F_211; the store
+    # must hand every thread the one it keeps
+    barrier = threading.Barrier(8, timeout=30)
+    real_init = FieldSpec.__init__
+    def held(self, *args):
+        barrier.wait()
+        real_init(self, *args)
+    store = {}
+    monkeypatch.setattr(field_module, "_SPECS", store)
+    monkeypatch.setattr(FieldSpec, "__init__", held)
+    field_module._field.cache_clear()
+    got = []
+    try:
+        threads = [threading.Thread(target=lambda: got.append(make_prime_field(211)))
+                   for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        field_module._field.cache_clear()  # drop F_211 of the patched store
+    assert len(got) == 8 and all(spec is got[0] for spec in got)
+    assert list(store) == [(211, 1, None)] and store[211, 1, None] is got[0]
 
 
 def test_numpy_integers_never_stand_in_for_a_cached_field():

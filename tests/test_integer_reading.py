@@ -1,21 +1,37 @@
 """Every place that accepts a field element reads an int the same way: as
 an element code, through ``FieldSpec.code``. Only the operators of
 ``FieldElement`` read an int operand n as the multiple n * 1. Every row,
-column and position index is read by ``operator.index``."""
+column and position index, and every count, cap and exponent of the
+public API, is read by ``operator.index``: a numpy integer is the Python
+int it equals, a float or a string raises TypeError, and each range check
+keeps its error type and message."""
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from mdslift.codes import encode_message, grs_generator, monomial_sandwich, scale_col, scale_row
+from mdslift.codes import (
+    encode_message,
+    example1_code,
+    grs_generator,
+    is_mds,
+    min_distance,
+    monomial_sandwich,
+    scale_col,
+    scale_row,
+    singular_minor,
+    weight_distribution,
+)
 from mdslift.erasure import erase
 from mdslift.errors import FieldMismatch, IndexOutOfRange
-from mdslift.field import FieldElement, make_extension_field, make_prime_field
-from mdslift.lifting import DhDiagonal
-from mdslift.matrix import FieldMatrix, solve, vec_mat_mul
+from mdslift.field import FieldElement, is_prime, make_extension_field, make_prime_field
+from mdslift.lifting import DhDiagonal, diversity_count, lift, sample_dh, verify_lift
+from mdslift.matrix import FieldMatrix, solve, submatrix, vec_mat_mul
+from mdslift.rng import SplitMix64
 
 
 def _square(spec):
@@ -115,3 +131,82 @@ def test_an_index_is_read_as_an_integer(position, example1):
             at(example1, word, i)
     with pytest.raises(IndexOutOfRange):
         at(example1, word, np.int64(-1))
+
+
+def _grs62():
+    # a fresh GRS[6,2] over F_7 on each call, so no distance is cached: 48 codewords
+    return grs_generator(make_prime_field(7), 6, 2)
+
+
+def _f49():
+    return make_extension_field(7, 2)
+
+
+# each count, cap or exponent position takes the value under test, x, and
+# returns a comparable result: (call, a value it accepts, a value its range
+# check refuses, or None where no value is refused)
+COUNT_POSITIONS = {
+    "grs_generator n": (lambda x: grs_generator(make_prime_field(7), x, 2).generator, 6, 8),
+    "grs_generator k": (lambda x: grs_generator(make_prime_field(7), 6, x).generator, 2, 7),
+    "min_distance enum_limit": (lambda x: min_distance(_grs62(), x), 48, 47),
+    "weight_distribution enum_limit": (lambda x: weight_distribution(_grs62(), x), 48, 47),
+    "singular_minor minor_limit": (lambda x: singular_minor(example1_code(), x), 56, 55),
+    "is_mds minor_limit": (lambda x: is_mds(example1_code(), x), 56, 55),
+    "sample_dh n": (lambda x: sample_dh(_f49(), x, 5), 8, 49),
+    "diversity_count p": (lambda x: diversity_count(x, 2, 3), 7, 8),
+    "diversity_count t": (lambda x: diversity_count(7, x, 3), 2, 0),
+    "diversity_count n": (lambda x: diversity_count(7, 2, x), 3, 49),
+    "verify_lift enum_limit": (
+        lambda x: verify_lift(_grs62(), lift(_grs62(), sample_dh(_f49(), 6, 3)), x), 48, None),
+    "is_prime n": (is_prime, 7, None),
+    "pow_code e": (lambda x: _f49().pow_code(10, x), 5, -1),
+    "__pow__ e": (lambda x: _f49().from_code(10) ** x, 5, -1),
+    "from_power k": (lambda x: _f49().from_power(x), 50, None),
+    "dlog table_limit": (lambda x: _f49().dlog(10, table_limit=x), 49, 48),
+    "zeros rows": (lambda x: FieldMatrix.zeros(make_prime_field(7), x, 3), 2, -1),
+    "zeros cols": (lambda x: FieldMatrix.zeros(make_prime_field(7), 3, x), 2, -1),
+    "identity n": (lambda x: FieldMatrix.identity(make_prime_field(7), x), 2, -1),
+    "submatrix rows": (lambda x: submatrix(example1_code().generator, [0, x], [1]), 2, 3),
+    "submatrix cols": (lambda x: submatrix(example1_code().generator, [0], [1, x]), 2, 8),
+    "SplitMix64.sample count": (lambda x: SplitMix64(5).sample(range(10), x), 2, 11),
+}
+
+
+@pytest.mark.parametrize("position", COUNT_POSITIONS)
+def test_a_count_is_read_as_an_integer(position):
+    call, accepted, refused = COUNT_POSITIONS[position]
+    want = call(accepted)
+    assert call(np.int64(accepted)) == call(np.uint8(accepted)) == want
+    for x in (2.0, 2.5, "2"):
+        with pytest.raises(TypeError):
+            call(x)
+    if refused is not None:  # the same refusal, type and message, for a numpy integer
+        with pytest.raises(Exception) as refusal:
+            call(refused)
+        with pytest.raises(refusal.type, match=f"^{re.escape(str(refusal.value))}$"):
+            call(np.int64(refused))
+
+
+def test_a_cached_distance_still_reads_its_cap():
+    code = _grs62()
+    assert min_distance(code) == 5 and code.d == 5
+    assert min_distance(code, np.int64(48)) == 5
+    with pytest.raises(TypeError):
+        min_distance(code, 2.0)
+
+
+def test_the_count_cases_that_once_passed(f7):
+    # float caps were compared as they came, and numpy integers leaked into
+    # int64 arithmetic: 7^30 wrapped, and math.comb got a wrong count
+    example1 = example1_code()
+    for call in (lambda: is_mds(example1, minor_limit=56.5),
+                 lambda: min_distance(example1_code(), enum_limit=1e9),
+                 lambda: weight_distribution(example1, enum_limit=342.5),
+                 lambda: verify_lift(example1, example1, enum_limit=1e9),
+                 lambda: f7.dlog(3, table_limit=1e9),
+                 lambda: is_prime(2.0)):
+        with pytest.raises(TypeError):
+            call()
+    count = diversity_count(np.int64(7), np.int64(30), 3)
+    assert type(count) is int and count == math.comb(7 ** 30 - 1, 3)
+    assert diversity_count(7, 2, np.int64(3)) == diversity_count(7, 2, 3) == math.comb(48, 3)
