@@ -35,7 +35,6 @@ from .errors import (
     DuplicateAlpha,
     FieldMismatch,
     FieldTooLarge,
-    IndexOutOfRange,
     RankDeficient,
     TooLong,
     TooManyCodewords,
@@ -45,7 +44,7 @@ from .errors import (
     ZeroScalar,
 )
 from .field import FieldElement, FieldSpec, make_prime_field
-from .matrix import FieldMatrix, diag_product, rank, row_reduce, vec_mat_mul
+from .matrix import FieldMatrix, _index, diag_product, rank, row_reduce, vec_mat_mul
 
 #: Cap on the q^k - 1 codewords an exhaustive enumeration covers.
 DEFAULT_ENUM_LIMIT = 1 << 26
@@ -425,24 +424,20 @@ def is_mds(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT) -> bool:
 
 
 def scale_row(g: FieldMatrix, i: int, c: int | FieldElement) -> FieldMatrix:
-    """Copy of g with row i (read by ``operator.index``) multiplied by
+    """Copy of g with row i (read by ``matrix._index``) multiplied by
     nonzero c (int = element code)."""
-    cc, i = g.spec.code(c), operator.index(i)
+    cc, i = g.spec.code(c), _index(i, g.rows, "row")
     if cc == 0:
         raise ZeroScalar("row scaling by zero")
-    if not 0 <= i < g.rows:
-        raise IndexOutOfRange(f"row {i} of {g.rows}")
     return diag_product([cc if r == i else 1 for r in range(g.rows)], g, [1] * g.cols)
 
 
 def scale_col(g: FieldMatrix, j: int, c: int | FieldElement) -> FieldMatrix:
-    """Copy of g with column j (read by ``operator.index``) multiplied by
+    """Copy of g with column j (read by ``matrix._index``) multiplied by
     nonzero c (int = element code)."""
-    cc, j = g.spec.code(c), operator.index(j)
+    cc, j = g.spec.code(c), _index(j, g.cols, "column")
     if cc == 0:
         raise ZeroScalar("column scaling by zero")
-    if not 0 <= j < g.cols:
-        raise IndexOutOfRange(f"column {j} of {g.cols}")
     return diag_product(None, g, [cc if c == j else 1 for c in range(g.cols)])
 
 

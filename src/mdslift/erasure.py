@@ -11,19 +11,17 @@ surfaces as Inconsistent instead of a silently wrong message.
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence
 
 from .codes import LinearCode
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
-    IndexOutOfRange,
     Inconsistent,
     TooManyErasures,
 )
 from .field import FieldElement
-from .matrix import solve, submatrix, to_systematic, vec_mat_mul
+from .matrix import _index, solve, submatrix, to_systematic, vec_mat_mul
 
 #: Marker for a position whose symbol is missing.
 ERASED = None
@@ -66,12 +64,9 @@ def erasure_encode(code: LinearCode, message: Sequence[FieldElement]) -> list[Fi
 
 
 def erase(code: LinearCode, codeword: Sequence[FieldElement], positions: Sequence[int]) -> ErasureWord:
-    """Word with the given positions, each read by ``operator.index``,
+    """Word with the given positions, each read by ``matrix._index``,
     knocked out."""
-    pos = set(map(operator.index, positions))
-    for i in pos:
-        if not 0 <= i < code.n:
-            raise IndexOutOfRange(f"position {i} of {code.n}")
+    pos = {_index(i, code.n, "position") for i in positions}
     return ErasureWord(code, [None if i in pos else s for i, s in enumerate(codeword)])
 
 

@@ -48,8 +48,8 @@ class DimensionMismatch(MdsLiftError):
     """Matrix or vector dimensions do not conform."""
 
 
-class IndexOutOfRange(MdsLiftError):
-    """Row or column index outside the matrix."""
+class IndexOutOfRange(MdsLiftError, IndexError):
+    """Row, column or position index outside the matrix or code."""
 
 
 class NotStrictlyIncreasing(MdsLiftError):

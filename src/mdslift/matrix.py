@@ -42,6 +42,14 @@ from .errors import (
 from .field import FieldElement, FieldSpec
 
 
+def _index(i, bound: int, what: str) -> int:
+    """``i`` read by ``operator.index`` and refused unless 0 <= i < bound:
+    the one reader of every row, column and position index of the API."""
+    if not 0 <= (i := operator.index(i)) < bound:
+        raise IndexOutOfRange(f"{what} {i} of {bound}")
+    return i
+
+
 class FieldMatrix:
     """Matrix over a single FieldSpec, entries in row-major order."""
 
@@ -153,12 +161,14 @@ class FieldMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> FieldElement:
         i, j = key
+        i, j = _index(i, self.rows, "row"), _index(j, self.cols, "column")
         return FieldElement(self.spec, self._rows[i][j])
 
     def row(self, i: int) -> list[FieldElement]:
-        return [FieldElement(self.spec, c) for c in self._rows[i]]
+        return [FieldElement(self.spec, c) for c in self._rows[_index(i, self.rows, "row")]]
 
     def col(self, j: int) -> list[FieldElement]:
+        j = _index(j, self.cols, "column")
         return [FieldElement(self.spec, r[j]) for r in self._rows]
 
     def transpose(self) -> "FieldMatrix":
@@ -283,13 +293,13 @@ def is_nonsingular(a: FieldMatrix) -> bool:
 
 
 def submatrix(a: FieldMatrix, row_indices: Sequence[int], col_indices: Sequence[int]) -> FieldMatrix:
-    """Rows and columns selected by strictly increasing index lists."""
-    rows_at, cols_at = (list(map(operator.index, idx)) for idx in (row_indices, col_indices))
-    for name, idx, bound in (("row", rows_at, a.rows), ("col", cols_at, a.cols)):
-        if any(not 0 <= i < bound for i in idx):
-            raise IndexOutOfRange(f"{name} index out of range in {idx}")
-        if any(x >= y for x, y in zip(idx, idx[1:])):
-            raise NotStrictlyIncreasing(f"{name} indices {idx}")
+    """Rows and columns at strictly increasing indices, each read by ``_index``."""
+    rows_at, cols_at = [], []
+    for at, idx, bound, what in ((rows_at, row_indices, a.rows, "row"),
+                                 (cols_at, col_indices, a.cols, "column")):
+        at += (_index(i, bound, what) for i in idx)
+        if any(x >= y for x, y in zip(at, at[1:])):
+            raise NotStrictlyIncreasing(f"{what[:3]} indices {at}")  # "row", "col"
     rows = tuple(tuple(a._rows[i][j] for j in cols_at) for i in rows_at)
     return FieldMatrix._of(a.spec, rows, (len(rows_at), len(cols_at)))
 

@@ -1,10 +1,12 @@
 """Every place that accepts a field element reads an int the same way: as
 an element code, through ``FieldSpec.code``. Only the operators of
-``FieldElement`` read an int operand n as the multiple n * 1. Every row,
-column and position index, and every count, cap and exponent of the
-public API, is read by ``operator.index``: a numpy integer is the Python
-int it equals, a float or a string raises TypeError, and each range check
-keeps its error type and message."""
+``FieldElement`` read an int operand n as the multiple n * 1. Every count,
+cap and exponent of the public API is read by ``operator.index``, and
+every row, column and position index by one reader built on it,
+``matrix._index``, which refuses an index outside [0, bound) with
+IndexOutOfRange, an IndexError, as "row 3 of 3". A numpy integer is the
+Python int it equals, a float or a string raises TypeError, and each range
+check of a count keeps its error type and message."""
 
 from __future__ import annotations
 
@@ -112,6 +114,10 @@ def test_sequences_stay_coordinate_vectors(f343):
 
 # each index position takes the index under test, i, on a code and a codeword
 INDEX_POSITIONS = {
+    "row": lambda code, word, i: code.generator.row(i),
+    "col": lambda code, word, i: code.generator.col(i),
+    "[i, 0]": lambda code, word, i: code.generator[i, 0],
+    "[0, j]": lambda code, word, i: code.generator[0, i],
     "scale_row": lambda code, word, i: scale_row(code.generator, i, 3),
     "scale_col": lambda code, word, i: scale_col(code.generator, i, 3),
     "erase": lambda code, word, i: erase(code, word, [i, 7]).symbols,
@@ -131,6 +137,19 @@ def test_an_index_is_read_as_an_integer(position, example1):
             at(example1, word, i)
     with pytest.raises(IndexOutOfRange):
         at(example1, word, np.int64(-1))
+
+
+def test_an_index_past_the_end_is_refused(example1, f7):
+    g = example1.generator
+    for call, message in ((lambda: g.row(g.rows), "row 3 of 3"),
+                          (lambda: g.col(g.cols), "column 8 of 8"),
+                          (lambda: g[0, g.cols], "column 8 of 8"),
+                          (lambda: FieldMatrix.zeros(f7, 0, 3).col(5), "column 5 of 3"),
+                          (lambda: submatrix(g, [0], [8]), "column 8 of 8"),
+                          (lambda: scale_row(g, 3, 0), "row 3 of 3")):  # before the zero scalar
+        with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
+            call()
+    assert issubclass(IndexOutOfRange, IndexError)
 
 
 def _grs62():
