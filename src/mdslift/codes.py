@@ -306,29 +306,42 @@ def _dual_rows(spec: FieldSpec, n: int, reduced, pivots) -> tuple[tuple[int, ...
 _PLANS: dict[tuple[int, int], tuple] = {}
 
 
+def _minor_block(reduced, pivots) -> tuple[list, tuple[int, ...], tuple[int, ...]]:
+    """M = A, the non-pivot block R[:, Q] of the full-rank RREF R, or A^T if
+    A has more rows; and the generator columns that M's rows and columns stand for."""
+    free = _free_columns(len(reduced[0]), pivots)
+    block = [[r[j] for j in free] for r in reduced]
+    if len(pivots) > len(free):  # A^T has the same minors
+        return list(zip(*block)), free, pivots
+    return block, pivots, free
+
+
+def _k_set(pivots, rows, cols, rs, cs) -> tuple[int, ...]:
+    """The k-set whose minor is zero iff M's is on rows ``rs`` x columns ``cs``."""
+    return tuple(sorted(set(pivots) ^ {rows[i] for i in rs} ^ {cols[c] for c in cs}))
+
+
 def _scalar_plan(spec: FieldSpec, reduced: tuple[tuple[int, ...], ...],
                  pivots: tuple[int, ...]) -> tuple:
     """Build and keep (64 at most) what the scalar pass over ``spec`` reads of
     the full-rank RREF (``reduced``, ``pivots``), for later passes, as on
     each lift of one base into one field, to find with one lookup: the
     spec's log-sum lists ``red`` and ``step`` (built with its Zech list by
-    ``FieldSpec._scalar_zech``, called first), the free columns, ``flip``
-    (A has more rows), level 1 of M = A, or A^T if flipped, as its logs
+    ``FieldSpec._scalar_zech``, called first), the columns that M's rows and
+    columns stand for (``_minor_block``), level 1, all of M, as its logs
     row by row (2(q - 1) for zero) and as these followed by their
     negations, its row and column 1-sets, and for each later level its
     two ``_level_sum``s and ``_level_plan``."""
-    n, k, step = len(reduced[0]), len(pivots), spec._scalar_zech()
-    free, log = _free_columns(n, pivots), spec._log
-    flip = k > n - k  # expand along the shorter side: A^T has the same minors
-    block = [[r[j] for j in free] for r in reduced]
-    h, w = min(k, n - k), max(k, n - k)
-    below = [log[x] for row in (zip(*block) if flip else block) for x in row]
+    step = spec._scalar_zech()
+    block, rows, cols = _minor_block(reduced, pivots)
+    h, w, log = len(rows), len(cols), spec._log
+    below = [log[x] for row in block for x in row]
     red, neg = spec._red, spec._neg_log
     signed = below + [red[x + neg] for x in below]
     ones = tuple((i,) for i in range(h)), tuple((c,) for c in range(w))
     levels = tuple((_level_sum(j, False), _level_sum(j, True), *_level_plan(h, w, j))
                    for j in range(2, h + 1))
-    plan = red, step, free, flip, below, signed, ones, levels, spec, reduced
+    plan = red, step, rows, cols, below, signed, ones, levels, spec, reduced
     if len(_PLANS) >= 64:
         _PLANS.clear()
     _PLANS[id(spec), id(reduced)] = plan
@@ -343,7 +356,7 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     With RREF R, pivot columns P and the other columns Q, A = R[:, Q]: the
     minor of ``a`` on S is zero iff that of A on the rows i with P_i not
     in S and the columns of S in Q is (MacWilliams and Sloane, Ch. 11,
-    Thm 8). Every square minor of M = A (A^T if it has more rows) is
+    Thm 8). Every square minor of M = A or A^T (``_minor_block``) is
     tested, level j from level j - 1 by expansion along the last row, each
     held as its log (2(q - 1) for zero): a product is a sum of logs and a
     sum one Zech lookup. A pending scale d of ``echelon`` is not read: it
@@ -353,13 +366,13 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     minors off M's last row are computed, as the next level reads them,
     and those on it, which no level reads, are only tested for zero, with
     one Zech addition fewer (for [8,3]: 10 values and 20 tests at level 2,
-    10 tests at level 3). Each zero is mapped back to its k-set.
+    10 tests at level 3). ``_k_set`` maps each zero back to its k-set.
     """
     spec, k = a.spec, a.rows
     reduced, pivots, _ = a.echelon()
     if len(pivots) < k:
         return tuple(range(k))
-    red, step, free, flip, below, signed, ones, levels, _, _ = (
+    red, step, rows, cols, below, signed, ones, levels, _, _ = (
         _PLANS.get((id(spec), id(reduced))) or _scalar_plan(spec, reduced, pivots))
     zero = 2 * (spec.order - 1)
     hits = [(*ones, at) for at, x in enumerate(below) if x == zero] if zero in below else []
@@ -374,14 +387,8 @@ def _scalar_first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
             hits += [(inner, col_sets, at) for at, x in enumerate(below) if x == zero]
     if not hits:
         return None
-    sets = []
-    for row_sets, col_sets, at in hits:
-        rs, cs = row_sets[at // len(col_sets)], col_sets[at % len(col_sets)]
-        if flip:
-            rs, cs = cs, rs
-        sets.append(tuple(sorted([p for i, p in enumerate(pivots) if i not in rs]
-                                 + [free[c] for c in cs])))
-    return min(sets)
+    return min(_k_set(pivots, rows, cols, row_sets[at // len(col_sets)],
+                      col_sets[at % len(col_sets)]) for row_sets, col_sets, at in hits)
 
 
 def singular_minor(code: LinearCode, minor_limit: int = DEFAULT_MINOR_LIMIT

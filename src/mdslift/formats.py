@@ -11,7 +11,7 @@ Code files append one line "params n=<n> k=<k> d=<d|?>"; diagonal files
 are one-row matrices followed by the comment "# dh l=<l>"; erasure
 words are a single line of n tokens with "?" marking a missing symbol.
 
-Element tokens: plain decimal for prime fields; "0", "1" (= w^0) and
+Element tokens: ASCII decimal for prime fields; "0", "1" (= w^0) and
 "w^<k>" for extension fields up to ``DLOG_TABLE_LIMIT``, and above it
 the coefficient form "[c0,...,c(t-1)]" (ascending degree, no internal
 whitespace), accepted on input for any field: the field alone decides
@@ -83,10 +83,9 @@ def parse_element(spec: FieldSpec, token: str) -> FieldElement:
 
 
 def _int_field(s: str, token: str) -> int:
-    try:
-        return int(s, 10)
-    except ValueError:
-        raise FormatError(f"bad integer {s!r} in token {token!r}") from None
+    if not (s.isascii() and s.removeprefix("-").isdigit()):  # ASCII -?[0-9]+ only
+        raise FormatError(f"bad integer {s!r} in token {token!r}")
+    return int(s)
 
 
 def _content_lines(text: str) -> list[str]:

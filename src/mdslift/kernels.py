@@ -2,8 +2,8 @@
 (``weight_distribution``, and ``min_distance`` for a code it cannot
 decide by minors) and the Laplace minor pass (``singular_minor``,
 ``is_mds``) above ``codes.SCALAR_PASS_MINORS`` or without Zech tables,
-over the same minors of the RREF's non-pivot block as the scalar pass. With
-``FieldSpec``'s array tables, the only code that uses numpy; ``codes``
+on the scalar pass's block and k-sets (``codes._minor_block``, ``_k_set``).
+With ``FieldSpec``'s array tables, the only code that uses numpy; ``codes``
 imports it on first use, so fields, matrices, lifts, erasure coding and
 the minor checks of small codes run without numpy."""
 
@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .codes import LinearCode, _free_columns
+from .codes import LinearCode, _k_set, _minor_block
 from .field import FieldSpec
 from .matrix import FieldMatrix
 
@@ -110,34 +110,32 @@ def _laplace(spec: FieldSpec, block: np.ndarray, below: np.ndarray, rows: np.nda
         @ spec._array_tables()[3]
 
 
-def _first_zero(dets: np.ndarray, rows: np.ndarray, cols: np.ndarray, sides, n: int
-                ) -> tuple[int, ...]:
-    """Lex-first k-set P ^ I' ^ J' over the zeros of ``dets`` (B x R, on
-    ``cols`` and ``rows``), P the pivot columns ``sides[0]`` and I', J'
-    the columns that the sets stand for in ``sides[1]``, ``sides[2]``.
+def _first_zero(dets: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray, pivots,
+                sides, n: int) -> tuple[int, ...]:
+    """Lex-first ``codes._k_set`` of the zeros of ``dets`` (B x R, on
+    ``col_sets`` and ``row_sets``, with ``sides`` from ``codes._minor_block``).
     On sets of one size, lex order is descending order of the membership
     bits, column x worth 2^(n-1-x); keys compare 62 columns at a time."""
     c, r = np.divmod(np.flatnonzero(dets == 0), dets.shape[1])
-    pivots, rows, cols = sides[0], sides[1][rows], sides[2][cols]
+    rows, cols = np.array(sides[0])[row_sets], np.array(sides[1])[col_sets]
     keep = np.arange(len(r))
     for lo in range(0, n, 62):
         weight = np.zeros(n, dtype=np.int64)
         span = weight[lo:lo + 62]
         span[:] = 1 << np.arange(61, 61 - len(span), -1)
-        key = (int(weight[pivots].sum()) ^ weight[rows].sum(axis=0)[r[keep]]
+        key = (int(weight[list(pivots)].sum()) ^ weight[rows].sum(axis=0)[r[keep]]
                ^ weight[cols].sum(axis=0)[c[keep]])
         keep = keep[key == key.max()]
-    return tuple(sorted(set(pivots.tolist()) ^ set(rows[:, r[keep[0]]].tolist())
-                        ^ set(cols[:, c[keep[0]]].tolist())))
+    return _k_set(pivots, *sides, row_sets[:, r[keep[0]]], col_sets[:, c[keep[0]]])
 
 
 def first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     """Lex-first k-column set whose k x k minor of the k x n matrix ``a``
     is zero, k >= 1, or None; every set when ``a`` has rank below k.
 
-    The minors are those of ``codes._scalar_first_singular``, of M = A or
-    A^T, whichever has fewer rows, for the non-pivot block A of the RREF,
-    its pending scale unread (a nonzero factor on each square minor).
+    The minors are those of ``codes._scalar_first_singular``, of the
+    RREF's block M (``codes._minor_block``), its pending scale unread (a
+    nonzero factor on each square minor), held transposed.
     Level j is built from level j - 1 for all row sets at once and blocks
     of column sets, at most ``_MINOR_BLOCK`` products a block; only two
     levels are held, and the last is checked block by block, not kept.
@@ -146,15 +144,11 @@ def first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
     reduced, pivots, _ = a.echelon()
     if len(pivots) < k:
         return tuple(range(k))
-    free = _free_columns(n, pivots)
-    block = np.array([r[j] for j in free for r in reduced], dtype=np.int64).reshape(n - k, k)
-    # the pivots, and the columns that the rows and the columns of M stand for
-    sides = [np.array(pivots), np.array(pivots), np.array(free, dtype=np.int64)]
-    if k > n - k:
-        block, sides[1:] = block.T, sides[2:0:-1]
-    w, h = block.shape  # block is M^T
+    block, *sides = _minor_block(reduced, pivots)
+    h, w = map(len, sides)
+    block = np.array(block, dtype=np.int64).reshape(h, w).T  # M^T
     found = [] if block.all() else [_first_zero(block, np.arange(h)[None], np.arange(w)[None],
-                                                sides, n)]
+                                                pivots, sides, n)]
     below = block
     for j in range(2, h + 1):
         rows, prev = _plan_block(h, j, 0, comb(h, j))
@@ -166,6 +160,6 @@ def first_singular(a: FieldMatrix) -> tuple[int, ...] | None:
             if level is not None:  # the last level is only checked, block by block
                 level[start:start + len(dets)] = dets
             if not dets.all():
-                found.append(_first_zero(dets, rows, cols, sides, n))
+                found.append(_first_zero(dets, rows, cols, pivots, sides, n))
         below = level
     return min(found, default=None)

@@ -446,6 +446,18 @@ def test_non_primitive_modulus_is_a_format_error(capsys, tmp_path):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("edit", [("1 0 0 6", "\u0661 +0 0 6"), ("p=7", "p=\u0667")],
+                         ids=["row", "field"])
+def test_non_ascii_integers_are_a_format_error(capsys, tmp_path, edit):
+    # int() reads Arabic-Indic digits and a plus sign; the file format does not
+    path = tmp_path / "ex1.txt"
+    path.write_text((GOLDEN / "example1.txt").read_text().replace(*edit, 1))
+    code, out, err = run(capsys, "ismds", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: FormatError: bad integer")
+    assert err.count("\n") == 1
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

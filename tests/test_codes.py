@@ -15,6 +15,8 @@ from mdslift.codes import (
     DEFAULT_MINOR_LIMIT,
     SCALAR_PASS_MINORS,
     LinearCode,
+    _k_set,
+    _minor_block,
     _scalar_first_singular,
     encode_message,
     example1_code,
@@ -599,6 +601,41 @@ def test_minor_pass_matches_leibniz_oracle(f2_17, case):
     assert kernels.first_singular(g) == (oracle_singular_sets(g) or [None])[0]
 
 
+def test_minor_block_zeros_map_onto_the_singular_k_sets(f7, f49):
+    # Thm 8 as both passes use it: the zero square minors of M, each mapped
+    # by _k_set, are the singular k-sets of G; with the empty minor (the
+    # pivots) they reach all C(n, k) k-sets once each
+    rng = SplitMix64(34)
+    for spec in (f7, f49):
+        for k, n in [(2, 6), (3, 6), (4, 6), (1, 4), (5, 7)]:  # k <, = and > n - k
+            for edit in ("zero entry", "equal columns", None):
+                while True:
+                    rows = [[rng.below(spec.order) for _ in range(n)] for _ in range(k)]
+                    if edit == "zero entry":
+                        rows[rng.below(k)][rng.below(n)] = 0
+                    elif edit == "equal columns":
+                        for r in rows:
+                            r[n - 1] = r[0]
+                    g = FieldMatrix(spec, rows)
+                    if rank(g) == k:
+                        break
+                reduced, pivots, _ = g.echelon()
+                block, row_cols, col_cols = _minor_block(reduced, pivots)
+                h, w = len(block), n - len(block)
+                assert h == len(row_cols) == min(k, n - k) and w == len(col_cols)
+                m = FieldMatrix(spec, block)
+                every, zeros = [tuple(pivots)], []
+                for j in range(1, h + 1):
+                    for rs in combinations(range(h), j):
+                        for cs in combinations(range(w), j):
+                            s = _k_set(pivots, row_cols, col_cols, rs, cs)
+                            every.append(s)
+                            if not oracle_det(m, rs, cs):
+                                zeros.append(s)
+                assert sorted(every) == list(combinations(range(n), k))
+                assert sorted(zeros) == oracle_singular_sets(g)
+
+
 def test_singular_minor_of_mds_code_is_none(example1):
     assert singular_minor(example1) is None
     assert singular_minor(grs_generator(make_extension_field(7, 2), 16, 8)) is None
@@ -1105,3 +1142,9 @@ def test_sandwich_validation(example1):
         monomial_sandwich(g, [1, 1], [1] * 8)
     with pytest.raises(DimensionMismatch):
         monomial_sandwich(g, [1, 1, 1], [1] * 7)
+
+
+def test_code_repr_and_params_show_the_distance_once_computed(example1):
+    assert (example1.params(), repr(example1)) == ("[8,3,?]", "LinearCode([8,3,?] over F_7)")
+    min_distance(example1)
+    assert (example1.params(), repr(example1)) == ("[8,3,6]", "LinearCode([8,3,6] over F_7)")

@@ -186,3 +186,8 @@ def test_grs_codes_recover_generic_erasures(f7, f49):
             cw = erasure_encode(code, msg)
             pattern = rng.sample(range(n), n - k)
             assert erasure_decode(erase(code, cw, pattern)) == msg
+
+
+def test_erasure_word_repr(example1, f7):
+    word = erasure_encode(example1, [f7.element(c) for c in (1, 2, 3)])
+    assert repr(erase(example1, word, [0, 3])) == "ErasureWord([? 2 3 ? 0 4 5 6])"

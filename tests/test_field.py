@@ -813,3 +813,13 @@ def test_concurrent_log_and_zech_builds_are_safe():
     for i, got in results.items():
         assert got == (products + sums if i % 2 else sums + products)
     assert all(step is steps[0] for step in steps)
+
+
+def test_element_repr_immutability_and_foreign_equality(f7, f49):
+    assert repr(f7.element(3)) == "F7(3)"
+    assert repr(f49.from_code(10)) == "F7^2([3, 1])"
+    with pytest.raises(AttributeError, match="FieldElement is immutable"):
+        f7.element(3).code = 4
+    # == with an object of another type is False, not an error or a code comparison
+    assert (f7.element(3) == 3) is False
+    assert (f7 == 7) is False

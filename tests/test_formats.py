@@ -82,6 +82,34 @@ def test_bad_tokens_rejected(f7, f343):
         parse_element(f343, "5")  # bare decimals are prime-field syntax
 
 
+@pytest.mark.parametrize("field,token", [
+    ("f7", "+3"), ("f7", "0_3"), ("f7", "\u0663"), ("f7", " 3"), ("f343", "w^1_0"),
+    ("f343", "w^+1"), ("f343", "[+1,2,0]"), ("f343", "[1,\u0662,0]")])
+def test_integers_are_ascii_decimal(request, field, token):
+    # int() would read a sign, an underscore or a non-ASCII digit
+    with pytest.raises(FormatError, match="bad integer"):
+        parse_element(request.getfixturevalue(field), token)
+
+
+def test_integer_fields_of_files_are_ascii_decimal(example1):
+    text = format_code(example1)
+    for old, new in [("field p=7", "field p=\u0667"), ("field p=7", "field p=+7"),
+                     ("rows=3", "rows=\u0663"), ("cols=8", "cols=0_8"),
+                     ("n=8", "n=+8"), ("d=?", "d=\u0666")]:
+        with pytest.raises(FormatError, match="bad integer"):
+            parse_code(text.replace(old, new, 1))
+    with pytest.raises(FormatError, match="bad integer"):
+        parse_matrix("mdslift-matrix v1\nfield p=7 t=1\nrows=1 cols=2\n\u0661 +2\n")
+    with pytest.raises(FormatError, match="bad integer"):
+        parse_matrix("mdslift-matrix v1\nfield p=7 t=2 modulus=3,1,\u0661\nrows=1 cols=1\n1\n")
+    # a leading minus is still read, so negatives keep their range messages
+    with pytest.raises(FormatError, match="exponent must be >= 0"):
+        parse_element(make_extension_field(7, 3), "w^-2")
+    with pytest.raises(FormatError, match="bad dimensions"):
+        parse_matrix("mdslift-matrix v1\nfield p=7 t=1\nrows=-1 cols=2\n")
+    assert parse_code(text).generator == example1.generator
+
+
 # matrix files -------------------------------------------------------------------
 
 

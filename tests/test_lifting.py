@@ -491,3 +491,9 @@ def test_every_nonzero_diagonal_keeps_d(f3, rows, mds, d):
             reached_by_dh.add(lifted.generator.rref())
     if mds:  # repeated entries reach more codes than dh diagonals do
         assert (len(reached), len(reached_by_dh)) == (512, 210)
+
+
+def test_dh_repr_and_foreign_equality(f49):
+    m = sample_dh(f49, 8, 1)
+    assert repr(m) == "DhDiagonal(F_7^2, n=8, l=1)"
+    assert (m == list(m.codes)) is False

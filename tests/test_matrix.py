@@ -559,3 +559,9 @@ def test_equality_is_structural(v):
     b = FieldMatrix.from_rows(f7, [[v, 1], [2, 3]])
     assert a == b
     assert a != FieldMatrix.from_rows(f7, [[(v + 1) % 7, 1], [2, 3]])
+
+
+def test_matrix_repr_and_foreign_equality(example1):
+    g = example1.generator
+    assert repr(g) == "FieldMatrix(F_7, 3x8)"
+    assert (g == g.to_lists()) is False
