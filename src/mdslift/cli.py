@@ -5,10 +5,12 @@ verifylift, diversity, encode, decode. All randomness flows through an
 explicit --seed flag, and every run is deterministic given its flags:
 the same invocation always produces byte-identical output.
 
+Integer flags are ASCII -?[0-9]+, read as the file formats read them.
+
 Exit codes: 0 success (or true verdict), 1 false verdict or a data
 failure the input provoked (non-MDS, a failed lift check, too many
 erasures, inconsistent word, singular system), 2 usage and parameter
-errors.
+errors, a malformed flag or a file that is not UTF-8 among them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .codes import (
     min_distance,
 )
 from .erasure import ErasureWord, erasure_decode, erasure_encode
-from .errors import DataError, MdsLiftError
+from .errors import DataError, FormatError, MdsLiftError
 from .field import (
     DEFAULT_ORDER_LIMIT,
     FieldSpec,
@@ -38,6 +40,7 @@ from .field import (
     make_prime_field,
 )
 from .formats import (
+    _int_field,
     format_code,
     format_dh,
     format_element,
@@ -50,15 +53,19 @@ from .formats import (
 from .lifting import diversity_count, lift, sample_dh, verify_lift
 
 
+def integer(s: str) -> int:
+    return _int_field(s, s)
+
+
 def _seed_value(s: str) -> int:
-    v = int(s, 10)
+    v = integer(s)
     if not 0 <= v < 1 << 64:
         raise argparse.ArgumentTypeError("seed must be a 64-bit value")
     return v
 
 
 def _positive(s: str) -> int:
-    v = int(s, 10)
+    v = integer(s)
     if v < 1:
         raise argparse.ArgumentTypeError("limit must be positive")
     return v
@@ -71,7 +78,10 @@ def _make_field(args: argparse.Namespace) -> FieldSpec:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
 
 
 def _emit(args: argparse.Namespace, payload: str) -> None:
@@ -201,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_field_args(sp, builds_field=True):
-        sp.add_argument("-p", type=int, required=True, help="prime characteristic")
-        sp.add_argument("-t", type=int, default=1, help="extension degree (default 1)")
+        sp.add_argument("-p", type=integer, required=True, help="prime characteristic")
+        sp.add_argument("-t", type=integer, default=1, help="extension degree (default 1)")
         if builds_field:
             sp.add_argument("--max-order", type=_positive, default=DEFAULT_ORDER_LIMIT,
                             help="refuse fields of larger order p^t")
@@ -216,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("grs", help="write a GRS code (first n points, unit multipliers)")
     add_field_args(sp)
-    sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("-k", type=int, required=True)
+    sp.add_argument("-n", type=integer, required=True)
+    sp.add_argument("-k", type=integer, required=True)
     add_out(sp)
     sp.set_defaults(func=cmd_grs)
 
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dh", help="sample a distinct-entry diagonal")
     add_field_args(sp)
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=integer, required=True)
     sp.add_argument("--seed", type=_seed_value, default=0)
     add_out(sp)
     sp.set_defaults(func=cmd_dh)
@@ -261,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("diversity", help="count unordered dh diagonals: C(p^t - 1, n)")
     add_field_args(sp, builds_field=False)
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=integer, required=True)
     sp.set_defaults(func=cmd_diversity)
 
     sp = sub.add_parser("encode", help="systematic encode of k message tokens")

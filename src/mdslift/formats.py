@@ -21,6 +21,8 @@ wherever they appear, so emitted comments never affect a roundtrip.
 
 from __future__ import annotations
 
+import sys
+
 from .codes import LinearCode, min_distance
 from .erasure import ErasureWord
 from .errors import FormatError
@@ -83,9 +85,14 @@ def parse_element(spec: FieldSpec, token: str) -> FieldElement:
 
 
 def _int_field(s: str, token: str) -> int:
+    """The one reader of text integers: file fields, tokens and CLI flags."""
     if not (s.isascii() and s.removeprefix("-").isdigit()):  # ASCII -?[0-9]+ only
         raise FormatError(f"bad integer {s!r} in token {token!r}")
-    return int(s)
+    try:
+        return int(s)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise FormatError(f"integer of more than {sys.get_int_max_str_digits()} digits in "
+                          f"{token[:24]!r}...; PYTHONINTMAXSTRDIGITS raises that limit") from None
 
 
 def _content_lines(text: str) -> list[str]:

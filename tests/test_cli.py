@@ -11,7 +11,9 @@ import pytest
 
 import mdslift
 from mdslift.cli import main
-from mdslift.formats import parse_code, parse_dh
+from mdslift.field import make_extension_field
+from mdslift.formats import format_dh, parse_code, parse_dh
+from mdslift.lifting import sample_dh
 
 
 def run(capsys, *argv):
@@ -56,6 +58,7 @@ def test_field_extension(capsys):
     assert "modulus=2,1,1,1" in out
     assert "w=[0,1,0]" in out
     assert "group_order=342" in out
+    assert run(capsys, "field", "-p", "7", "-t", "03") == (code, out, "")  # leading zeros are read
 
 
 def test_field_rejects_nonprime(capsys):
@@ -177,8 +180,15 @@ def test_dh_field_too_small(capsys):
 
 
 def test_dh_seed_must_be_64_bit(capsys):
-    code, _, _ = run(capsys, "dh", "-p", "7", "-t", "3", "-n", "8", "--seed", "-1")
-    assert code == 2
+    top = 2 ** 64 - 1
+    code, out, _ = run(capsys, "dh", "-p", "7", "-t", "3", "-n", "8", "--seed", str(top))
+    assert code == 0
+    assert out == f"# generated-by mdslift {mdslift.__version__}\n" + format_dh(
+        sample_dh(make_extension_field(7, 3), 8, top))
+    for seed in ("-1", str(top + 1)):
+        code, out, err = run(capsys, "dh", "-p", "7", "-t", "3", "-n", "8", "--seed", seed)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "mdslift dh: error: argument --seed: seed must be a 64-bit value"
 
 
 def test_dh_negative_length_is_usage_error(capsys):
@@ -456,6 +466,91 @@ def test_non_ascii_integers_are_a_format_error(capsys, tmp_path, edit):
     assert (code, out) == (2, "")
     assert err.startswith("error: FormatError: bad integer")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["rows", "power", "encode"])
+def test_integers_past_the_digit_limit_are_a_format_error(capsys, digit_limit, tmp_path,
+                                                          ex1_file, where):
+    # int() raises a plain ValueError past sys.get_int_max_str_digits(): the
+    # reader turns it into its FormatError, on one line
+    sys.set_int_max_str_digits(640)
+    digits = "1" * 641
+    path = tmp_path / "long.txt"
+    if where == "rows":
+        path.write_text(Path(ex1_file).read_text().replace("rows=3", f"rows={digits}"))
+    else:  # a w^ exponent of a lift into F_343
+        path.write_text((GOLDEN / "lift-t3.txt").read_text().replace("w^273", f"w^{digits}"))
+    argv = ["encode", ex1_file, "1", "2", digits] if where == "encode" else ["ismds", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: FormatError: integer of more than 640 digits in ")
+    assert err.endswith("; PYTHONINTMAXSTRDIGITS raises that limit\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["mindist", "BAD"],
+    ["ismds", "BAD"],
+    ["lift", "BAD", "DH", "-o", "OUT"],
+    ["lift", "EX1", "BAD", "-o", "OUT"],
+    ["verifylift", "BAD", "EX1"],
+    ["verifylift", "EX1", "BAD"],
+    ["encode", "BAD", "1", "2", "3", "-o", "OUT"],
+    ["decode", "EX1", "--word-file", "BAD"],
+], ids=["mindist", "ismds", "lift-code", "lift-dh", "verifylift-base", "verifylift-lifted",
+        "encode", "decode-word-file"])
+def test_a_file_that_is_not_utf8_is_a_format_error(capsys, tmp_path, ex1_file, dh_file, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"mdslift-matrix v1\n\xff\n")
+    names = {"BAD": str(bad), "EX1": ex1_file, "DH": dh_file, "OUT": str(tmp_path / "out.txt")}
+    code, out, err = run(capsys, *[names.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: FormatError: {bad}: not UTF-8 (invalid start byte at byte 18)\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
+# integer flags ------------------------------------------------------------------
+
+# one invocation per integer flag, the flag's value at None: with 3 or 7 there,
+# each one runs
+INTEGER_FLAGS = {
+    "field -p": ["field", "-p", None, "-t", "3"],
+    "field -t": ["field", "-p", "7", "-t", None],
+    "field --max-order": ["field", "-p", "7", "--max-order", None],
+    "grs -p": ["grs", "-p", None, "-n", "3", "-k", "2", "-o", "OUT"],
+    "grs -t": ["grs", "-p", "7", "-t", None, "-n", "3", "-k", "2", "-o", "OUT"],
+    "grs -n": ["grs", "-p", "7", "-n", None, "-k", "2", "-o", "OUT"],
+    "grs -k": ["grs", "-p", "7", "-n", "7", "-k", None, "-o", "OUT"],
+    "grs --max-order": ["grs", "-p", "7", "-n", "3", "-k", "2", "--max-order", None, "-o", "OUT"],
+    "dh -p": ["dh", "-p", None, "-n", "2", "-o", "OUT"],
+    "dh -t": ["dh", "-p", "7", "-t", None, "-n", "2", "-o", "OUT"],
+    "dh -n": ["dh", "-p", "7", "-t", "2", "-n", None, "-o", "OUT"],
+    "dh --seed": ["dh", "-p", "7", "-t", "2", "-n", "2", "--seed", None, "-o", "OUT"],
+    "dh --max-order": ["dh", "-p", "7", "-n", "2", "--max-order", None, "-o", "OUT"],
+    "diversity -p": ["diversity", "-p", None, "-t", "2", "-n", "2"],
+    "diversity -t": ["diversity", "-p", "7", "-t", None, "-n", "2"],
+    "diversity -n": ["diversity", "-p", "7", "-t", "2", "-n", None],
+    "mindist --max-enum": ["mindist", "EX1", "--max-enum", None],
+    "ismds --max-minors": ["ismds", "EX1", "--max-minors", None],
+}
+TYPE_NAMES = {"--seed": "_seed_value", "--max-order": "_positive", "--max-enum": "_positive",
+              "--max-minors": "_positive"}
+
+
+@pytest.mark.parametrize("token", ["\u0667", "+3", "0_3", " 3", "3 "],
+                         ids=["arabic-indic", "plus", "underscore", "leading-space",
+                              "trailing-space"])
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+def test_integer_flags_are_ascii_decimal(capsys, tmp_path, ex1_file, flag, token):
+    # int() reads every one of these tokens; the file format's reader does not
+    command, name = flag.split()
+    out_path = tmp_path / "out.txt"
+    names = {None: token, "OUT": str(out_path), "EX1": ex1_file}
+    code, out, err = run(capsys, *[names.get(a, a) for a in INTEGER_FLAGS[flag]])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (f"mdslift {command}: error: argument {name}: invalid "
+                                    f"{TYPE_NAMES.get(name, 'integer')} value: {token!r}")
+    assert "Traceback" not in err and not out_path.exists()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
